@@ -23,12 +23,14 @@ Methodology notes mirrored from section 6.1:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bench.histogram import LatencyHistogram
 from repro.core.config import ViyojitConfig
 from repro.core.runtime import FullBatteryNVDRAM, NVDRAMSystem, Viyojit
+from repro.kvstore.fastpath import build_fast_ops
 from repro.kvstore.store import KVStore
 from repro.kvstore.heap import size_class
 from repro.mem.machine import MachineModel
@@ -300,21 +302,11 @@ class YCSBRunner:
             self.store.put(op.key, value_bytes(op.key, self.scale.value_size))
 
     def load_batched(self, batch_size: int = 2048) -> None:
-        """The load phase through the fused put path (same store image)."""
-        if self.store.index is not None:
-            self.load()
-            return
-        from repro.kvstore.fastpath import build_fast_ops
-
-        put = build_fast_ops(self.store).put
-        size = self.scale.value_size
-        reps = -(-size // 8)
+        """The load phase through the batched put (same store image)."""
+        session = BatchedSession(self)
         for start in range(0, self.scale.record_count, batch_size):
             stop = min(start + batch_size, self.scale.record_count)
-            keys = [make_key(index) for index in range(start, stop)]
-            seeds = value_seeds_batch(keys, [0] * len(keys))
-            for key, seed in zip(keys, seeds):
-                put(key, (seed * reps)[:size])
+            session.put([make_key(index) for index in range(start, stop)])
 
     def _execute(self, op: Operation) -> str:
         """Run one operation; returns the latency bucket it belongs to."""
@@ -360,8 +352,6 @@ class YCSBRunner:
                 theta=self.scale.zipf_theta,
                 seed=self.scale.seed,
             )
-        from repro.bench.histogram import LatencyHistogram
-
         samples: Dict[str, LatencyHistogram] = {}
         ssd = getattr(self.system, "ssd", None)
         bytes_before = ssd.stats.bytes_written if ssd is not None else 0
@@ -382,79 +372,28 @@ class YCSBRunner:
     ) -> RunResult:
         """Replay one workload through the batched execution path.
 
-        Operations are generated in chunks (:func:`iter_op_batches`),
-        value payloads come from one vectorized hash pass per chunk, and
-        every store operation runs through the fused closures of
-        :mod:`repro.kvstore.fastpath`.  Simulated results are
-        byte-identical to :meth:`run` — only wall time changes.  Scans
-        (ordered stores) fall back to the per-op path.
+        Operations are generated in chunks (:func:`iter_op_batches`) and
+        applied through one :class:`BatchedSession`.  Simulated results
+        are byte-identical to :meth:`run` — only wall time changes.
 
         ``compiled`` is an optional pre-compiled stream
         (:class:`repro.workloads.compiled.CompiledStream`): batches then
         come from array slices — the same ops, no generator re-run.
         """
-        if spec.scan_proportion > 0 or self.store.index is not None:
-            if compiled is not None:
-                return self.run(spec, operations=compiled.operations())
-            return self.run(spec)
-        from repro.bench.histogram import LatencyHistogram
-        from repro.kvstore.fastpath import build_fast_ops
-
-        fast = build_fast_ops(self.store)
-        fast_get, fast_put, fast_rmw = fast.get, fast.put, fast.rmw
-        clock = self.sim.clock
-        size = self.scale.value_size
-        reps = -(-size // 8)
-        samples: Dict[str, LatencyHistogram] = {}
-        histogram_for = samples.setdefault
-        ssd = getattr(self.system, "ssd", None)
-        bytes_before = ssd.stats.bytes_written if ssd is not None else 0
-        started = clock._now
-        executed = 0
+        session = BatchedSession(self)
+        session.begin()
         for batch in iter_op_batches(
             spec,
             record_count=self.scale.record_count,
             operation_count=self.scale.operation_count,
-            value_size=size,
+            value_size=self.scale.value_size,
             theta=self.scale.zipf_theta,
             seed=self.scale.seed,
             batch_size=batch_size,
             compiled=compiled,
         ):
-            kinds = batch.kinds
-            keys = batch.keys
-            # One vectorized hash pass covers every mutating op's payload
-            # seed; nonces continue the per-op path's numbering exactly.
-            mutating = [
-                index for index, kind in enumerate(kinds) if kind != "read"
-            ]
-            nonce = self._nonce
-            seeds = value_seeds_batch(
-                [keys[index] for index in mutating],
-                range(nonce + 1, nonce + 1 + len(mutating)),
-            )
-            self._nonce = nonce + len(mutating)
-            seed_at = dict(zip(mutating, seeds))
-            for index, kind in enumerate(kinds):
-                op_start = clock._now
-                if kind == "read":
-                    fast_get(keys[index])
-                elif kind == "rmw":
-                    seed = seed_at[index]
-                    fast_rmw(
-                        keys[index],
-                        lambda val_len, _seed=seed: (
-                            _seed * (-(-val_len // 8))
-                        )[:val_len],
-                    )
-                else:  # update | insert
-                    fast_put(keys[index], (seed_at[index] * reps)[:size])
-                histogram_for(kind, LatencyHistogram()).record(
-                    clock._now - op_start
-                )
-                executed += 1
-        elapsed = clock._now - started
-        return self._result(spec, executed, elapsed, samples, ssd, bytes_before)
+            session.apply(batch.kinds, batch.keys, batch.scan_lengths)
+        return session.finish(spec)
 
     def _result(
         self, spec, executed, elapsed, samples, ssd, bytes_before
@@ -484,6 +423,119 @@ class YCSBRunner:
                 ssd.stats.bytes_written - bytes_before if ssd is not None else 0
             ),
             viyojit_stats=stats.summary() if stats is not None else None,
+        )
+
+
+class BatchedSession:
+    """One batched replay against a runner's store.
+
+    ``begin`` opens the measured window, ``apply`` executes one batch of
+    operations with the dispatch loop inline, ``finish`` closes the
+    window into a :class:`RunResult`.  ``put`` stores nonce-0 payloads
+    outside any operation's latency sample: the load phase, and the
+    cluster's migration handoff between epoch segments.
+
+    Unordered stores run the fused closures of
+    :mod:`repro.kvstore.fastpath`; ordered stores (skip-list index,
+    YCSB-E scans) bind the store's own methods into the same loop.
+    Either way every simulated quantity is byte-identical to
+    :meth:`YCSBRunner.run`.
+    """
+
+    def __init__(self, runner: YCSBRunner) -> None:
+        self._runner = runner
+        store = runner.store
+        self._get: Callable[[bytes], object]
+        self._put: Callable[[bytes, bytes], None]
+        self._rmw: Callable[[bytes, Callable[[int], bytes]], bool]
+        if store.index is None:
+            fast = build_fast_ops(store)
+            self._get, self._put, self._rmw = fast.get, fast.put, fast.rmw
+        else:
+
+            def rmw(key: bytes, make_value: Callable[[int], bytes]) -> bool:
+                return store.read_modify_write(
+                    key, lambda value: make_value(len(value))
+                )
+
+            self._get, self._put, self._rmw = store.get, store.put, rmw
+        self._scan = store.scan
+        self._clock = runner.sim.clock
+        self._ssd = getattr(runner.system, "ssd", None)
+        self._samples: Dict[str, LatencyHistogram] = {}
+        self._executed = 0
+        self._started = 0
+        self._bytes_before = 0
+
+    def put(self, keys: Sequence[bytes]) -> None:
+        """Store each key's nonce-0 payload (one hash pass for all)."""
+        put = self._put
+        size = self._runner.scale.value_size
+        reps = -(-size // 8)
+        for key, seed in zip(keys, value_seeds_batch(keys, [0] * len(keys))):
+            put(key, (seed * reps)[:size])
+
+    def begin(self) -> None:
+        ssd = self._ssd
+        self._bytes_before = ssd.stats.bytes_written if ssd is not None else 0
+        self._started = self._clock._now
+
+    def apply(
+        self,
+        kinds: Sequence[str],
+        keys: Sequence[bytes],
+        scan_lengths: Sequence[int] = (),
+    ) -> None:
+        """Execute one batch; per-op latency is the clock delta."""
+        runner = self._runner
+        get, put, rmw, scan = self._get, self._put, self._rmw, self._scan
+        clock = self._clock
+        samples = self._samples
+        size = runner.scale.value_size
+        reps = -(-size // 8)
+        # One vectorized hash pass covers every non-read op's payload
+        # seed; nonces continue the per-op path's numbering exactly
+        # (which spends one on each scan too).
+        mutating = [
+            index for index, kind in enumerate(kinds) if kind != "read"
+        ]
+        nonce = runner._nonce
+        seeds = value_seeds_batch(
+            [keys[index] for index in mutating],
+            range(nonce + 1, nonce + 1 + len(mutating)),
+        )
+        runner._nonce = nonce + len(mutating)
+        seed_at = dict(zip(mutating, seeds))
+        for index, kind in enumerate(kinds):
+            op_start = clock._now
+            if kind == "read":
+                get(keys[index])
+            elif kind == "rmw":
+                seed = seed_at[index]
+                rmw(
+                    keys[index],
+                    lambda val_len, _seed=seed: (
+                        _seed * (-(-val_len // 8))
+                    )[:val_len],
+                )
+            elif kind == "scan":
+                scan(keys[index], scan_lengths[index])
+            else:  # update | insert
+                put(keys[index], (seed_at[index] * reps)[:size])
+            histogram = samples.get(kind)
+            if histogram is None:
+                histogram = samples[kind] = LatencyHistogram()
+            histogram.record(clock._now - op_start)
+        self._executed += len(kinds)
+
+    def finish(self, spec: WorkloadSpec) -> RunResult:
+        return self._runner._result(
+            spec,
+            self._executed,
+            self._clock._now - self._started,
+            self._samples,
+            self._ssd,
+            self._bytes_before,
         )
 
 

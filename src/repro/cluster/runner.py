@@ -30,10 +30,12 @@ Determinism protocol (everything is a pure function of the spec):
 3. **Shard execution** — one hermetic :class:`ShardJob` per shard rides
    :func:`repro.parallel.engine.execute_jobs` (one shard per worker
    process, any ``--jobs`` count, order-blind merge).  Each worker
-   rebuilds the per-epoch ring schedule, replays the global stream
-   filtered to its own keys, re-tunes its dirty budget to the leased
-   schedule at segment boundaries (shrink drains first, exactly like
-   section 8's battery-degradation path), and replays ownership
+   rebuilds the per-epoch ring schedule, replays the slice of each
+   compiled epoch segment it owns through the batched executor
+   (:class:`~repro.bench.runner.BatchedSession`), re-tunes its dirty
+   budget to the leased schedule between segments (shrink drains
+   first, exactly like section 8's battery-degradation path), and
+   replays ownership
    handoff — keys gained at a membership change are put before any of
    the new epoch's operations are served.
 
@@ -52,12 +54,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.bench.runner import (
+    BatchedSession,
     ExperimentScale,
     PAPER_HEAP_GB,
     YCSBRunner,
     build_baseline,
     build_viyojit,
-    value_bytes,
 )
 from repro.cluster.forecast import (
     DEFAULT_EWMA_ALPHA,
@@ -78,8 +80,7 @@ from repro.obs.events import (
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.engine import Progress, execute_jobs
 from repro.parallel.worker import (
-    arm_job_timeout,
-    disarm_job_timeout,
+    job_timeout,
     maybe_kill_once,
     result_payload,
 )
@@ -1163,176 +1164,54 @@ def _apply_lease(system: Viyojit, pages: int) -> None:
         system.drain_to_budget()
 
 
-def _shard_operations_compiled(
-    job: ShardJob,
-    rings: Sequence[HashRing],
-    system: Optional[Viyojit],
-    store,
-    value_size: int,
-    stream: CompiledStream,
-    counters: Dict[str, object],
-) -> Iterator[Operation]:
-    """:func:`_shard_operations` over a compiled stream: array passes.
-
-    Per epoch segment, ownership is one vectorized ``shard_for_rows``
-    routing pass and tenant attribution one ``np.bincount`` — the
-    worker never materializes another shard's operations.  Boundary
-    semantics replicate the lazy per-op loop exactly: advancing into
-    segment ``e`` applies lease ``e`` then replays the membership
-    handoff sized against the live keyspace *before* ``e``'s first op
-    (records plus every insert at earlier positions, across all
-    shards), and segments past the last operation are never entered.
-    """
-    schedule = job.budget_schedule
-    tenant_ops: List[int] = [0] * job.tenants
-    routed = 0
-    migrated_in = 0
-    track_keys = bool(job.membership)
-    bounds = stream.segment_bounds
-    if track_keys:
-        insert_positions = np.flatnonzero(
-            np.asarray(stream.codes) == CODE_INSERT
-        )
-        insert_keys = key_array(
-            np.asarray(stream.key_indices)[insert_positions]
-        ).tolist()
-        record_keys = key_array(
-            np.arange(job.record_count, dtype=np.int64)
-        ).tolist()
-    last_segment = -1
-    for epoch in range(job.epochs):
-        if bounds[epoch] < bounds[epoch + 1]:
-            last_segment = epoch
-    for segment in range(last_segment + 1):
-        if segment:
-            if schedule is not None and system is not None:
-                _apply_lease(system, schedule[segment])
-            if track_keys and rings[segment] is not rings[segment - 1]:
-                before = rings[segment - 1]
-                after = rings[segment]
-                grown = int(
-                    np.searchsorted(
-                        insert_positions, bounds[segment], side="left"
-                    )
-                )
-                live_keys = record_keys + insert_keys[:grown]
-                for key in before.moved_keys(after, live_keys):
-                    if after.shard_for(key) != job.shard:
-                        continue
-                    store.put(key, value_bytes(key, value_size))
-                    migrated_in += 1
-        lo, hi = int(bounds[segment]), int(bounds[segment + 1])
-        if lo == hi:
-            continue
-        indices = np.asarray(stream.key_indices[lo:hi])
-        owners = rings[segment].shard_for_rows(key_rows(indices))
-        own = owners == job.shard
-        own_count = int(own.sum())
-        if not own_count:
-            continue
-        routed += own_count
-        own_indices = indices[own]
-        per_tenant = np.bincount(
-            own_indices % job.tenants, minlength=job.tenants
-        )
-        for tenant in range(job.tenants):
-            tenant_ops[tenant] += int(per_tenant[tenant])
-        codes = np.asarray(stream.codes[lo:hi])[own].tolist()
-        keys = key_array(own_indices).tolist()
-        sizes = np.asarray(stream.value_sizes[lo:hi])[own].tolist()
-        scans = np.asarray(stream.scan_lengths[lo:hi])[own].tolist()
-        for code, key, size, scan in zip(codes, keys, sizes, scans):
-            yield Operation(
-                KIND_NAMES[code], key, value_size=size, scan_length=scan
-            )
-    counters["routed_ops"] = routed
-    counters["tenant_ops"] = list(tenant_ops)
-    counters["migrated_in_keys"] = migrated_in
-
-
-def _shard_operations(
-    job: ShardJob,
-    rings: Sequence[HashRing],
-    system: Optional[Viyojit],
-    store,
-    value_size: int,
-    counters: Dict[str, object],
-    stream: Optional[CompiledStream] = None,
-) -> Iterator[Operation]:
-    """The global op stream filtered to this shard, applying leases.
-
-    Iterating the *global* stream keeps the partition exact — every op
-    goes to precisely one shard — and advancing past an epoch-segment
-    boundary re-tunes the budget between this shard's operations, which
-    is deterministic because the stream and the schedule both are.
-
-    At a boundary whose ring differs from the previous epoch's, the
-    worker replays the ownership handoff: the lease is applied first
-    (shrinking shards drain under the budget they are giving up), then
-    every live key this shard gains under the new ring is put before
-    any of the epoch's operations are served — the migrated-in data
-    must exist before a read can route here for it.
-
-    With a compiled ``stream`` the filtering dispatches to the
-    vectorized :func:`_shard_operations_compiled`; the yielded ops and
-    every counter are identical either way.
-    """
-    if stream is not None:
-        yield from _shard_operations_compiled(
-            job, rings, system, store, value_size, stream, counters
-        )
-        return
-    schedule = job.budget_schedule
-    tenant_ops: List[int] = [0] * job.tenants
-    current_segment = 0
-    routed = 0
-    migrated_in = 0
-    track_keys = bool(job.membership)
-    live_keys: List[bytes] = (
-        [make_key(index) for index in range(job.record_count)]
-        if track_keys
-        else []
+def _compile_stream(
+    workload: str,
+    record_count: int,
+    operation_count: int,
+    theta: float,
+    seed: int,
+    epochs: int,
+    hotspot_rotate_keys: int,
+) -> CompiledStream:
+    """The one segmented, rotated global op stream of a cluster run."""
+    scale = ExperimentScale(
+        record_count=record_count,
+        operation_count=operation_count,
+        zipf_theta=theta,
+        seed=seed,
     )
-    for _, segment, op in iter_segment_ops(
-        job.workload,
-        job.record_count,
-        job.operation_count,
-        value_size,
-        job.theta,
-        job.seed,
-        job.epochs,
-        job.hotspot_rotate_keys,
-    ):
-        while current_segment < segment:
-            current_segment += 1
-            if schedule is not None and system is not None:
-                _apply_lease(system, schedule[current_segment])
-            if track_keys and (
-                rings[current_segment] is not rings[current_segment - 1]
-            ):
-                before = rings[current_segment - 1]
-                after = rings[current_segment]
-                for key in before.moved_keys(after, live_keys):
-                    if after.shard_for(key) != job.shard:
-                        continue
-                    store.put(key, value_bytes(key, value_size))
-                    migrated_in += 1
-        if rings[current_segment].shard_for(op.key) != job.shard:
-            if track_keys and op.kind == "insert":
-                live_keys.append(op.key)
-            continue
-        if track_keys and op.kind == "insert":
-            live_keys.append(op.key)
-        routed += 1
-        tenant_ops[key_index(op.key) % job.tenants] += 1
-        yield op
-    counters["routed_ops"] = routed
-    counters["tenant_ops"] = list(tenant_ops)
-    counters["migrated_in_keys"] = migrated_in
+    return compile_workload(
+        YCSB_WORKLOADS[workload],
+        record_count,
+        operation_count,
+        value_size=scale.value_size,
+        theta=theta,
+        seed=seed,
+        epochs=epochs,
+        hotspot_rotate_keys=hotspot_rotate_keys,
+    )
 
 
 def _execute_shard(job: ShardJob) -> Dict[str, object]:
-    """Build one shard, load its slice of the keyspace, serve its ops."""
+    """Build one shard, load its slice of the keyspace, serve its ops.
+
+    The global compiled stream is replayed one epoch segment at a time:
+    ownership is one vectorized ``shard_for_rows`` routing pass and
+    tenant attribution one ``np.bincount``, so the partition stays
+    exact (every op goes to precisely one shard) and the worker never
+    materializes another shard's operations.  The owned slice of each
+    segment runs through one :class:`~repro.bench.runner.BatchedSession`.
+
+    Between segments the shard re-tunes to its next lease, and at a
+    boundary whose ring differs from the previous epoch's it replays
+    the ownership handoff: the lease is applied first (shrinking shards
+    drain under the budget they are giving up), then every live key
+    this shard gains under the new ring is put before any of the
+    epoch's operations are served — the migrated-in data must exist
+    before a read can route here for it.  Live keys are the loaded
+    records plus every insert at earlier positions, across all shards;
+    segments past the last operation are never entered.
+    """
     wspec = YCSB_WORKLOADS[job.workload]
     scale = ExperimentScale(
         record_count=job.record_count,
@@ -1342,8 +1221,8 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
     )
     # The coordinator's compiled stream arrives by path and is opened
     # read-only (np.memmap): every worker shares the parent's single
-    # compilation through the page cache.
-    stream: Optional[CompiledStream] = None
+    # compilation through the page cache.  A job handed no path
+    # compiles the same stream itself.
     if job.ops_path is not None:
         stream = open_ops(job.ops_path)
         stream.require(
@@ -1356,53 +1235,112 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
             epochs=job.epochs,
             hotspot_rotate_keys=job.hotspot_rotate_keys,
         )
+    else:
+        stream = _compile_stream(
+            job.workload,
+            job.record_count,
+            job.operation_count,
+            job.theta,
+            job.seed,
+            job.epochs,
+            job.hotspot_rotate_keys,
+        )
     rings = job.rings()
+    schedule = job.budget_schedule
     viyojit: Optional[Viyojit]
     system: NVDRAMSystem
-    if job.budget_schedule is None:
+    if schedule is None:
         sim, system = build_baseline(scale)
         viyojit = None
     else:
-        sim, viyojit = build_viyojit(
-            scale, 1.0, budget_pages=job.budget_schedule[0]
-        )
+        sim, viyojit = build_viyojit(scale, 1.0, budget_pages=schedule[0])
         system = viyojit
     runner = YCSBRunner(
         sim, system, scale, ordered=wspec.scan_proportion > 0
     )
+    session = BatchedSession(runner)
     # One vectorized routing pass decides record ownership (put order
     # stays the sequential key-index order of the load phase).
     record_indices = np.arange(job.record_count, dtype=np.int64)
     owned = rings[0].shard_for_rows(key_rows(record_indices)) == job.shard
     own_record_keys = key_array(record_indices[owned]).tolist()
-    for key in own_record_keys:
-        runner.store.put(key, value_bytes(key, scale.value_size))
-    loaded = len(own_record_keys)
-    counters: Dict[str, object] = {}
-    result = runner.run(
-        wspec,
-        operations=_shard_operations(
-            job,
-            rings,
-            viyojit,
-            runner.store,
-            scale.value_size,
-            counters,
-            stream=stream,
+    session.put(own_record_keys)
+
+    bounds = stream.segment_bounds
+    track_keys = bool(job.membership)
+    if track_keys:
+        insert_positions = np.flatnonzero(
+            np.asarray(stream.codes) == CODE_INSERT
+        )
+        insert_keys = key_array(
+            np.asarray(stream.key_indices)[insert_positions]
+        ).tolist()
+        record_keys = key_array(record_indices).tolist()
+    tenant_ops = np.zeros(job.tenants, dtype=np.int64)
+    routed = 0
+    migrated_in = 0
+    last_segment = max(
+        (
+            epoch
+            for epoch in range(job.epochs)
+            if bounds[epoch] < bounds[epoch + 1]
         ),
+        default=-1,
     )
-    payload = result_payload(result)
+    session.begin()
+    for segment in range(last_segment + 1):
+        if segment:
+            if viyojit is not None and schedule is not None:
+                _apply_lease(viyojit, schedule[segment])
+            if track_keys and rings[segment] is not rings[segment - 1]:
+                before = rings[segment - 1]
+                after = rings[segment]
+                grown = int(
+                    np.searchsorted(
+                        insert_positions, bounds[segment], side="left"
+                    )
+                )
+                gained = [
+                    key
+                    for key in before.moved_keys(
+                        after, record_keys + insert_keys[:grown]
+                    )
+                    if after.shard_for(key) == job.shard
+                ]
+                session.put(gained)
+                migrated_in += len(gained)
+        lo, hi = int(bounds[segment]), int(bounds[segment + 1])
+        if lo == hi:
+            continue
+        indices = np.asarray(stream.key_indices[lo:hi])
+        own = rings[segment].shard_for_rows(key_rows(indices)) == job.shard
+        own_indices = indices[own]
+        if not len(own_indices):
+            continue
+        routed += len(own_indices)
+        tenant_ops += np.bincount(
+            own_indices % job.tenants, minlength=job.tenants
+        )
+        session.apply(
+            [
+                KIND_NAMES[code]
+                for code in np.asarray(stream.codes[lo:hi])[own].tolist()
+            ],
+            key_array(own_indices).tolist(),
+            np.asarray(stream.scan_lengths[lo:hi])[own].tolist()
+            if stream.has_scans
+            else (),
+        )
+    payload = result_payload(session.finish(wspec))
     payload["shard"] = job.shard
-    payload["records_loaded"] = loaded
-    payload["routed_ops"] = counters["routed_ops"]
-    payload["tenant_ops"] = counters["tenant_ops"]
+    payload["records_loaded"] = len(own_record_keys)
+    payload["routed_ops"] = routed
+    payload["tenant_ops"] = tenant_ops.tolist()
     payload["budget_schedule"] = (
-        list(job.budget_schedule)
-        if job.budget_schedule is not None
-        else None
+        list(schedule) if schedule is not None else None
     )
     if job.membership:
-        payload["migrated_in_keys"] = counters["migrated_in_keys"]
+        payload["migrated_in_keys"] = migrated_in
     return payload
 
 
@@ -1418,19 +1356,13 @@ def run_shard_job(job: ShardJob, in_worker: bool = False) -> Dict[str, object]:
         maybe_kill_once(
             job.fault_kill_once_path, f"shard {job.shard} (job {job.index})"
         )
-    alarmed = arm_job_timeout(
-        job.timeout_s, f"shard {job.shard} (job {job.index})"
-    )
-    try:
-        holder: Dict[str, Dict[str, object]] = {}
+    holder: Dict[str, Dict[str, object]] = {}
 
-        def one_pass() -> None:
-            holder["result"] = _execute_shard(job)
+    def one_pass() -> None:
+        holder["result"] = _execute_shard(job)
 
+    with job_timeout(job.timeout_s, f"shard {job.shard} (job {job.index})"):
         wall_s = best_of(1, one_pass)
-    finally:
-        if alarmed:
-            disarm_job_timeout()
     return {
         "job": job.as_dict(),
         "result": holder["result"],
@@ -1636,21 +1568,14 @@ def _materialize_grid_stream(grid: ClusterGrid, directory: str) -> str:
     compiles exactly once and both the planner's demand probe and every
     shard worker replay the same memory-mapped arrays.
     """
-    scale = ExperimentScale(
-        record_count=grid.record_count,
-        operation_count=grid.operation_count,
-        zipf_theta=grid.theta,
-        seed=grid.seed,
-    )
-    stream = compile_workload(
-        YCSB_WORKLOADS[grid.workload],
+    stream = _compile_stream(
+        grid.workload,
         grid.record_count,
         grid.operation_count,
-        value_size=scale.value_size,
-        theta=grid.theta,
-        seed=grid.seed,
-        epochs=grid.epochs,
-        hotspot_rotate_keys=grid.hotspot_rotate_keys,
+        grid.theta,
+        grid.seed,
+        grid.epochs,
+        grid.hotspot_rotate_keys,
     )
     path = os.path.join(directory, "cluster.ops")
     save_ops(stream, path)

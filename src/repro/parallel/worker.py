@@ -10,9 +10,9 @@ is measured through :func:`repro.perf.timer.best_of` (the sanctioned
 wall-clock site) and reported separately.
 
 The fault-hook (:func:`maybe_kill_once`) and timeout
-(:func:`arm_job_timeout` / :func:`disarm_job_timeout`) helpers are
-shared with the cluster shard worker (:mod:`repro.cluster.runner`),
-which runs the same hermetic protocol over shard jobs.
+(:func:`job_timeout`) helpers are shared with the cluster shard worker
+(:mod:`repro.cluster.runner`), which runs the same hermetic protocol
+over shard jobs.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from __future__ import annotations
 import os
 import signal
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bench.runner import ExperimentScale, RunResult, run_workload
 from repro.parallel.grid import SweepJob
@@ -96,26 +97,20 @@ def run_sweep_job(job: SweepJob, in_worker: bool = False) -> Dict[str, object]:
     # any number of workers can share the parent's one compilation
     # through the page cache, and nothing in a worker can write to it.
     compiled = open_ops(job.ops_path) if job.ops_path is not None else None
-    alarmed = arm_job_timeout(
-        job.timeout_s, f"job {job.index} ({job.workload})"
-    )
-    try:
-        holder: Dict[str, RunResult] = {}
+    holder: Dict[str, RunResult] = {}
 
-        def one_pass() -> None:
-            holder["result"] = run_workload(
-                spec,
-                scale,
-                job.budget_fraction,
-                execution="batched",
-                budget_pages=job.budget_pages,
-                compiled=compiled,
-            )
+    def one_pass() -> None:
+        holder["result"] = run_workload(
+            spec,
+            scale,
+            job.budget_fraction,
+            execution="batched",
+            budget_pages=job.budget_pages,
+            compiled=compiled,
+        )
 
+    with job_timeout(job.timeout_s, f"job {job.index} ({job.workload})"):
         wall_s = best_of(1, one_pass)
-    finally:
-        if alarmed:
-            disarm_job_timeout()
     return {
         "job": job.as_dict(),
         "result": result_payload(holder["result"]),
@@ -123,29 +118,39 @@ def run_sweep_job(job: SweepJob, in_worker: bool = False) -> Dict[str, object]:
     }
 
 
-def arm_job_timeout(timeout_s: Optional[float], label: str) -> bool:
-    """Arm a SIGALRM-based per-job timeout; returns whether armed.
+@contextmanager
+def job_timeout(timeout_s: Optional[float], label: str) -> Iterator[None]:
+    """Bound the enclosed job with a SIGALRM-based timeout.
 
     Signals only work on the main thread, which is where both pool
-    workers and the serial fallback run jobs.
+    workers and the serial fallback run jobs; elsewhere (or without a
+    positive ``timeout_s``) the block runs unbounded.  The handler that
+    owned SIGALRM before is put back on exit — a serial run may be
+    embedded in a host that uses alarms itself.
     """
-    if timeout_s is None or timeout_s <= 0:
-        return False
-    if threading.current_thread() is not threading.main_thread():
-        return False
+    if (
+        timeout_s is None
+        or timeout_s <= 0
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
 
     def _on_alarm(signum: int, frame: Optional[object]) -> None:
         raise SweepTimeout(f"{label} exceeded {timeout_s}s")
 
-    signal.signal(signal.SIGALRM, _on_alarm)
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    return True
-
-
-def disarm_job_timeout() -> None:
-    """Cancel a timeout armed by :func:`arm_job_timeout`."""
-    signal.setitimer(signal.ITIMER_REAL, 0.0)
-    signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        # ``None`` means a handler installed from C, which Python
+        # cannot reinstall; the default disposition is the fallback.
+        signal.signal(
+            signal.SIGALRM,
+            previous if previous is not None else signal.SIG_DFL,
+        )
 
 
 def pool_run_job(job: SweepJob) -> Dict[str, object]:

@@ -9,6 +9,7 @@ jobs being pure functions of their descriptors, not from scheduling.
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,26 @@ GRID = ClusterGrid(
     record_count=300,
     operation_count=900,
     epochs=3,
+)
+
+#: Every planner feature the legacy fixtures leave out, on one grid:
+#: the configuration family the repo benchmark's grid belongs to.
+NONLEGACY_GRID = ClusterGrid(
+    shard_counts=(3,),
+    total_budgets_gb=(None, 6.0),
+    record_count=300,
+    operation_count=1200,
+    epochs=4,
+    tenants=2,
+    tenant_quotas=(0.6, 0.4),
+    pool_degrade=((2, 0.5),),
+    predictor="ewma",
+    membership=((1, "add", 3), (3, "remove", 0)),
+    hotspot_rotate_keys=50,
+)
+
+NONLEGACY_GOLDEN = (
+    Path(__file__).parent / "fixtures" / "cluster_pre15_nonlegacy.json"
 )
 
 
@@ -52,6 +73,20 @@ def test_eight_workers_match_serial_byte_for_byte(serial_report):
     )
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_nonlegacy_grid_reproduces_golden_bytes(jobs):
+    """EWMA + rotation + add/remove + degradation + tenants, pinned.
+
+    The fixture was written by the commit *before* shard workers moved
+    onto the batched session (``run_cluster_grid(NONLEGACY_GRID,
+    jobs=1)`` then ``dumps(report, strip_wall=True)``), so it pins the
+    per-op executor's bytes, not the current code's own output.
+    """
+    report = run_cluster_grid(NONLEGACY_GRID, jobs=jobs)
+    want = NONLEGACY_GOLDEN.read_text(encoding="utf-8")
+    assert dumps(report, strip_wall=True) == want
+
+
 def test_same_seed_reruns_are_identical(serial_report):
     again = run_cluster_grid(GRID, jobs=1)
     assert dumps(again, strip_wall=True) == dumps(
@@ -60,12 +95,12 @@ def test_same_seed_reruns_are_identical(serial_report):
 
 
 def test_compiled_streams_match_generator_byte_for_byte(serial_report):
-    """The pre-compilation execution path produces the same bytes.
+    """Jobs handed no ``.ops`` path produce the same bytes.
 
-    ``run_cluster_grid`` now compiles the grid's op stream once and
-    shares it with the planner and every shard worker; replaying the
-    same grid through the original per-op generators (no stream, no
-    ``ops_path``) must merge to an identical report.
+    ``run_cluster_grid`` compiles the grid's op stream once and shares
+    it with the planner and every shard worker; planning from the
+    per-op generators (no stream) and letting each worker compile its
+    own copy (no ``ops_path``) must merge to an identical report.
     """
     from repro.cluster.report import build_cluster_report
     from repro.cluster.runner import CLUSTER_POOL_ENTRY, run_shard_job
