@@ -36,8 +36,8 @@ def run_policy(policy: str, scale) -> dict:
     )
     system.start()
     runner = YCSBRunner(sim, system, scale)
-    runner.load()
-    result = runner.run(YCSB_A)
+    runner.load_batched()
+    result = runner.run_batched(YCSB_A)
     return {
         "policy": policy,
         "throughput_kops": round(result.throughput_kops, 2),

@@ -46,8 +46,8 @@ def run(name: str, scale) -> dict:
     )
     system.start()
     runner = YCSBRunner(sim, system, scale)
-    runner.load()
-    result = runner.run(YCSB_A)
+    runner.load_batched()
+    result = runner.run_batched(YCSB_A)
     return {
         "reducer": name,
         "throughput_kops": round(result.throughput_kops, 2),

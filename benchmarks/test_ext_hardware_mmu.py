@@ -45,8 +45,8 @@ def run(kind: str, budget_fraction, scale) -> dict:
         )
         system.start()
     runner = YCSBRunner(sim, system, scale)
-    runner.load()
-    result = runner.run(YCSB_A)
+    runner.load_batched()
+    result = runner.run_batched(YCSB_A)
     stats = result.viyojit_stats or {}
     return {
         "system": kind,

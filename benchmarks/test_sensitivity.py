@@ -49,8 +49,8 @@ def run(epoch_ms: float, io_cap: int, scale) -> dict:
     )
     system.start()
     runner = YCSBRunner(sim, system, scale)
-    runner.load()
-    result = runner.run(YCSB_A)
+    runner.load_batched()
+    result = runner.run_batched(YCSB_A)
     return {
         "epoch_ms": epoch_ms,
         "io_cap": io_cap,

@@ -33,9 +33,9 @@ def main() -> None:
     scale = ExperimentScale(record_count=2000, operation_count=8000)
     sim, system = build_viyojit(scale, budget_fraction=2 / 17.5)
     runner = YCSBRunner(sim, system, scale)
-    runner.load()
+    runner.load_batched()
     versions_before = system.region.page_version.copy()
-    runner.run(YCSB_A)
+    runner.run_batched(YCSB_A)
     writes_per_page = (system.region.page_version - versions_before).astype(np.int64)
     heap = runner.store.heap_mapping
     heap_writes = writes_per_page[heap.base_page : heap.base_page + heap.num_pages]

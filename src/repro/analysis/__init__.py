@@ -7,7 +7,7 @@ guarantees rest on:
   AST lint (rules D1, V1, T1, L1, E1) run as ``python -m repro.analysis
   <paths>`` or ``repro lint``, and gated in CI;
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.program_rules`
-  — the whole-program pass (rules W1, R1, K1, P1) over a project-wide
+  — the whole-program pass (rules W1, R1, P1) over a project-wide
   call graph, enabled with ``repro lint --strict``;
 * :mod:`repro.analysis.baseline` / :mod:`repro.analysis.sarif` —
   grandfathered-findings baseline and the SARIF 2.1.0 reporter CI

@@ -4,8 +4,8 @@ Modes:
 
 * default — the per-module rules (D1, V1, T1, L1, E1);
 * ``--strict`` — additionally run the whole-program pass (W1 wall-clock
-  taint, R1 RNG-stream discipline, K1 cross-kernel parity, P1 fork
-  safety) over the call graph of everything linted together.
+  taint, R1 RNG-stream discipline, P1 fork safety) over the call graph
+  of everything linted together.
 
 Baseline workflow (see :mod:`repro.analysis.baseline`):
 
@@ -58,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
             "virtual-time discipline (V1), tracer guards (T1), "
             "mem-layer encapsulation (L1), bare-assert bans (E1); "
             "with --strict also the whole-program rules W1 (wall-clock "
-            "taint), R1 (RNG streams), K1 (kernel parity), P1 (fork "
-            "safety)."
+            "taint), R1 (RNG streams), P1 (fork safety)."
         ),
     )
     parser.add_argument(
@@ -83,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="also run the whole-program rules (W1, R1, K1, P1)",
+        help="also run the whole-program rules (W1, R1, P1)",
     )
     parser.add_argument(
         "--baseline",

@@ -1,4 +1,4 @@
-"""Whole-program rule catalogue: W1, R1, K1, P1.
+"""Whole-program rule catalogue: W1, R1, P1.
 
 These rules run on the :class:`~repro.analysis.callgraph.ProjectIndex`
 (every module at once, plus the over-approximate call graph), so they
@@ -17,10 +17,6 @@ R1   RNG-stream discipline: every ``random.Random(...)`` /
      derived-seed helper.  Literal, module-global, opaque-call, and
      unseeded constructions are flagged — seeds must be *plumbed*, or
      sweep jobs cannot own their streams.
-K1   cross-kernel API parity: the object and SoA memory kernels
-     (``PageTable``/``SoAPageTable``, ``TLB``/``SoATLB``) must expose
-     identical public methods, signatures, and data members, so the
-     PR 6 dual-kernel guarantee fails at lint time, not test time.
 P1   fork safety for ``repro.parallel``: pool submissions must target
      module-top-level (picklable, closure-free) functions, and nothing
      reachable from a worker entry point may mutate a module-level
@@ -30,7 +26,7 @@ P1   fork safety for ``repro.parallel``: pool submissions must target
      sweep engine.
 ==== =================================================================
 
-All four anchor findings to one file/line and honour the standard
+All three anchor findings to one file/line and honour the standard
 ``# lint: ignore[Wx]`` suppressions on that line.
 """
 
@@ -43,7 +39,6 @@ from repro.analysis.callgraph import (
     MODULE_BODY,
     MUTATING_METHODS,
     CallGraph,
-    ClassInfo,
     FunctionInfo,
     ProjectIndex,
     _dotted,
@@ -419,152 +414,6 @@ class _ScanState:
         if any(status == _OK for status in statuses):
             return _OK
         return _NEUTRAL
-
-
-# -- K1: cross-kernel API parity ---------------------------------------------
-
-#: (object kernel, SoA kernel) class pairs whose public surfaces must match.
-K1_PAIRS: Tuple[Tuple[str, str], ...] = (
-    ("repro.mem.page_table.PageTable", "repro.mem.soa.SoAPageTable"),
-    ("repro.mem.tlb.TLB", "repro.mem.soa.SoATLB"),
-)
-
-#: Representation members one side may expose beyond the shared surface.
-#: ``SoAPageTable.flags`` is the packed bit array the SoA layout is
-#: *about*; the differential harness inspects it directly.  Everything
-#: else must stay in lockstep.
-K1_REPRESENTATION_EXTRAS: Dict[str, frozenset] = {
-    "repro.mem.soa.SoAPageTable": frozenset({"flags"}),
-}
-
-
-def _is_public_member(name: str) -> bool:
-    if name.startswith("__") and name.endswith("__"):
-        return True  # dunders (``__contains__``, ``__init__``) are API
-    return not name.startswith("_")
-
-
-def _signature_fingerprint(
-    node: ast.AST,
-) -> Tuple:
-    args = node.args  # type: ignore[attr-defined]
-    names = [a.arg for a in list(args.posonlyargs) + list(args.args)]
-    if names and names[0] in ("self", "cls"):
-        names = names[1:]
-    defaults = tuple(ast.unparse(d) for d in args.defaults)
-    kwonly = tuple(a.arg for a in args.kwonlyargs)
-    kw_defaults = tuple(
-        ast.unparse(d) if d is not None else None for d in args.kw_defaults
-    )
-    vararg = args.vararg.arg if args.vararg else None
-    kwarg = args.kwarg.arg if args.kwarg else None
-    return (tuple(names), defaults, vararg, kwonly, kw_defaults, kwarg)
-
-
-def _render_signature(node: ast.AST) -> str:
-    return f"({ast.unparse(node.args)})"  # type: ignore[attr-defined]
-
-
-def _data_surface(info: ClassInfo) -> Set[str]:
-    members = info.instance_attrs | info.class_attrs | info.properties
-    return {name for name in members if _is_public_member(name)}
-
-
-@register_program_rule
-class KernelParityRule(ProgramRule):
-    """K1: object and SoA memory kernels expose identical surfaces."""
-
-    rule_id = "K1"
-    title = "cross-kernel API parity: PageTable/TLB vs SoA twins"
-
-    #: Overridable in tests that lint doctored copies of the mem tree.
-    pairs: Tuple[Tuple[str, str], ...] = K1_PAIRS
-    representation_extras: Dict[str, frozenset] = K1_REPRESENTATION_EXTRAS
-
-    def check_program(self, project: ProjectIndex) -> Iterable[Violation]:
-        for obj_name, soa_name in self.pairs:
-            obj = project.classes.get(obj_name)
-            soa = project.classes.get(soa_name)
-            if obj is None and soa is None:
-                continue  # not linting the mem tree at all
-            if obj is None or soa is None:
-                present = obj or soa
-                missing = soa_name if soa is None else obj_name
-                yield self.violation(
-                    present.path,
-                    present.lineno,
-                    0,
-                    f"kernel pair incomplete: `{missing}` not found while "
-                    f"`{present.qualname}` exists — both kernels must ship "
-                    "the same classes",
-                )
-                continue
-            yield from self._diff_pair(obj, soa)
-
-    def _diff_pair(
-        self, obj: ClassInfo, soa: ClassInfo
-    ) -> Iterable[Violation]:
-        obj_methods = {
-            name: info
-            for name, info in obj.methods.items()
-            if _is_public_member(name)
-        }
-        soa_methods = {
-            name: info
-            for name, info in soa.methods.items()
-            if _is_public_member(name)
-        }
-        for name in sorted(set(obj_methods) - set(soa_methods)):
-            yield self.violation(
-                soa.path,
-                soa.lineno,
-                0,
-                f"public method `{name}` exists on `{obj.qualname}` but "
-                f"not on `{soa.qualname}` — the SoA kernel drifted",
-            )
-        for name in sorted(set(soa_methods) - set(obj_methods)):
-            yield self.violation(
-                soa.path,
-                soa_methods[name].lineno,
-                0,
-                f"public method `{name}` exists only on `{soa.qualname}`; "
-                f"add it to `{obj.qualname}` or make it private",
-            )
-        for name in sorted(set(obj_methods) & set(soa_methods)):
-            obj_sig = _signature_fingerprint(obj_methods[name].node)
-            soa_sig = _signature_fingerprint(soa_methods[name].node)
-            if obj_sig != soa_sig:
-                yield self.violation(
-                    soa.path,
-                    soa_methods[name].lineno,
-                    0,
-                    f"signature drift on `{name}`: "
-                    f"`{obj.name}{_render_signature(obj_methods[name].node)}` "
-                    f"vs `{soa.name}"
-                    f"{_render_signature(soa_methods[name].node)}`",
-                )
-        obj_data = _data_surface(obj)
-        soa_data = _data_surface(soa) - self.representation_extras.get(
-            soa.qualname, frozenset()
-        ) - set(soa_methods)
-        obj_data -= set(obj_methods)
-        for name in sorted(obj_data - soa_data):
-            yield self.violation(
-                soa.path,
-                soa.lineno,
-                0,
-                f"public data member `{name}` of `{obj.qualname}` is "
-                f"missing from `{soa.qualname}` (attribute or property)",
-            )
-        for name in sorted(soa_data - obj_data):
-            yield self.violation(
-                soa.path,
-                soa.lineno,
-                0,
-                f"public data member `{name}` exists only on "
-                f"`{soa.qualname}`; mirror it on `{obj.qualname}` or list "
-                "it as a representation extra",
-            )
 
 
 # -- P1: multiprocessing / fork safety ---------------------------------------

@@ -23,7 +23,7 @@ Methodology notes mirrored from section 6.1:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,14 +37,7 @@ from repro.mem.machine import MachineModel
 from repro.sim.clock import NS_PER_SEC
 from repro.sim.events import Simulation
 from repro.storage.ssd import SSD
-from repro.workloads.ycsb import (
-    Operation,
-    WorkloadSpec,
-    generate_operations,
-    iter_op_batches,
-    load_operations,
-    make_key,
-)
+from repro.workloads.ycsb import WorkloadSpec, iter_op_batches, make_key
 
 PAPER_HEAP_GB = 17.5  # the paper's initial dataset, used to label budgets
 
@@ -138,17 +131,6 @@ class LatencySummary:
     count: int
     avg_ms: float
     p99_ms: float
-
-    @classmethod
-    def from_ns(cls, samples_ns: List[int]) -> "LatencySummary":
-        if not samples_ns:
-            return cls(count=0, avg_ms=0.0, p99_ms=0.0)
-        arr = np.asarray(samples_ns, dtype=np.float64) / 1e6
-        return cls(
-            count=len(arr),
-            avg_ms=float(arr.mean()),
-            p99_ms=float(np.percentile(arr, 99)),
-        )
 
     @classmethod
     def from_histogram(cls, histogram) -> "LatencySummary":
@@ -275,7 +257,12 @@ def value_seeds_batch(keys, nonces) -> List[bytes]:
 
 
 class YCSBRunner:
-    """Loads a store and replays YCSB operation streams against it."""
+    """Loads a store and replays YCSB operation streams against it.
+
+    Both phases execute through one :class:`BatchedSession`; the per-op
+    loop it replaced lives on as the test oracle
+    (``tests/bench/reference_runner.py``).
+    """
 
     def __init__(
         self,
@@ -296,85 +283,20 @@ class YCSBRunner:
         )
         self._nonce = 0
 
-    def load(self) -> None:
-        """The YCSB load phase (excluded from measurements)."""
-        for op in load_operations(self.scale.record_count, self.scale.value_size):
-            self.store.put(op.key, value_bytes(op.key, self.scale.value_size))
-
     def load_batched(self, batch_size: int = 2048) -> None:
-        """The load phase through the batched put (same store image)."""
+        """The YCSB load phase (excluded from measurements)."""
         session = BatchedSession(self)
         for start in range(0, self.scale.record_count, batch_size):
             stop = min(start + batch_size, self.scale.record_count)
             session.put([make_key(index) for index in range(start, stop)])
 
-    def _execute(self, op: Operation) -> str:
-        """Run one operation; returns the latency bucket it belongs to."""
-        if op.kind == "read":
-            self.store.get(op.key)
-            return "read"
-        self._nonce += 1
-        if op.kind == "update":
-            self.store.put(
-                op.key, value_bytes(op.key, self.scale.value_size, self._nonce)
-            )
-            return "update"
-        if op.kind == "insert":
-            self.store.put(
-                op.key, value_bytes(op.key, self.scale.value_size, self._nonce)
-            )
-            return "insert"
-        if op.kind == "rmw":
-            nonce = self._nonce
-
-            def mutate(value: bytes) -> bytes:
-                return value_bytes(op.key, len(value), nonce)
-
-            self.store.read_modify_write(op.key, mutate)
-            return "rmw"
-        if op.kind == "scan":
-            self.store.scan(op.key, op.scan_length)
-            return "scan"
-        raise ValueError(f"unknown operation kind: {op.kind}")
-
-    def run(
-        self,
-        spec: WorkloadSpec,
-        operations: Optional[Iterable[Operation]] = None,
-    ) -> RunResult:
-        """Replay one workload, measuring per-op latency as clock deltas."""
-        if operations is None:
-            operations = generate_operations(
-                spec,
-                record_count=self.scale.record_count,
-                operation_count=self.scale.operation_count,
-                value_size=self.scale.value_size,
-                theta=self.scale.zipf_theta,
-                seed=self.scale.seed,
-            )
-        samples: Dict[str, LatencyHistogram] = {}
-        ssd = getattr(self.system, "ssd", None)
-        bytes_before = ssd.stats.bytes_written if ssd is not None else 0
-        started = self.sim.now
-        executed = 0
-        for op in operations:
-            op_start = self.sim.now
-            bucket = self._execute(op)
-            samples.setdefault(bucket, LatencyHistogram()).record(
-                self.sim.now - op_start
-            )
-            executed += 1
-        elapsed = self.sim.now - started
-        return self._result(spec, executed, elapsed, samples, ssd, bytes_before)
-
     def run_batched(
         self, spec: WorkloadSpec, batch_size: int = 2048, compiled=None
     ) -> RunResult:
-        """Replay one workload through the batched execution path.
+        """Replay one workload, measuring per-op latency as clock deltas.
 
         Operations are generated in chunks (:func:`iter_op_batches`) and
-        applied through one :class:`BatchedSession`.  Simulated results
-        are byte-identical to :meth:`run` — only wall time changes.
+        applied through one :class:`BatchedSession`.
 
         ``compiled`` is an optional pre-compiled stream
         (:class:`repro.workloads.compiled.CompiledStream`): batches then
@@ -438,8 +360,9 @@ class BatchedSession:
     Unordered stores run the fused closures of
     :mod:`repro.kvstore.fastpath`; ordered stores (skip-list index,
     YCSB-E scans) bind the store's own methods into the same loop.
-    Either way every simulated quantity is byte-identical to
-    :meth:`YCSBRunner.run`.
+    Either way every simulated quantity is byte-identical to executing
+    the operations one ``KVStore`` call at a time — the per-op oracle in
+    ``tests/bench/reference_runner.py`` pins it.
     """
 
     def __init__(self, runner: YCSBRunner) -> None:
@@ -494,8 +417,8 @@ class BatchedSession:
         size = runner.scale.value_size
         reps = -(-size // 8)
         # One vectorized hash pass covers every non-read op's payload
-        # seed; nonces continue the per-op path's numbering exactly
-        # (which spends one on each scan too).
+        # seed; every non-read op spends one nonce (scans too), so the
+        # numbering is independent of how the stream is batched.
         mutating = [
             index for index, kind in enumerate(kinds) if kind != "read"
         ]
@@ -596,26 +519,20 @@ def run_workload(
     budget_fraction: Optional[float],
     flush_tlb_on_scan: bool = True,
     proactive: bool = True,
-    execution: str = "per-op",
     budget_pages: Optional[int] = None,
     compiled=None,
 ) -> RunResult:
     """Convenience: build, load, run.  ``budget_fraction=None`` = baseline.
 
-    ``execution="batched"`` routes the load and run phases through the
-    fused batch paths — same simulated results, fewer wall seconds; the
-    sweep engine and the batch-speedup benchmark use it.  An explicit
-    ``budget_pages`` (cluster lease) overrides the fraction-derived
-    budget; it is an error without a non-``None`` ``budget_fraction``,
-    because the baseline has no budget to override.
+    An explicit ``budget_pages`` (cluster lease) overrides the
+    fraction-derived budget; it is an error without a non-``None``
+    ``budget_fraction``, because the baseline has no budget to override.
 
     ``compiled`` replays a pre-compiled op stream
     (:class:`repro.workloads.compiled.CompiledStream`) instead of
     re-running the generators — it must match the scale's parameters
     (checked), so simulated results cannot change.
     """
-    if execution not in ("per-op", "batched"):
-        raise ValueError(f"unknown execution mode: {execution!r}")
     if compiled is not None:
         compiled.require(
             spec,
@@ -641,10 +558,5 @@ def run_workload(
             budget_pages=budget_pages,
         )
     runner = YCSBRunner(sim, system, scale, ordered=spec.scan_proportion > 0)
-    if execution == "batched":
-        runner.load_batched()
-        return runner.run_batched(spec, compiled=compiled)
-    runner.load()
-    if compiled is not None:
-        return runner.run(spec, operations=compiled.operations())
-    return runner.run(spec)
+    runner.load_batched()
+    return runner.run_batched(spec, compiled=compiled)

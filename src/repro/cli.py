@@ -386,8 +386,8 @@ def cmd_policies(args: argparse.Namespace) -> int:
         )
         system.start()
         runner = YCSBRunner(sim, system, scale)
-        runner.load()
-        result = runner.run(YCSB_A)
+        runner.load_batched()
+        result = runner.run_batched(YCSB_A)
         rows.append(
             {
                 "policy": policy,
@@ -879,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--select", type=str, default=None,
                       help="comma-separated rule IDs to run (default: all)")
     lint.add_argument("--strict", action="store_true",
-                      help="also run the whole-program rules (W1/R1/K1/P1)")
+                      help="also run the whole-program rules (W1/R1/P1)")
     lint.add_argument("--baseline", nargs="?", const="lint_baseline.json",
                       default=None, metavar="FILE",
                       help="suppress grandfathered findings from FILE "
@@ -1061,6 +1061,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as error:
+        # Spec validation (scales, grids, cluster specs, fault plans)
+        # raises ValueError with a message meant for the user.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout closed early (e.g. piped through `head`): exit quietly.
         try:

@@ -42,7 +42,6 @@ from repro.cluster.runner import (
     ClusterPlan,
     ClusterSpec,
     ShardJob,
-    iter_segment_ops,
     membership_rings,
     plan_cluster,
     pool_run_shard_job,
@@ -76,7 +75,6 @@ __all__ = [
     "apportion",
     "build_cluster_report",
     "damp_grants",
-    "iter_segment_ops",
     "lease_churn",
     "make_predictor",
     "membership_rings",

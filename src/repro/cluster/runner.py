@@ -9,7 +9,7 @@ rebalance-epoch boundaries as write pressure shifts.
 
 Determinism protocol (everything is a pure function of the spec):
 
-1. **Demand probe** — the coordinator streams the global op stream once
+1. **Demand probe** — the coordinator compiles the global op stream once
    and counts distinct written keys per (tenant, shard, epoch segment).
    Zipfian skew shows up here as hot shards demanding more budget.
 2. **Lease planning** — a pluggable demand predictor
@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -97,13 +97,7 @@ from repro.workloads.compiled import (
     open_ops,
     save_ops,
 )
-from repro.workloads.ycsb import (
-    Operation,
-    YCSB_WORKLOADS,
-    generate_operations,
-    key_index,
-    make_key,
-)
+from repro.workloads.ycsb import YCSB_WORKLOADS, make_key
 
 #: Pool entry for shard jobs (resolved by the engine's dispatcher).
 CLUSTER_POOL_ENTRY = "repro.cluster.runner:pool_run_shard_job"
@@ -196,50 +190,6 @@ def membership_rings(
                 ring = ring.without_shard(shard)
         rings.append(ring)
     return rings
-
-
-def iter_segment_ops(
-    workload: str,
-    record_count: int,
-    operation_count: int,
-    value_size: int,
-    theta: float,
-    seed: int,
-    epochs: int,
-    rotate_keys: int = 0,
-) -> Iterator[Tuple[int, int, Operation]]:
-    """The global op stream, segmented, with optional hotspot rotation.
-
-    Yields ``(position, segment, op)``.  Every consumer of the global
-    stream — the coordinator's demand probe and every shard worker —
-    iterates through this one helper, so the rotation arithmetic cannot
-    drift between them.
-
-    ``rotate_keys`` shifts each non-insert operation's key index by
-    ``segment * rotate_keys`` (mod ``record_count``): the zipfian
-    hotspot physically rotates through the keyspace at epoch
-    boundaries, which is the skew-shifting workload the EWMA predictors
-    exist for.  Inserts are never rotated (their keys extend the
-    keyspace rather than address it).
-    """
-    wspec = YCSB_WORKLOADS[workload]
-    for position, op in enumerate(
-        generate_operations(
-            wspec,
-            record_count=record_count,
-            operation_count=operation_count,
-            value_size=value_size,
-            theta=theta,
-            seed=seed,
-        )
-    ):
-        segment = min(epochs - 1, position * epochs // operation_count)
-        if rotate_keys and op.kind != "insert":
-            index = key_index(op.key)
-            if index < record_count:
-                shifted = (index + segment * rotate_keys) % record_count
-                op = replace(op, key=make_key(shifted))
-        yield position, segment, op
 
 
 @dataclass(frozen=True)
@@ -590,20 +540,23 @@ class ClusterPlan:
     migrations: List[Dict[str, object]] = field(default_factory=list)
 
 
-def _probe_compiled(
+def _probe(
     spec: ClusterSpec,
     rings: Sequence[HashRing],
     stream: CompiledStream,
 ) -> Tuple[List[List[List[int]]], List[List[bytes]]]:
-    """The demand probe as vectorized array passes over a compiled stream.
+    """Demand matrices plus inserted keys per epoch, from array passes.
+
+    ``demands[epoch][tenant][shard]`` counts distinct written keys;
+    ``inserts[epoch]`` lists the keys inserts created during that epoch
+    segment (the coordinator needs them to size migration handoffs —
+    live keys are the loaded records plus every insert so far).
 
     Per epoch segment: one boolean mask finds the written ops, one
-    ``np.unique`` replaces the per-key set building (a key's tenant and
+    ``np.unique`` replaces per-key set building (a key's tenant and
     shard are pure functions of the key within an epoch, so distinct
     indices ≡ distinct keys), one ``shard_for_rows`` routing pass, and
-    one ``np.bincount`` over ``tenant × shard`` buckets.  Output is
-    identical to the per-op :func:`_probe` pass — the equivalence tests
-    pin it.
+    one ``np.bincount`` over ``tenant × shard`` buckets.
     """
     total_shards = spec.total_shards()
     demands: List[List[List[int]]] = []
@@ -632,60 +585,6 @@ def _probe_compiled(
     return demands, inserts
 
 
-def _probe(
-    spec: ClusterSpec,
-    rings: Sequence[HashRing],
-    stream: Optional[CompiledStream] = None,
-) -> Tuple[List[List[List[int]]], List[List[bytes]]]:
-    """One streaming pass: demand matrices plus inserted keys per epoch.
-
-    ``demands[epoch][tenant][shard]`` counts distinct written keys;
-    ``inserts[epoch]`` lists the keys inserts created during that epoch
-    segment (the coordinator needs them to size migration handoffs —
-    live keys are the loaded records plus every insert so far).  With a
-    compiled ``stream`` the probe is the vectorized
-    :func:`_probe_compiled`; without one it replays the per-op
-    generator.
-    """
-    if stream is not None:
-        return _probe_compiled(spec, rings, stream)
-    total_shards = spec.total_shards()
-    written: List[List[List[set]]] = [
-        [[set() for _ in range(total_shards)] for _ in range(spec.tenants)]
-        for _ in range(spec.epochs)
-    ]
-    inserts: List[List[bytes]] = [[] for _ in range(spec.epochs)]
-    scale = spec.scale()
-    for _, segment, op in iter_segment_ops(
-        spec.workload,
-        spec.record_count,
-        spec.operation_count,
-        scale.value_size,
-        spec.theta,
-        spec.seed,
-        spec.epochs,
-        spec.hotspot_rotate_keys,
-    ):
-        if op.kind == "insert":
-            inserts[segment].append(op.key)
-        if op.kind not in ("update", "insert", "rmw"):
-            continue
-        shard = rings[segment].shard_for(op.key)
-        tenant = key_index(op.key) % spec.tenants
-        written[segment][tenant][shard].add(op.key)
-    demands = [
-        [
-            [
-                len(written[epoch][tenant][shard])
-                for shard in range(total_shards)
-            ]
-            for tenant in range(spec.tenants)
-        ]
-        for epoch in range(spec.epochs)
-    ]
-    return demands, inserts
-
-
 def probe_demands(
     spec: ClusterSpec,
     ring: Optional[HashRing] = None,
@@ -693,74 +592,17 @@ def probe_demands(
 ) -> List[List[List[int]]]:
     """Distinct written keys per (epoch segment, tenant, shard).
 
-    One streaming pass over the global op stream; mutating ops (update,
+    One pass over the compiled global op stream; mutating ops (update,
     insert, rmw) contribute their key to the owning shard's demand set
     for the segment the op falls in.  This is the pressure signal the
     rebalancer apportions by.  ``ring`` overrides the routing ring for
     every epoch (membership-free callers); by default the spec's own
-    per-epoch ring schedule routes each segment.  ``stream`` vectorizes
-    the pass (see :func:`_probe_compiled`).
+    per-epoch ring schedule routes each segment.  ``stream`` is the
+    spec's compiled op stream when the caller already holds one.
     """
     rings = [ring] * spec.epochs if ring is not None else spec.rings()
-    demands, _ = _probe(spec, rings, stream=stream)
+    demands, _ = _cached_probe(spec, rings, stream, None)
     return demands
-
-
-def stream_route_counts(
-    spec: ClusterSpec,
-    stream: Optional[CompiledStream] = None,
-) -> Dict[str, object]:
-    """The cluster's full stream-consumption work, as one summary dict.
-
-    Performs exactly the op-stream passes a cluster run pays for:
-    the coordinator's demand probe plus, for every shard, the global
-    filtered routing pass its worker replays.  Returns ``demands``
-    (the probe matrices), ``inserted`` (insert count per epoch) and
-    ``routed_ops`` (ops routed to each shard; sums to the operation
-    count times the shard-pass count's worth of routing decisions).
-
-    Without a ``stream`` each pass re-generates the workload per-op —
-    one generator run for the probe and one per shard — which is the
-    pre-compilation cost model.  With a ``stream`` the probe and the
-    routing collapse to vectorized array passes over one compiled
-    stream; the returned counts are identical either way (the
-    equivalence tests pin it).  This is the A/B surface the perf suite
-    benchmarks.
-    """
-    rings = spec.rings()
-    demands, inserts = _probe(spec, rings, stream=stream)
-    total_shards = spec.total_shards()
-    routed = [0] * total_shards
-    if stream is not None:
-        for epoch in range(spec.epochs):
-            lo, hi = stream.segment_slice(epoch)
-            if lo == hi:
-                continue
-            indices = np.asarray(stream.key_indices[lo:hi])
-            owners = rings[epoch].shard_for_rows(key_rows(indices))
-            counts = np.bincount(owners, minlength=total_shards)
-            for shard in range(total_shards):
-                routed[shard] += int(counts[shard])
-    else:
-        scale = spec.scale()
-        for shard in range(total_shards):
-            for _, segment, op in iter_segment_ops(
-                spec.workload,
-                spec.record_count,
-                spec.operation_count,
-                scale.value_size,
-                spec.theta,
-                spec.seed,
-                spec.epochs,
-                spec.hotspot_rotate_keys,
-            ):
-                if rings[segment].shard_for(op.key) == shard:
-                    routed[shard] += 1
-    return {
-        "demands": demands,
-        "inserted": [len(keys) for keys in inserts],
-        "routed_ops": routed,
-    }
 
 
 #: Cache key for one spec's probe output: everything the probe depends
@@ -803,15 +645,17 @@ def _cached_probe(
     planning and the :func:`_reference_lease_vectors` counterfactual
     replay), and a grid re-plans the same workload once per budget —
     the cache collapses all of that to one probe per distinct
-    (stream, ring schedule, tenants) combination.
+    (stream, ring schedule, tenants) combination.  A caller holding no
+    compiled ``stream`` gets the spec's compiled here, on a miss.
     """
-    if cache is None:
-        return _probe(spec, rings, stream=stream)
     key = _probe_cache_key(spec)
-    found = cache.get(key)
+    found = cache.get(key) if cache is not None else None
     if found is None:
-        found = _probe(spec, rings, stream=stream)
-        cache[key] = found
+        if stream is None:
+            stream = _compile_stream(spec)
+        found = _probe(spec, rings, stream)
+        if cache is not None:
+            cache[key] = found
     return found
 
 
@@ -905,10 +749,11 @@ def plan_cluster(
     plan is measured for every non-legacy pool run.  Baseline clusters
     (no pool) plan no leases.
 
-    ``stream`` (a compiled op stream matching the spec) vectorizes the
-    demand probe; ``probe_cache`` (shared across a grid's specs)
-    reuses probe output between runs that differ only in budget.
-    Neither can change the plan — only how fast it is computed.
+    ``stream`` is the spec's compiled op stream when the caller already
+    holds one (checked against the spec; otherwise the probe compiles
+    it); ``probe_cache`` (shared across a grid's specs) reuses probe
+    output between runs that differ only in budget.  Neither can change
+    the plan — only how fast it is computed.
     """
     rings = spec.rings()
     total_shards = spec.total_shards()
@@ -1165,30 +1010,29 @@ def _apply_lease(system: Viyojit, pages: int) -> None:
 
 
 def _compile_stream(
-    workload: str,
-    record_count: int,
-    operation_count: int,
-    theta: float,
-    seed: int,
-    epochs: int,
-    hotspot_rotate_keys: int,
+    source: Union[ClusterSpec, ShardJob, ClusterGrid],
 ) -> CompiledStream:
-    """The one segmented, rotated global op stream of a cluster run."""
+    """The one segmented, rotated global op stream of a cluster run.
+
+    A spec, its shard jobs and the grid it came from carry the same
+    workload parameters under the same names, so any of them compiles
+    the identical stream.
+    """
     scale = ExperimentScale(
-        record_count=record_count,
-        operation_count=operation_count,
-        zipf_theta=theta,
-        seed=seed,
+        record_count=source.record_count,
+        operation_count=source.operation_count,
+        zipf_theta=source.theta,
+        seed=source.seed,
     )
     return compile_workload(
-        YCSB_WORKLOADS[workload],
-        record_count,
-        operation_count,
+        YCSB_WORKLOADS[source.workload],
+        source.record_count,
+        source.operation_count,
         value_size=scale.value_size,
-        theta=theta,
-        seed=seed,
-        epochs=epochs,
-        hotspot_rotate_keys=hotspot_rotate_keys,
+        theta=source.theta,
+        seed=source.seed,
+        epochs=source.epochs,
+        hotspot_rotate_keys=source.hotspot_rotate_keys,
     )
 
 
@@ -1236,15 +1080,7 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
             hotspot_rotate_keys=job.hotspot_rotate_keys,
         )
     else:
-        stream = _compile_stream(
-            job.workload,
-            job.record_count,
-            job.operation_count,
-            job.theta,
-            job.seed,
-            job.epochs,
-            job.hotspot_rotate_keys,
-        )
+        stream = _compile_stream(job)
     rings = job.rings()
     schedule = job.budget_schedule
     viyojit: Optional[Viyojit]
@@ -1568,15 +1404,7 @@ def _materialize_grid_stream(grid: ClusterGrid, directory: str) -> str:
     compiles exactly once and both the planner's demand probe and every
     shard worker replay the same memory-mapped arrays.
     """
-    stream = _compile_stream(
-        grid.workload,
-        grid.record_count,
-        grid.operation_count,
-        grid.theta,
-        grid.seed,
-        grid.epochs,
-        grid.hotspot_rotate_keys,
-    )
+    stream = _compile_stream(grid)
     path = os.path.join(directory, "cluster.ops")
     save_ops(stream, path)
     return path
@@ -1646,7 +1474,6 @@ __all__ = [
     "ClusterSpec",
     "MEMBERSHIP_ACTIONS",
     "ShardJob",
-    "iter_segment_ops",
     "membership_rings",
     "plan_cluster",
     "pool_run_shard_job",
@@ -1654,5 +1481,4 @@ __all__ = [
     "run_cluster_grid",
     "run_shard_job",
     "shard_jobs",
-    "stream_route_counts",
 ]

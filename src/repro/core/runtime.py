@@ -44,10 +44,11 @@ from repro.core.flusher import Flusher, FlushFailure
 from repro.core.history import UpdateHistory
 from repro.core.pressure import PressureEstimator
 from repro.core.stats import ViyojitStats
-from repro.mem.kernel import make_mmu, make_page_table, make_tlb
 from repro.mem.machine import MachineModel
-from repro.mem.mmu import MMU
+from repro.mem.mmu import MMU, HardwareAssistedMMU
 from repro.mem.nvdram import NVDRAMRegion
+from repro.mem.page_table import PageTable
+from repro.mem.tlb import TLB
 from repro.obs.events import BudgetWait, EpochScan, ProactiveFlush, SyncEviction
 from repro.obs.metrics import EpochPoint
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -99,8 +100,8 @@ class NVDRAMSystem:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.bind_clock(sim.clock)
         self.region = NVDRAMRegion(num_pages, self.machine.page_size)
-        self.page_table = make_page_table(num_pages)
-        self.tlb = make_tlb(num_pages, self.machine.tlb_entries)
+        self.page_table = PageTable(num_pages)
+        self.tlb = TLB(num_pages, self.machine.tlb_entries)
         self.tlb.tracer = self.tracer
         self.mmu = self._build_mmu()
         self.mmu.tracer = self.tracer
@@ -126,7 +127,7 @@ class NVDRAMSystem:
         self._page_version = self.region.page_version
 
     def _build_mmu(self) -> MMU:
-        return make_mmu(self.page_table, self.tlb, self.machine)
+        return MMU(self.page_table, self.tlb, self.machine)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1070,7 +1071,7 @@ class HardwareViyojit(Viyojit):
     """
 
     def _build_mmu(self) -> MMU:
-        mmu = make_mmu(self.page_table, self.tlb, self.machine, hardware=True)
+        mmu = HardwareAssistedMMU(self.page_table, self.tlb, self.machine)
         mmu.on_new_dirty = self._on_hardware_new_dirty
         return mmu
 

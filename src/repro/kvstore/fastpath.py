@@ -3,12 +3,14 @@
 :func:`build_fast_ops` compiles a store's ``get``/``put``/
 ``read_modify_write`` into closures over the system's
 :meth:`~repro.core.runtime.NVDRAMSystem.data_path` accessors.  Each
-closure performs the *exact* sequence of NV-DRAM accesses its per-op
-counterpart performs — same reads, same writes, same order, same store
-counters — with the Python dispatch overhead (method chains, intermediate
-``bytes`` copies, re-parsed headers) stripped out.  Batching is therefore
-wall-clock-only: every simulated quantity is byte-identical to the per-op
-path, which ``tests/perf/test_batched_equivalence.py`` pins down.
+closure performs the *exact* sequence of NV-DRAM accesses its
+:class:`KVStore` method performs — same reads, same writes, same order,
+same store counters — with the Python dispatch overhead (method chains,
+intermediate ``bytes`` copies, re-parsed headers) stripped out.  Fusing
+is therefore wall-clock-only: every simulated quantity is byte-identical
+to calling the store's methods one operation at a time, which
+``tests/perf/test_batched_equivalence.py`` pins against the per-op
+oracle in ``tests/bench/reference_runner.py``.
 
 Two deliberate divergences, both invisible to the simulation:
 
@@ -18,8 +20,9 @@ Two deliberate divergences, both invisible to the simulation:
 * a read whose result the caller discards (the benchmark runner throws
   away ``get`` values) is *charged* but never materialized.
 
-Ordered stores (the skip-list index) keep their per-op path: scans need
-cross-key bookkeeping the fused loop does not carry.
+Ordered stores (the skip-list index) are not fused: scans need cross-key
+bookkeeping these closures do not carry, so the batched session binds
+the store's own methods for them.
 """
 
 from __future__ import annotations
@@ -51,13 +54,13 @@ def build_fast_ops(store: KVStore) -> FastOps:
     """Compile the fused operation closures for ``store``.
 
     Built after store construction (and after any test monkeypatching),
-    so deoptimized substrate methods are honoured.  Fast and per-op calls
+    so deoptimized substrate methods are honoured.  Fast and method calls
     may be freely interleaved on the same store: all mutable state
     (counters, caches, heap) is shared, not snapshotted.
     """
     if store.index is not None:
         raise ValueError(
-            "fast ops do not support ordered stores (scans stay per-op)"
+            "fast ops do not support ordered stores (scans use KVStore.scan)"
         )
     system = store.system
     path = system.data_path()

@@ -27,22 +27,8 @@ machinery Viyojit consumes:
 :class:`NVDRAMRegion`
     Byte-addressable region of real page contents (so crash/recovery tests
     can verify data, not just bookkeeping).
-
-Two interchangeable *kernels* implement the stateful classes: the object
-kernel above, and a struct-of-arrays kernel (:class:`SoAPageTable`,
-:class:`SoATLB`) with packed flag bits and int-array TLB probe tables.
-``REPRO_KERNEL=soa|object`` selects which one the factories in
-:mod:`repro.mem.kernel` build; both stay importable for differential
-testing and are byte-identical in every simulated quantity.
 """
 
-from repro.mem.kernel import (
-    KERNELS,
-    kernel_name,
-    make_mmu,
-    make_page_table,
-    make_tlb,
-)
 from repro.mem.machine import MachineModel
 from repro.mem.mmu import (
     AccessOutcome,
@@ -52,23 +38,15 @@ from repro.mem.mmu import (
 )
 from repro.mem.nvdram import NVDRAMRegion
 from repro.mem.page_table import PageTable
-from repro.mem.soa import SoAPageTable, SoATLB
 from repro.mem.tlb import TLB
 
 __all__ = [
     "MachineModel",
     "PageTable",
     "TLB",
-    "SoAPageTable",
-    "SoATLB",
     "MMU",
     "HardwareAssistedMMU",
     "AccessOutcome",
     "WriteProtectionFault",
     "NVDRAMRegion",
-    "KERNELS",
-    "kernel_name",
-    "make_page_table",
-    "make_tlb",
-    "make_mmu",
 ]

@@ -104,7 +104,6 @@ def run_sweep_job(job: SweepJob, in_worker: bool = False) -> Dict[str, object]:
             spec,
             scale,
             job.budget_fraction,
-            execution="batched",
             budget_pages=job.budget_pages,
             compiled=compiled,
         )

@@ -2,28 +2,20 @@
 
 Replays the same YCSB-A (zipfian) run the figure regenerators use,
 against both systems — ``Viyojit`` at the paper's 11%-of-heap budget
-point and the ``FullBatteryNVDRAM`` baseline — through both execution
-paths (per-op and batched), and reports how fast the *simulator*
-executes each.  The ``*_batched`` variants' ``sim`` sections are
-byte-identical to their per-op twins — the report itself re-states the
-batching-is-wall-clock-only invariant.  Two further benches time a small
-budget sweep at ``--jobs 1`` and ``--jobs 2``; their ``sim`` sections
-carry the sweep checksum, which must also agree.
-
-The compiled-stream work adds four more: ``*_compiled`` twins replay a
-pre-compiled struct-of-arrays stream through the batched path (their
-``sim`` must equal the batched variants'), the
-``cluster_stream_generator`` / ``cluster_stream_compiled`` pair times
-the 4-shard cluster's full stream consumption (coordinator probe plus
-every shard's routing pass) under both cost models, and
+point and the ``FullBatteryNVDRAM`` baseline — from both op-stream
+sources: ``*_batched`` generates batches as it goes, ``*_compiled``
+replays a pre-compiled struct-of-arrays stream (its ``sim`` section must
+equal the batched variant's — the report itself re-states the
+compilation-is-wall-clock-only invariant).  Two further benches time a
+small budget sweep at ``--jobs 1`` and ``--jobs 2``; their ``sim``
+sections carry the sweep checksum, which must also agree.
 ``scale_replay`` times a verified ``.ops`` reopen plus a vectorized
 replay of a large stream (ten million ops in full mode).
 
 The simulated results land in the deterministic ``sim`` section; wall
 seconds are measured separately with the same best-of-N protocol as the
-micro suite, and the headline ratios (batched vs. per-op, compiled
-vs. batched, 2 workers vs. 1, compiled routing vs. generator routing)
-are summarized under ``wall.speedups``.
+micro suite, and the headline ratios (compiled vs. batched, 2 workers
+vs. 1) are summarized under ``wall.speedups``.
 """
 
 from __future__ import annotations
@@ -42,10 +34,9 @@ from repro.workloads.compiled import (
     open_ops,
     save_ops,
 )
-from repro.workloads.ycsb import YCSB_A, YCSB_WORKLOADS
+from repro.workloads.ycsb import YCSB_A
 
-if TYPE_CHECKING:  # runtime imports are deferred: repro.parallel and
-    from repro.cluster.runner import ClusterSpec  # repro.cluster measure
+if TYPE_CHECKING:  # runtime import is deferred: repro.parallel measures
     from repro.parallel.grid import SweepGrid  # wall time via repro.perf
 
 #: The paper's 2 GB-battery point on the 17.5 GB heap axis.
@@ -80,7 +71,7 @@ def _sim_section(result: RunResult) -> Dict[str, object]:
 
 
 def macro_benches(quick: bool) -> List[MacroBench]:
-    """Both systems x all execution paths, plus the scaling pairs."""
+    """Both systems x both op-stream sources, plus the scaling benches."""
     scale = ExperimentScale(
         record_count=1_500 if quick else 2_000,
         operation_count=4_000 if quick else 16_000,
@@ -94,20 +85,16 @@ def macro_benches(quick: bool) -> List[MacroBench]:
         seed=scale.seed,
     )
     benches = []
-    for name, budget, execution, compiled in (
-        ("viyojit", BUDGET_FRACTION, "per-op", None),
-        ("viyojit_batched", BUDGET_FRACTION, "batched", None),
-        ("viyojit_compiled", BUDGET_FRACTION, "batched", stream),
-        ("nvdram", None, "per-op", None),
-        ("nvdram_batched", None, "batched", None),
-        ("nvdram_compiled", None, "batched", stream),
+    for name, budget, compiled in (
+        ("viyojit_batched", BUDGET_FRACTION, None),
+        ("viyojit_compiled", BUDGET_FRACTION, stream),
+        ("nvdram_batched", None, None),
+        ("nvdram_compiled", None, stream),
     ):
-        benches.append(_one_config(name, scale, budget, execution, compiled))
+        benches.append(_one_config(name, scale, budget, compiled))
     grid = _sweep_grid(quick)
     for workers in (1, 2):
         benches.append(_sweep_config(f"sweep_jobs{workers}", grid, workers))
-    for compiled_routing in (False, True):
-        benches.append(_cluster_stream_config(quick, compiled_routing))
     benches.append(_scale_replay_config(quick))
     return benches
 
@@ -116,13 +103,10 @@ def _one_config(
     name: str,
     scale: ExperimentScale,
     budget: Optional[float],
-    execution: str,
-    compiled: Optional[CompiledStream] = None,
+    compiled: Optional[CompiledStream],
 ) -> MacroBench:
     def one_pass() -> RunResult:
-        return run_workload(
-            YCSB_A, scale, budget, execution=execution, compiled=compiled
-        )
+        return run_workload(YCSB_A, scale, budget, compiled=compiled)
 
     result = one_pass()
     return MacroBench(
@@ -161,64 +145,6 @@ def _sweep_config(name: str, grid: "SweepGrid", workers: int) -> MacroBench:
         sim={
             "sweep_checksum_sha256": report["checksum_sha256"],
             "jobs": len(report["jobs"]),
-        },
-        one_pass=one_pass,
-    )
-
-
-def _cluster_spec(quick: bool) -> "ClusterSpec":
-    """The stream-consumption bench's 4-shard cluster."""
-    from repro.cluster.runner import ClusterSpec
-
-    return ClusterSpec(
-        shards=4,
-        total_budget_fraction=0.2,
-        record_count=800 if quick else 1_500,
-        operation_count=2_400 if quick else 8_000,
-        epochs=4,
-    )
-
-
-def _cluster_stream_config(quick: bool, compiled: bool) -> MacroBench:
-    """Coordinator probe + per-shard routing, generator vs compiled.
-
-    The generator variant re-streams the workload once for the probe
-    and once per shard — the pre-compilation cost model.  The compiled
-    variant's pass *includes* the compilation, so the speedup ratio is
-    honest end-to-end.  Both variants' ``sim`` sections are identical
-    (same demands, same routed counts).
-    """
-    from repro.cluster.runner import stream_route_counts
-
-    spec = _cluster_spec(quick)
-    scale = spec.scale()
-
-    def one_pass() -> Dict[str, object]:
-        if not compiled:
-            return stream_route_counts(spec)
-        stream = compile_workload(
-            YCSB_WORKLOADS[spec.workload],
-            spec.record_count,
-            spec.operation_count,
-            value_size=scale.value_size,
-            theta=spec.theta,
-            seed=spec.seed,
-            epochs=spec.epochs,
-            hotspot_rotate_keys=spec.hotspot_rotate_keys,
-        )
-        return stream_route_counts(spec, stream=stream)
-
-    counts = one_pass()
-    # Stream passes per run: one probe + one per shard.
-    units = spec.operation_count * (1 + spec.shards)
-    return MacroBench(
-        name=f"cluster_stream_{'compiled' if compiled else 'generator'}",
-        units=units,
-        sim={
-            "shards": spec.shards,
-            "epochs": spec.epochs,
-            "routed_ops": counts["routed_ops"],
-            "inserted": counts["inserted"],
         },
         one_pass=one_pass,
     )

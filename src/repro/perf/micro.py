@@ -24,8 +24,10 @@ import numpy as np
 from repro.core.config import ViyojitConfig
 from repro.core.history import UpdateHistory
 from repro.core.runtime import FullBatteryNVDRAM, Viyojit
-from repro.mem.kernel import make_mmu, make_page_table, make_tlb
 from repro.mem.machine import MachineModel
+from repro.mem.mmu import MMU
+from repro.mem.page_table import PageTable
+from repro.mem.tlb import TLB
 from repro.sim.events import Simulation
 from repro.workloads.compiled import compile_workload, open_ops, save_ops
 from repro.workloads.ycsb import YCSB_A
@@ -94,8 +96,8 @@ def bench_epoch_scan(quick: bool) -> MicroBench:
 
     def one_pass() -> Dict[str, int]:
         machine = MachineModel()
-        page_table = make_page_table(num_pages)
-        mmu = make_mmu(page_table, make_tlb(num_pages, machine.tlb_entries), machine)
+        page_table = PageTable(num_pages)
+        mmu = MMU(page_table, TLB(num_pages, machine.tlb_entries), machine)
         mmu.unprotect_all()
         history = UpdateHistory(num_pages, history_epochs=64)
         updated_total = 0

@@ -3,9 +3,8 @@
 Report layout (``SCHEMA_VERSION`` guards it)::
 
     {
-      "schema_version": 1,
+      "schema_version": 5,
       "mode": "quick" | "full",
-      "kernel": "object" | "soa",
       "micro": { name: {..deterministic facts..}, ... },
       "macro": { name: {..deterministic facts..}, ... },
       "wall": {
@@ -14,19 +13,18 @@ Report layout (``SCHEMA_VERSION`` guards it)::
         "micro": { name: {"units": U, "unit": "...", "wall_s": S,
                           "per_sec": U/S} },
         "macro": { name: {"units": U, "wall_s": S, "ops_per_sec": U/S} },
-        "speedups": { "ycsb_a_batched_vs_per_op": R, ... }
+        "speedups": { "ycsb_a_compiled_vs_batched": R, ... }
       }
     }
 
 Schema history: v2 added the batched/sweep macro benches and
-``wall.speedups``; v3 added the top-level ``kernel`` field (which
-memory kernel — ``REPRO_KERNEL`` — produced the numbers); v4 added the
+``wall.speedups``; v3 added a top-level ``kernel`` field; v4 added the
 compiled-stream benches (``compile_stream`` / ``ops_roundtrip`` micros,
 ``*_compiled`` / ``cluster_stream_*`` / ``scale_replay`` macros) and
-their speedup ratios.  ``kernel`` sits in the deterministic view on
-purpose: the two kernels are byte-identical in every simulated stat, so
-regenerating a baseline under the other kernel shows up as exactly one
-changed line.
+their speedup ratios; v5 follows the executor/kernel deletion — the
+per-op macros (``viyojit``, ``nvdram``), the ``cluster_stream_*`` pair,
+their three ratios and the ``kernel`` field are gone with the code they
+measured.
 
 Everything outside ``wall`` is a pure function of the simulation: two
 runs of the same tree produce byte-identical text once the ``wall`` key
@@ -41,21 +39,15 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Tuple
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: ``wall.speedups`` entries: label -> (numerator bench, denominator bench);
 #: the ratio is numerator's wall seconds over denominator's, i.e. how many
 #: times faster the denominator configuration ran.
 SPEEDUP_PAIRS = {
-    "ycsb_a_batched_vs_per_op": ("viyojit", "viyojit_batched"),
-    "ycsb_a_nvdram_batched_vs_per_op": ("nvdram", "nvdram_batched"),
     "ycsb_a_compiled_vs_batched": ("viyojit_batched", "viyojit_compiled"),
     "ycsb_a_nvdram_compiled_vs_batched": ("nvdram_batched", "nvdram_compiled"),
     "sweep_jobs2_vs_jobs1": ("sweep_jobs1", "sweep_jobs2"),
-    "cluster_stream_compiled_vs_generator": (
-        "cluster_stream_generator",
-        "cluster_stream_compiled",
-    ),
 }
 
 
@@ -65,18 +57,15 @@ def build_report(
     macro: List[Tuple[str, int, Dict[str, object], float]],
     repeats: int,
     generated_at_unix: float,
-    kernel: str = "object",
 ) -> Dict[str, object]:
     """Assemble the BENCH.json dict from measured suite results.
 
     ``micro`` rows are ``(name, unit, units, sim, wall_s)``; ``macro``
-    rows are ``(name, units, sim, wall_s)``.  ``kernel`` names the
-    memory kernel that produced the numbers.
+    rows are ``(name, units, sim, wall_s)``.
     """
     report: Dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
         "mode": mode,
-        "kernel": kernel,
         "micro": {name: sim for name, _unit, _units, sim, _w in micro},
         "macro": {name: sim for name, _units, sim, _w in macro},
         "wall": {

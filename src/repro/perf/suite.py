@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.mem.kernel import kernel_name
 from repro.perf import macro as macro_mod
 from repro.perf import micro as micro_mod
 from repro.perf import report as report_mod
@@ -37,5 +36,4 @@ def run_suite(quick: bool = False, repeats: int = 0) -> Dict[str, object]:
         macro=macro_rows,
         repeats=repeats,
         generated_at_unix=timestamp(),
-        kernel=kernel_name(),
     )

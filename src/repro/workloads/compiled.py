@@ -1,10 +1,10 @@
 """One-pass workload compiler: op streams as struct-of-arrays.
 
 :func:`generate_operations` is a Python generator — perfectly
-deterministic, but every consumer pays ~microseconds per op, and the
-cluster coordinator plus every shard worker each re-run it over the
-*global* stream (O(consumers × ops) regeneration).  This module lowers
-any seeded YCSB workload into flat numpy arrays once:
+deterministic, but every consumer pays ~microseconds per op, and a
+cluster's coordinator and shard workers all consume the *global*
+stream.  This module lowers any seeded YCSB workload into flat numpy
+arrays once:
 
 ====================  ======  =================================================
 section               dtype   meaning
@@ -20,11 +20,11 @@ section               dtype   meaning
 ====================  ======  =================================================
 
 The compiled stream is **element-for-element equivalent** to
-:func:`generate_operations` (and, rotated, to
-:func:`repro.cluster.runner.iter_segment_ops`): same RNG streams, same
-interleaving of insert-driven ``grow_to`` calls, pinned by the
-hypothesis suite in ``tests/workloads/test_compiled.py``.  Compiling is
-a *wall-clock* optimization only — every simulated stat stays
+:func:`generate_operations` (and, segmented and rotated, to the per-op
+segment oracle in ``tests/cluster/reference_shard.py``): same RNG
+streams, same interleaving of insert-driven ``grow_to`` calls, pinned by
+the hypothesis suite in ``tests/workloads/test_compiled.py``.  Compiling
+is a *wall-clock* optimization only — every simulated stat stays
 byte-identical.
 
 ``.ops`` on-disk format (little-endian throughout)::
@@ -417,10 +417,14 @@ def compile_workload(
 ) -> CompiledStream:
     """Lower one seeded workload run into a :class:`CompiledStream`.
 
-    With ``epochs``/``hotspot_rotate_keys`` the stream matches
-    :func:`repro.cluster.runner.iter_segment_ops` (rotation baked into
-    the key indices); at the defaults it matches
-    :func:`generate_operations`.
+    At the defaults the stream matches :func:`generate_operations`.
+    ``epochs`` splits it into equal-count segments; ``hotspot_rotate_keys``
+    shifts each non-insert op's key index by ``segment *
+    hotspot_rotate_keys`` (mod ``record_count``), baked into
+    ``key_indices`` — the zipfian hotspot rotates through the keyspace
+    at epoch boundaries, which is the skew-shifting workload the EWMA
+    predictors exist for.  Inserts are never rotated (their keys extend
+    the keyspace rather than address it).
     """
     if record_count <= 0:
         raise ValueError(f"record_count must be positive: {record_count}")

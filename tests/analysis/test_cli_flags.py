@@ -111,7 +111,8 @@ class TestSarifOutput:
         assert "violation" in capsys.readouterr().out
         doc = json.loads(out_file.read_text(encoding="utf-8"))
         rule_ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"W1", "R1", "K1", "P1"} <= rule_ids
+        assert {"W1", "R1", "P1"} <= rule_ids
+        assert "K1" not in rule_ids
 
     def test_baselined_findings_are_suppressed_in_sarif(self, tmp_path):
         baseline = str(tmp_path / "baseline.json")

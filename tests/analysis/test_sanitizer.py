@@ -43,19 +43,11 @@ def dirty_distinct_pages(system, count):
 def corrupt_dirty_bits(page_table, pfns, value):
     """Flip raw PTE dirty bits behind the page table's back.
 
-    Kernel-agnostic state corruption: bypasses ``set_dirty``'s count
-    bookkeeping on purpose (the sanitizer is supposed to notice), and
-    reaches into whichever storage the active kernel uses — the object
-    kernel's boolean column or the SoA kernel's packed flags.
+    Bypasses ``set_dirty``'s count bookkeeping on purpose (the
+    sanitizer is supposed to notice).
     """
-    flags = getattr(page_table, "flags", None)
     for pfn in pfns:
-        if flags is None:
-            page_table.dirty[pfn] = value  # lint: ignore[L1]
-        elif value:
-            flags[pfn] |= 0x02
-        else:
-            flags[pfn] &= 0xFD
+        page_table.dirty[pfn] = value  # lint: ignore[L1]
 
 
 class TestArming:

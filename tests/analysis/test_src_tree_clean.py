@@ -25,7 +25,7 @@ def test_src_tree_lints_clean():
 
 
 def test_src_tree_passes_whole_program_pass():
-    # The strict pass: per-module rules plus W1/R1/K1/P1 over the call
+    # The strict pass: per-module rules plus W1/R1/P1 over the call
     # graph of the entire package, exactly what CI runs.
     report = lint_project([SRC])
     rendered = "\n".join(v.render() for v in report.violations)

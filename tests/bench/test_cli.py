@@ -75,6 +75,25 @@ class TestYCSBCommand:
             main(["ycsb", "--workloads", "Z"])
 
 
+class TestSpecValidationErrors:
+    """Bad spec values exit 2 with one ``repro: error:`` line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ycsb", "--records", "0"], "record_count must be positive: 0"),
+            (["cluster", "--shards", "0"], "shards must be positive: 0"),
+        ],
+        ids=["ycsb-records-0", "cluster-shards-0"],
+    )
+    def test_exits_2_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: error: {message}\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestChartFlags:
     def test_fig2_chart(self, capsys):
         assert main(["fig2", "--chart", "--scale", "0.05", "--apps", "cosmos"]) == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.histogram import LatencyHistogram
 from repro.bench.runner import (
     ExperimentScale,
     LatencySummary,
@@ -48,16 +49,18 @@ class TestExperimentScale:
 
 class TestLatencySummary:
     def test_empty(self):
-        summary = LatencySummary.from_ns([])
+        summary = LatencySummary.from_histogram(LatencyHistogram())
         assert summary.count == 0
         assert summary.avg_ms == 0.0
 
     def test_stats(self):
-        samples = [1_000_000] * 99 + [100_000_000]
-        summary = LatencySummary.from_ns(samples)
+        histogram = LatencyHistogram()
+        for sample_ns in [1_000_000] * 99 + [100_000_000]:
+            histogram.record(sample_ns)
+        summary = LatencySummary.from_histogram(histogram)
         assert summary.count == 100
         assert summary.avg_ms == pytest.approx(1.99, rel=0.01)
-        assert summary.p99_ms > 1.0
+        assert summary.p99_ms == pytest.approx(1.0, rel=0.01)
 
 
 class TestValueBytes:
@@ -117,8 +120,8 @@ class TestRuns:
     def test_budget_respected_during_run(self):
         sim, system = build_viyojit(TINY, budget_fraction=0.15)
         runner = YCSBRunner(sim, system, TINY)
-        runner.load()
-        runner.run(YCSB_A)
+        runner.load_batched()
+        runner.run_batched(YCSB_A)
         assert (
             system.stats.peak_dirty_pages
             <= system.config.dirty_budget_pages

@@ -2,9 +2,10 @@
 
 This is the shard worker as it ran before shards moved onto the batched
 session — the lazy generator that filters the *global* per-op stream
-(:func:`repro.cluster.runner.iter_segment_ops`, no compiled arrays),
-applies leases and migration handoffs as it crosses segment boundaries,
-and feeds ``YCSBRunner.run`` one :class:`Operation` at a time through
+(:func:`iter_segment_ops`, no compiled arrays), applies leases and
+migration handoffs as it crosses segment boundaries, and feeds the
+per-op runner (``tests/bench/reference_runner.py``) one
+:class:`Operation` at a time through
 ``KVStore.get/put/read_modify_write/scan``.  It shares no routing,
 payload or dispatch code with the production path beyond the ring and
 the store themselves, which is what makes it an oracle:
@@ -14,25 +15,71 @@ to reproduce its payload exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from dataclasses import replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bench.runner import (
     ExperimentScale,
-    YCSBRunner,
     build_baseline,
     build_viyojit,
     value_bytes,
 )
 from repro.cluster.ring import HashRing
-from repro.cluster.runner import ShardJob, iter_segment_ops
+from repro.cluster.runner import ShardJob
 from repro.core.runtime import Viyojit
 from repro.parallel.worker import result_payload
 from repro.workloads.ycsb import (
     Operation,
     YCSB_WORKLOADS,
+    generate_operations,
     key_index,
     make_key,
 )
+
+from tests.bench.reference_runner import ReferenceRunner
+
+
+def iter_segment_ops(
+    workload: str,
+    record_count: int,
+    operation_count: int,
+    value_size: int,
+    theta: float,
+    seed: int,
+    epochs: int,
+    rotate_keys: int = 0,
+) -> Iterator[Tuple[int, int, Operation]]:
+    """The global op stream, segmented, with optional hotspot rotation.
+
+    Yields ``(position, segment, op)`` straight from the per-op
+    generator — the oracle for ``compile_workload(..., epochs=,
+    hotspot_rotate_keys=)``.
+
+    ``rotate_keys`` shifts each non-insert operation's key index by
+    ``segment * rotate_keys`` (mod ``record_count``): the zipfian
+    hotspot physically rotates through the keyspace at epoch
+    boundaries, which is the skew-shifting workload the EWMA predictors
+    exist for.  Inserts are never rotated (their keys extend the
+    keyspace rather than address it).
+    """
+    wspec = YCSB_WORKLOADS[workload]
+    for position, op in enumerate(
+        generate_operations(
+            wspec,
+            record_count=record_count,
+            operation_count=operation_count,
+            value_size=value_size,
+            theta=theta,
+            seed=seed,
+        )
+    ):
+        segment = min(epochs - 1, position * epochs // operation_count)
+        if rotate_keys and op.kind != "insert":
+            index = key_index(op.key)
+            if index < record_count:
+                shifted = (index + segment * rotate_keys) % record_count
+                op = replace(op, key=make_key(shifted))
+        yield position, segment, op
 
 
 def _apply_lease(system: Viyojit, pages: int) -> None:
@@ -127,7 +174,7 @@ def execute_shard(job: ShardJob) -> Dict[str, object]:
             scale, 1.0, budget_pages=job.budget_schedule[0]
         )
         system = viyojit
-    runner = YCSBRunner(
+    runner = ReferenceRunner(
         sim, system, scale, ordered=wspec.scan_proportion > 0
     )
     loaded = 0

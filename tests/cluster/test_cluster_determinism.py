@@ -146,9 +146,9 @@ def test_coordinator_probes_each_workload_once(monkeypatch):
     calls = []
     real_probe = runner_mod._probe
 
-    def counting_probe(spec, rings, stream=None):
+    def counting_probe(spec, rings, stream):
         calls.append(spec.total_budget_fraction)
-        return real_probe(spec, rings, stream=stream)
+        return real_probe(spec, rings, stream)
 
     monkeypatch.setattr(runner_mod, "_probe", counting_probe)
     run_cluster_grid(GRID, jobs=1)

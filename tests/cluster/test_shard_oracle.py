@@ -5,10 +5,7 @@ session; ``reference_shard.execute_shard`` filters the per-op generator
 stream and executes one ``Operation`` at a time.  Every simulated
 quantity of the payload — clock, latency histograms, flush traffic,
 Viyojit stats — and the routing counters must agree exactly, for every
-shard of the run, with the runtime sanitizer armed.  The full matrix
-runs on the ambient memory kernel (CI's kernel-equivalence job repeats
-it under each ``REPRO_KERNEL``); the hardest column is pinned under
-both kernels here.
+shard of the run, with the runtime sanitizer armed.
 """
 
 from __future__ import annotations
@@ -86,13 +83,6 @@ def test_shard_job_equals_per_op_oracle(
     workload, schedule, membership, rotate
 ):
     _assert_matches_oracle(workload, schedule, membership, rotate)
-
-
-@pytest.mark.parametrize("kernel", ["object", "soa"])
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_oracle_holds_under_each_kernel(monkeypatch, kernel, workload):
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
-    _assert_matches_oracle(workload, STARVED, "add", 40)
 
 
 def test_migration_cases_actually_migrate():

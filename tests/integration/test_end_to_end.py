@@ -88,25 +88,28 @@ class TestDurabilityUnderLoad:
     """Durability holds at every point of a full YCSB run."""
 
     def test_crash_anywhere_in_ycsb_run(self):
-        from repro.bench.runner import YCSBRunner, build_viyojit
-        from repro.workloads.ycsb import generate_operations
+        from repro.bench.runner import BatchedSession, YCSBRunner, build_viyojit
+        from repro.workloads.ycsb import iter_op_batches
 
         sim, system = build_viyojit(SCALE, 2 / 17.5)
         runner = YCSBRunner(sim, system, SCALE)
-        runner.load()
+        runner.load_batched()
         model = PowerModel()
         battery = viyojit_battery(
             model, system.config.dirty_budget_pages * system.region.page_size
         )
         crash = CrashSimulator(system, model, battery)
-        ops = generate_operations(
-            YCSB_A, SCALE.record_count, 1200, SCALE.value_size, seed=99
-        )
-        for index, op in enumerate(ops):
-            runner._execute(op)
-            if index % 200 == 0:
-                report = crash.power_failure()
-                assert report.survives, f"unsurvivable crash at op {index}"
+        session = BatchedSession(runner)
+        session.begin()
+        for index, batch in enumerate(
+            iter_op_batches(
+                YCSB_A, SCALE.record_count, 1200, SCALE.value_size,
+                seed=99, batch_size=200,
+            )
+        ):
+            session.apply(batch.kinds, batch.keys, batch.scan_lengths)
+            report = crash.power_failure()
+            assert report.survives, f"unsurvivable crash after batch {index}"
 
     def test_budget_respected_through_run(self, viyojit_a_small):
         stats = viyojit_a_small.viyojit_stats

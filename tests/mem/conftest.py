@@ -1,34 +1,29 @@
-"""Kernel-parametrized fixtures: every mem unit test runs on both kernels.
+"""Substrate fixtures: the mem unit tests take the class under test from here.
 
-The object kernel and the struct-of-arrays kernel implement the same
-contract; the unit tests in this package take the class under test from
-these fixtures so each test body executes twice, once per kernel.  The
-differential harness in ``test_kernel_equivalence.py`` goes further and
-runs both side by side inside a single test.
+There is one page table and one TLB.  The ``kernel`` fixture keeps the
+single parameter id ``object`` only so that test ids stay what they were
+while a second (struct-of-arrays) kernel ran the same bodies — the
+tier-1 floor list names them.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.mem.page_table import PageTable as ObjectPageTable
-from repro.mem.soa import SoAPageTable, SoATLB
-from repro.mem.tlb import TLB as ObjectTLB
-
-PAGE_TABLE_CLASSES = {"object": ObjectPageTable, "soa": SoAPageTable}
-TLB_CLASSES = {"object": ObjectTLB, "soa": SoATLB}
+from repro.mem.page_table import PageTable
+from repro.mem.tlb import TLB
 
 
-@pytest.fixture(params=sorted(PAGE_TABLE_CLASSES))
+@pytest.fixture(params=["object"])
 def kernel(request):
     return request.param
 
 
 @pytest.fixture
 def page_table_cls(kernel):
-    return PAGE_TABLE_CLASSES[kernel]
+    return PageTable
 
 
 @pytest.fixture
 def tlb_cls(kernel):
-    return TLB_CLASSES[kernel]
+    return TLB

@@ -1,23 +1,21 @@
-"""Unit tests for the MMU: faults, dirty-bit side effects, scan costs.
-
-The MMU is kernel-agnostic logic over the page-table/TLB contract, so
-the whole module runs against both kernels via the ``kernel`` fixture.
-"""
+"""Unit tests for the MMU: faults, dirty-bit side effects, scan costs."""
 
 import pytest
 
-from repro.mem.kernel import make_mmu, make_page_table, make_tlb
 from repro.mem.machine import MachineModel
-from repro.mem.mmu import MMU
+from repro.mem.mmu import MMU, HardwareAssistedMMU
 
 
 @pytest.fixture
-def build_mmu(kernel):
+def build_mmu(page_table_cls, tlb_cls):
     def build(num_pages=32, hardware=False, machine=None):
         machine = machine if machine is not None else MachineModel()
-        table = make_page_table(num_pages, kernel)
-        tlb = make_tlb(num_pages, machine.tlb_entries, kernel)
-        return make_mmu(table, tlb, machine, hardware=hardware)
+        cls = HardwareAssistedMMU if hardware else MMU
+        return cls(
+            page_table_cls(num_pages),
+            tlb_cls(num_pages, machine.tlb_entries),
+            machine,
+        )
 
     return build
 
@@ -174,14 +172,10 @@ class TestEpochScan:
         _updated, without = mmu.epoch_scan(flush_tlb=False)
         assert with_flush > without
 
-    def test_mismatched_sizes_rejected(self, kernel):
+    def test_mismatched_sizes_rejected(self, page_table_cls, tlb_cls):
         machine = MachineModel()
         with pytest.raises(ValueError):
-            MMU(
-                make_page_table(8, kernel),
-                make_tlb(16, machine.tlb_entries, kernel),
-                machine,
-            )
+            MMU(page_table_cls(8), tlb_cls(16, machine.tlb_entries), machine)
 
 
 class TestHardwareAssistedMMU:

@@ -1,9 +1,7 @@
-"""Unit tests for the simulated page table, run against both kernels."""
+"""Unit tests for the simulated page table."""
 
 import numpy as np
 import pytest
-
-from tests.mem.conftest import PAGE_TABLE_CLASSES
 
 
 class TestConstruction:
@@ -93,12 +91,3 @@ class TestDirtyBits:
         table = page_table_cls(8)
         with pytest.raises(IndexError):
             table.set_dirty(9)
-
-    def test_out_of_range_message_identical_across_kernels(self):
-        """The façade contract covers exception text, not just types."""
-        messages = set()
-        for cls in PAGE_TABLE_CLASSES.values():
-            with pytest.raises(IndexError) as exc:
-                cls(8).set_dirty(9)
-            messages.add(str(exc.value))
-        assert len(messages) == 1

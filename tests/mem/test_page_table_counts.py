@@ -1,12 +1,11 @@
 """Cached dirty-bit popcounts stay equivalent to recomputation (S2).
 
 ``dirty_count`` / ``shadow_dirty_count`` are maintained incrementally by
-the three mutators; hypothesis drives arbitrary interleavings of them —
-against both kernels — and checks the caches against a fresh
-``np.count_nonzero`` after every step.  The deterministic tests pin the
-boundary cases: an empty table (the budget-0 shape, where the cache must
-stay exactly zero through scans) and a fully dirty table (every page's
-bit set, the worst case for the SoA kernel's packed-flags bookkeeping).
+the three mutators; hypothesis drives arbitrary interleavings of them
+and checks the caches against a fresh ``np.count_nonzero`` after every
+step.  The deterministic tests pin the boundary cases: an empty table
+(the budget-0 shape, where the cache must stay exactly zero through
+scans) and a fully dirty table (every page's bit set).
 """
 
 from __future__ import annotations
@@ -17,14 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.page_table import PageTable
-from repro.mem.soa import SoAPageTable
 
 NUM_PAGES = 24
 
-KERNEL_PARAMS = [
-    pytest.param(PageTable, id="object"),
-    pytest.param(SoAPageTable, id="soa"),
-]
+#: One class; the ``object`` id keeps test ids stable (see conftest.py).
+KERNEL_PARAMS = [pytest.param(PageTable, id="object")]
 
 _ops = st.lists(
     st.one_of(

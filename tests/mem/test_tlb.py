@@ -1,9 +1,7 @@
 """Unit tests for the TLB: hits, eviction, dirty caching, invalidation.
 
-Run against both kernels via the ``tlb_cls`` fixture; the capacity
-boundary is probed extra hard because the SoA kernel's vectorized LRU
-(argmin over touch stamps) must evict exactly the pages the object
-kernel's ordered dict evicts.
+The capacity boundary is probed extra hard: LRU eviction order decides
+which re-writes re-mark their dirty bits (the section 6.3 mechanism).
 """
 
 import pytest

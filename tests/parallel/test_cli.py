@@ -91,7 +91,6 @@ def _fake_report() -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": "quick",
-        "kernel": "object",
         "micro": {},
         "macro": {},
         "wall": {"micro": {}, "macro": {}, "speedups": {}, "repeats": 1},

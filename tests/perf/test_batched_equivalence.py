@@ -1,38 +1,46 @@
-"""The batching tentpole's contract: batched execution is wall-clock-only.
+"""The one executor's contract: it is the per-op loop, minus wall time.
 
-``run_workload(..., execution="batched")`` must produce exactly the
-per-op path's simulated results — same simulated clock, same stats,
-same flush traffic, same latency histograms — for every workload and
-both systems.  The monkeypatch-off chain additionally pins that the
-batched path composes with the PR-4 fast-path deoptimizations: with
-every substrate fast path disabled, batched and per-op still agree.
+``run_workload`` executes through :class:`BatchedSession`; the per-op
+oracle (``tests/bench/reference_runner.py``) executes one ``KVStore``
+call at a time.  Both must produce exactly the same simulated results —
+same simulated clock, same stats, same flush traffic, same latency
+histograms — for every workload, both systems, and both op-stream
+sources (generator batches and a compiled stream).  The monkeypatch-off
+chain additionally pins that the executor composes with the substrate
+fast-path deoptimizations: with every fast path disabled, all of them
+still agree.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.runner import ExperimentScale, run_workload
+from repro.bench.runner import run_workload
 from repro.workloads.ycsb import YCSB_WORKLOADS
 
-from tests.perf.test_sim_invisibility import _disable_fast_paths, _snapshot
+from tests.bench.reference_runner import run_workload_per_op
+from tests.perf.test_sim_invisibility import (
+    SCALE,
+    _compiled,
+    _disable_fast_paths,
+    _snapshot,
+)
 
-SCALE = ExperimentScale(record_count=800, operation_count=2_500)
-
-#: YCSB-E (scans) keeps the per-op path; everything else has a fused twin.
-BATCHABLE = ("YCSB-A", "YCSB-B", "YCSB-C", "YCSB-D", "YCSB-F")
+#: YCSB-E (scans) binds the ordered store's methods into the same loop.
+WORKLOADS = ("YCSB-A", "YCSB-B", "YCSB-C", "YCSB-D", "YCSB-E", "YCSB-F")
 
 
-@pytest.mark.parametrize("name", BATCHABLE)
+@pytest.mark.parametrize("name", WORKLOADS)
 @pytest.mark.parametrize("budget_fraction", [0.175, None],
                          ids=["viyojit", "nvdram"])
 def test_batched_equals_per_op(name, budget_fraction):
     spec = YCSB_WORKLOADS[name]
-    per_op = _snapshot(run_workload(spec, SCALE, budget_fraction))
-    batched = _snapshot(
-        run_workload(spec, SCALE, budget_fraction, execution="batched")
+    per_op = _snapshot(run_workload_per_op(spec, SCALE, budget_fraction))
+    batched = _snapshot(run_workload(spec, SCALE, budget_fraction))
+    compiled = _snapshot(
+        run_workload(spec, SCALE, budget_fraction, compiled=_compiled(spec))
     )
-    assert per_op == batched
+    assert per_op == batched == compiled
 
 
 @pytest.mark.parametrize("budget_fraction", [0.175, None],
@@ -41,24 +49,11 @@ def test_batched_is_simulation_invisible_when_deoptimized(
     monkeypatch, budget_fraction
 ):
     spec = YCSB_WORKLOADS["YCSB-A"]
-    optimized = _snapshot(
-        run_workload(spec, SCALE, budget_fraction, execution="batched")
-    )
+    optimized = _snapshot(run_workload(spec, SCALE, budget_fraction))
     _disable_fast_paths(monkeypatch)
-    deopt_batched = _snapshot(
-        run_workload(spec, SCALE, budget_fraction, execution="batched")
+    deopt_batched = _snapshot(run_workload(spec, SCALE, budget_fraction))
+    deopt_compiled = _snapshot(
+        run_workload(spec, SCALE, budget_fraction, compiled=_compiled(spec))
     )
-    deopt_per_op = _snapshot(run_workload(spec, SCALE, budget_fraction))
-    assert optimized == deopt_batched == deopt_per_op
-
-
-def test_scan_workload_falls_back_to_per_op():
-    spec = YCSB_WORKLOADS["YCSB-E"]
-    per_op = _snapshot(run_workload(spec, SCALE, 0.175))
-    batched = _snapshot(run_workload(spec, SCALE, 0.175, execution="batched"))
-    assert per_op == batched
-
-
-def test_unknown_execution_mode_rejected():
-    with pytest.raises(ValueError, match="unknown execution mode"):
-        run_workload(YCSB_WORKLOADS["YCSB-A"], SCALE, 0.175, execution="warp")
+    deopt_per_op = _snapshot(run_workload_per_op(spec, SCALE, budget_fraction))
+    assert optimized == deopt_batched == deopt_compiled == deopt_per_op

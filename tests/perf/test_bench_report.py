@@ -22,20 +22,9 @@ class TestSchema:
         report, _ = quick_reports
         assert report["schema_version"] == SCHEMA_VERSION
         assert report["mode"] == "quick"
-        assert report["kernel"] in ("object", "soa")
         assert set(report) == {
-            "schema_version", "mode", "kernel", "micro", "macro", "wall"
+            "schema_version", "mode", "micro", "macro", "wall"
         }
-
-    def test_kernel_field_reflects_env(self, monkeypatch):
-        from repro.perf.report import build_report
-        from repro.mem.kernel import kernel_name
-
-        monkeypatch.setenv("REPRO_KERNEL", "soa")
-        report = build_report("quick", [], [], 1, 0.0, kernel=kernel_name())
-        assert report["kernel"] == "soa"
-        # The kernel is part of the deterministic view, not the wall data.
-        assert '"kernel": "soa"' in deterministic_view(report)
 
     def test_expected_benchmarks_present(self, quick_reports):
         report, _ = quick_reports
@@ -49,23 +38,14 @@ class TestSchema:
             "ops_roundtrip",
         }
         assert set(report["macro"]) == {
-            "viyojit",
             "viyojit_batched",
             "viyojit_compiled",
-            "nvdram",
             "nvdram_batched",
             "nvdram_compiled",
             "sweep_jobs1",
             "sweep_jobs2",
-            "cluster_stream_generator",
-            "cluster_stream_compiled",
             "scale_replay",
         }
-
-    def test_batched_macro_sims_equal_per_op(self, quick_reports):
-        report, _ = quick_reports
-        assert report["macro"]["viyojit_batched"] == report["macro"]["viyojit"]
-        assert report["macro"]["nvdram_batched"] == report["macro"]["nvdram"]
 
     def test_compiled_macro_sims_equal_batched(self, quick_reports):
         """Compiled replay is simulation-invisible in the report itself."""
@@ -78,15 +58,6 @@ class TestSchema:
             report["macro"]["nvdram_compiled"]
             == report["macro"]["nvdram_batched"]
         )
-
-    def test_cluster_stream_pair_sims_equal(self, quick_reports):
-        """Vectorized routing returns the generator pass's exact counts."""
-        report, _ = quick_reports
-        generator = report["macro"]["cluster_stream_generator"]
-        compiled = report["macro"]["cluster_stream_compiled"]
-        assert generator == compiled
-        assert generator["shards"] == 4
-        assert sum(generator["routed_ops"]) > 0
 
     def test_scale_replay_recorded(self, quick_reports):
         report, _ = quick_reports
@@ -107,12 +78,9 @@ class TestSchema:
         report, _ = quick_reports
         speedups = report["wall"]["speedups"]
         assert set(speedups) == {
-            "ycsb_a_batched_vs_per_op",
-            "ycsb_a_nvdram_batched_vs_per_op",
             "ycsb_a_compiled_vs_batched",
             "ycsb_a_nvdram_compiled_vs_batched",
             "sweep_jobs2_vs_jobs1",
-            "cluster_stream_compiled_vs_generator",
         }
         for ratio in speedups.values():
             assert ratio > 0
@@ -143,7 +111,7 @@ class TestDeterminism:
 
     def test_macro_sim_matches_simulation_golden_behavior(self, quick_reports):
         report, _ = quick_reports
-        viyojit = report["macro"]["viyojit"]
+        viyojit = report["macro"]["viyojit_batched"]
         assert viyojit["ops_executed"] == 4_000
         assert viyojit["stats"]["epochs"] > 0
         assert viyojit["stats"]["write_faults"] > 0
@@ -154,7 +122,6 @@ class TestRegressionGate:
         return {
             "schema_version": schema,
             "mode": "quick",
-            "kernel": "object",
             "micro": {},
             "macro": {},
             "wall": {

@@ -14,7 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.runner import ExperimentScale, run_workload
+from repro.workloads.compiled import compile_workload
 from repro.workloads.ycsb import YCSB_A
+
+from tests.bench.reference_runner import run_workload_per_op
 
 SCALE = ExperimentScale(record_count=800, operation_count=2_500)
 
@@ -31,18 +34,26 @@ def _snapshot(result) -> dict:
     return out
 
 
+def _compiled(spec):
+    """``spec`` at ``SCALE``, lowered to a compiled stream."""
+    return compile_workload(
+        spec,
+        SCALE.record_count,
+        SCALE.operation_count,
+        value_size=SCALE.value_size,
+        theta=SCALE.zipf_theta,
+        seed=SCALE.seed,
+    )
+
+
 def _disable_fast_paths(monkeypatch) -> None:
     from repro.core import policies
-    from repro.mem.soa import SoATLB
     from repro.mem.tlb import TLB
     from repro.sim.events import EventQueue
 
     # TLB probes always miss: every access takes the canonical MMU path.
-    # Both kernels' TLBs are patched so the chain deoptimizes whichever
-    # one REPRO_KERNEL selected.
-    for tlb_cls in (TLB, SoATLB):
-        monkeypatch.setattr(tlb_cls, "hit", lambda self, pfn: False)
-        monkeypatch.setattr(tlb_cls, "hit_dirty", lambda self, pfn: False)
+    monkeypatch.setattr(TLB, "hit", lambda self, pfn: False)
+    monkeypatch.setattr(TLB, "hit_dirty", lambda self, pfn: False)
     # The next-due bound always demands a drain attempt.
     # ``next_due_at`` is normally a plain instance attribute; installing
     # a class-level data descriptor overrides it for every queue.
@@ -71,40 +82,18 @@ def test_fast_paths_are_simulation_invisible(monkeypatch, budget_fraction):
     assert optimized == deoptimized
 
 
-@pytest.mark.parametrize("kernel", ["object", "soa"])
 @pytest.mark.parametrize("budget_fraction", [0.175, None],
                          ids=["viyojit", "nvdram"])
-def test_compiled_replay_is_simulation_invisible(
-    monkeypatch, budget_fraction, kernel
-):
+def test_compiled_replay_is_simulation_invisible(monkeypatch, budget_fraction):
     """A compiled stream through the full deopt chain changes nothing.
 
-    The strongest form of the invariant: per-op generator execution on
-    the optimized simulator must match compiled-stream batched execution
-    with every fast path switched off, under either memory kernel.
+    The strongest form of the invariant: the per-op oracle on the
+    optimized simulator must match compiled-stream execution with every
+    fast path switched off.
     """
-    from repro.workloads.compiled import compile_workload
-
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
-    reference = _snapshot(
-        run_workload(YCSB_A, SCALE, budget_fraction, execution="per-op")
-    )
-    stream = compile_workload(
-        YCSB_A,
-        SCALE.record_count,
-        SCALE.operation_count,
-        value_size=SCALE.value_size,
-        theta=SCALE.zipf_theta,
-        seed=SCALE.seed,
-    )
+    reference = _snapshot(run_workload_per_op(YCSB_A, SCALE, budget_fraction))
     _disable_fast_paths(monkeypatch)
     compiled = _snapshot(
-        run_workload(
-            YCSB_A,
-            SCALE,
-            budget_fraction,
-            execution="batched",
-            compiled=stream,
-        )
+        run_workload(YCSB_A, SCALE, budget_fraction, compiled=_compiled(YCSB_A))
     )
     assert compiled == reference

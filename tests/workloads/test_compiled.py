@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.runner import iter_segment_ops
 from repro.workloads.compiled import (
     CODE_OF,
     KIND_NAMES,
@@ -39,6 +38,8 @@ from repro.workloads.ycsb import (
     iter_op_batches,
     make_key,
 )
+
+from tests.cluster.reference_shard import iter_segment_ops
 
 WORKLOADS = sorted(YCSB_WORKLOADS)
 
