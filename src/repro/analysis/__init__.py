@@ -1,6 +1,6 @@
-"""``repro.analysis``: project-specific static lint + runtime sanitizer.
+"""``repro.analysis``: project-specific static lint.
 
-Two enforcement layers for the conventions the reproduction's
+The enforcement layers for the conventions the reproduction's
 guarantees rest on:
 
 * :mod:`repro.analysis.framework` / :mod:`repro.analysis.rules` — an
@@ -11,9 +11,10 @@ guarantees rest on:
   call graph, enabled with ``repro lint --strict``;
 * :mod:`repro.analysis.baseline` / :mod:`repro.analysis.sarif` —
   grandfathered-findings baseline and the SARIF 2.1.0 reporter CI
-  uploads to code scanning;
-* :mod:`repro.analysis.sanitizer` — a runtime invariant checker wired
-  into the Viyojit runtimes behind ``ViyojitConfig.sanitize``.
+  uploads to code scanning.
+
+The runtime invariant checker, the lint's dynamic counterpart, is
+:mod:`repro.core.sanitizer`.
 """
 
 from repro.analysis.baseline import Baseline, BaselineDiff
@@ -38,11 +39,6 @@ from repro.analysis.framework import (
 )
 from repro.analysis.reporters import render_json, render_text
 from repro.analysis.sarif import render_sarif, sarif_document
-from repro.analysis.sanitizer import (
-    INVARIANTS,
-    InvariantViolation,
-    SimulationSanitizer,
-)
 
 __all__ = [
     "PARSE_ERROR_RULE_ID",
@@ -69,7 +65,4 @@ __all__ = [
     "render_sarif",
     "render_text",
     "sarif_document",
-    "INVARIANTS",
-    "InvariantViolation",
-    "SimulationSanitizer",
 ]

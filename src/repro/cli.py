@@ -18,10 +18,6 @@ Usage::
     python -m repro compile --out STREAM.ops [--workload A] [--records N]
                             [--ops N] [--epochs N]
                                               # compile a workload to a .ops file
-    python -m repro perf [--quick] [--out BENCH.json]
-                         [--against BASELINE --max-regression 2.0]
-                         [--update-baseline [--force]]
-                                              # simulator wall-clock benchmarks
     python -m repro sweep [--jobs N] [--budgets-gb 2,6,10,14,18]
                           [--grid GRID.json] [--out SWEEP.json]
                                               # deterministic multi-process sweep
@@ -80,7 +76,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
         {"command": "crashfind", "regenerates": "Crash-point exploration (durability at every boundary)"},
         {"command": "lint", "regenerates": "Static-analysis report (repro.analysis)"},
         {"command": "compile", "regenerates": "Compiled op stream (.ops, zero-copy replayable)"},
-        {"command": "perf", "regenerates": "Simulator wall-clock benchmarks (BENCH.json)"},
         {"command": "sweep", "regenerates": "Budget x skew x workload grid over a process pool (SWEEP.json)"},
         {"command": "cluster", "regenerates": "Sharded cluster over a shared battery pool (CLUSTER.json)"},
     ]
@@ -399,33 +394,6 @@ def cmd_policies(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import main as lint_main
-
-    argv: List[str] = list(args.paths)
-    argv += ["--format", args.format]
-    argv += ["--fail-on", args.fail_on]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.strict:
-        argv.append("--strict")
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.update_baseline is not None:
-        argv += ["--update-baseline", args.update_baseline]
-    for override in args.severity or ():
-        argv += ["--severity", override]
-    if args.sarif_out:
-        argv += ["--sarif-out", args.sarif_out]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
-
-
-#: The committed perf baseline ``repro perf --update-baseline`` rewrites.
-BENCH_BASELINE_PATH = "benchmarks/BENCH_baseline.json"
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.parallel import SweepError, SweepGrid, dumps, run_sweep
 
@@ -657,96 +625,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf import compare_reports, run_suite
-    from repro.perf.report import SCHEMA_VERSION, dumps
-
-    baseline = None
-    if args.against:
-        import json as json_mod
-
-        with open(args.against, "r", encoding="utf-8") as handle:
-            baseline = json_mod.load(handle)
-        if baseline.get("schema_version") != SCHEMA_VERSION:
-            # Fail before spending benchmark time, with a distinct exit
-            # code: CI distinguishes "your change is slow" (1) from "the
-            # committed baseline predates the current schema" (3), which
-            # no amount of optimization fixes.
-            print(
-                "schema mismatch: regenerate baseline "
-                f"(baseline schema {baseline.get('schema_version')}, "
-                f"current {SCHEMA_VERSION}; run `repro perf --quick "
-                "--update-baseline`)",
-                file=sys.stderr,
-            )
-            return 3
-    try:
-        report = run_suite(quick=args.quick, repeats=args.repeats)
-    except KeyboardInterrupt:
-        print(
-            "perf suite interrupted; partial results discarded",
-            file=sys.stderr,
-        )
-        return 130
-    wall = report["wall"]
-    rows = []
-    for name, fields in wall["micro"].items():
-        rows.append(
-            {
-                "benchmark": name,
-                "wall_s": f"{fields['wall_s']:.4f}",
-                "rate": f"{fields['per_sec']:,.0f} {fields['unit']}/s",
-            }
-        )
-    for name, fields in wall["macro"].items():
-        rows.append(
-            {
-                "benchmark": f"ycsb-a/{name}",
-                "wall_s": f"{fields['wall_s']:.4f}",
-                "rate": f"{fields['ops_per_sec']:,.0f} ops/s",
-            }
-        )
-    mode = report["mode"]
-    print(format_table(rows, title=f"Simulator wall-clock benchmarks ({mode})"))
-    for label, ratio in sorted(wall.get("speedups", {}).items()):
-        print(f"speedup {label}: {ratio:.3f}x")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dumps(report))
-        print(f"wrote {args.out}")
-    if args.update_baseline:
-        import subprocess
-
-        proc = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-        dirty = proc.returncode != 0 or bool(proc.stdout.strip())
-        if dirty and not args.force:
-            print(
-                "refusing to update baseline: git tree is dirty or "
-                "unreadable (commit first, or pass --force)",
-                file=sys.stderr,
-            )
-            return 1
-        with open(BENCH_BASELINE_PATH, "w", encoding="utf-8") as handle:
-            handle.write(dumps(report))
-        print(f"updated {BENCH_BASELINE_PATH}")
-    if baseline is not None:
-        failures = compare_reports(report, baseline, args.max_regression)
-        if failures:
-            for line in failures:
-                print(f"PERF REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(
-            f"no wall-clock regression vs {args.against} "
-            f"(limit {args.max_regression:.2f}x)"
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -867,39 +745,14 @@ def build_parser() -> argparse.ArgumentParser:
                            default="table")
     crashfind.set_defaults(func=cmd_crashfind)
 
-    lint = sub.add_parser(
+    # `repro lint ARGS` is `python -m repro.analysis ARGS`: the subparser
+    # declares nothing (not even --help), so main() forwards every ARG.
+    sub.add_parser(
         "lint",
-        help="project-specific static analysis (same engine as "
+        add_help=False,
+        help="project-specific static analysis (same engine and flags as "
         "python -m repro.analysis); exits 1 on violations",
     )
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to lint (default: src)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text")
-    lint.add_argument("--select", type=str, default=None,
-                      help="comma-separated rule IDs to run (default: all)")
-    lint.add_argument("--strict", action="store_true",
-                      help="also run the whole-program rules (W1/R1/P1)")
-    lint.add_argument("--baseline", nargs="?", const="lint_baseline.json",
-                      default=None, metavar="FILE",
-                      help="suppress grandfathered findings from FILE "
-                      "(default: lint_baseline.json)")
-    lint.add_argument("--update-baseline", nargs="?",
-                      const="lint_baseline.json", default=None,
-                      metavar="FILE",
-                      help="rewrite the baseline from current findings")
-    lint.add_argument("--severity", action="append", default=None,
-                      metavar="RULE=LEVEL",
-                      help="override a rule's severity; repeatable")
-    lint.add_argument("--fail-on", choices=("note", "warning", "error"),
-                      default="warning",
-                      help="minimum severity that fails the run "
-                      "(default: warning)")
-    lint.add_argument("--sarif-out", type=str, default=None, metavar="FILE",
-                      help="additionally write a SARIF 2.1.0 report to FILE")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="list registered rules and exit")
-    lint.set_defaults(func=cmd_lint)
 
     compile_p = sub.add_parser(
         "compile",
@@ -926,30 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_p.add_argument("--out", type=str, required=True,
                            help="path for the .ops file")
     compile_p.set_defaults(func=cmd_compile)
-
-    perf = sub.add_parser(
-        "perf",
-        help="micro + macro wall-clock benchmarks of the simulator itself; "
-        "emits the schema-versioned BENCH.json",
-    )
-    perf.add_argument("--quick", action="store_true",
-                      help="reduced op counts (the CI smoke configuration)")
-    perf.add_argument("--repeats", type=int, default=0,
-                      help="timed passes per benchmark, best-of-N "
-                      "(default 3)")
-    perf.add_argument("--out", type=str, default=None,
-                      help="write BENCH.json to this path")
-    perf.add_argument("--against", type=str, default=None,
-                      help="baseline BENCH.json to compare wall times with")
-    perf.add_argument("--max-regression", type=float, default=2.0,
-                      help="fail (exit 1) when any benchmark's wall time "
-                      "exceeds this multiple of the baseline (default 2.0)")
-    perf.add_argument("--update-baseline", action="store_true",
-                      help=f"rewrite {BENCH_BASELINE_PATH} from this run "
-                      "(refused on a dirty git tree)")
-    perf.add_argument("--force", action="store_true",
-                      help="update the baseline even on a dirty git tree")
-    perf.set_defaults(func=cmd_perf)
 
     sweep = sub.add_parser(
         "sweep",
@@ -1058,7 +887,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.analysis.cli import main as lint_main
+
+        return lint_main(extra)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except ValueError as error:
@@ -1073,6 +908,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError:
             pass
         return 0
+    except OSError as error:
+        # Unreadable inputs and unwritable outputs (--grid, --out, ...).
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -71,7 +71,7 @@ class ViyojitConfig:
     policy_seed:
         Seed for randomized policies.
     sanitize:
-        Arm the :class:`repro.analysis.sanitizer.SimulationSanitizer`:
+        Arm the :class:`repro.core.sanitizer.SimulationSanitizer`:
         the runtime re-checks the budget bound, evicted-page durability,
         post-scan coherence, and clock monotonicity at every hook, and
         raises a typed ``InvariantViolation`` on the first breach.  The

@@ -37,12 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance only
     from repro.power.battery import Battery
     from repro.power.power_model import PowerModel
 
-from repro.analysis.sanitizer import SimulationSanitizer
 from repro.core.config import ViyojitConfig
 from repro.core.dirty_tracker import DirtyTracker
 from repro.core.flusher import Flusher, FlushFailure
 from repro.core.history import UpdateHistory
 from repro.core.pressure import PressureEstimator
+from repro.core.sanitizer import SimulationSanitizer
 from repro.core.stats import ViyojitStats
 from repro.mem.machine import MachineModel
 from repro.mem.mmu import MMU, HardwareAssistedMMU
@@ -664,7 +664,7 @@ class Viyojit(NVDRAMSystem):
         #: FlushFailures absorbed by the eviction loops (victim rotated).
         self.eviction_flush_failures = 0
         self._victim_queue: Deque[int] = deque()
-        # Runtime invariant checker (repro.analysis): pure reads at each
+        # Runtime invariant checker (repro.core.sanitizer): pure reads at each
         # hook, so arming it cannot perturb the simulation.
         self.sanitizer: Optional[SimulationSanitizer] = (
             SimulationSanitizer(self) if config.sanitize else None

@@ -1,28 +1,9 @@
-"""Wall-clock performance layer: micro/macro benchmarks and BENCH.json.
+"""Wall-clock measurement of the simulator itself.
 
-Everything else in this repository measures *simulated* time; this
-package is the one place that measures *wall* time — how fast the
-simulator itself runs.  The split is strict:
-
-- Each benchmark reports a ``sim`` section computed from one
-  deterministic pass (operation counts, simulated nanoseconds, fault and
-  flush counters).  Two invocations produce byte-identical ``sim``
-  sections; a change here means simulation *behavior* changed.
-- All wall-clock measurements (and the run timestamp) live under the
-  report's single ``wall`` key, the only part allowed to differ between
-  runs.  Wall fields are named ``wall_s`` per the V1 lint rule.
-
-``python -m repro perf`` drives the suite and emits the schema-versioned
-``BENCH.json``; ``--against`` compares wall times with a checked-in
-baseline for the CI perf-smoke job.
+Everything else in this repository measures *simulated* time;
+:mod:`repro.perf.timer` is the one place that reads the host clock, so
+the sweep and cluster engines can report how long jobs took under their
+reports' ``wall`` keys.  The repository's benchmark lives in
+``benchmarks/e2e`` (see its README); this package imports nothing, so
+importing the timer loads nothing else.
 """
-
-from repro.perf.report import SCHEMA_VERSION, build_report, compare_reports
-from repro.perf.suite import run_suite
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "build_report",
-    "compare_reports",
-    "run_suite",
-]

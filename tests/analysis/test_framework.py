@@ -184,7 +184,7 @@ class TestCli:
         for rule_id in ("D1", "V1", "T1", "L1", "E1"):
             assert rule_id in out
 
-    def test_repro_lint_subcommand_delegates(self, capsys):
+    def test_repro_lint_subcommand_delegates(self, capsys, monkeypatch):
         from repro.cli import main as repro_main
 
         assert repro_main(["lint", str(FIXTURES / "clean.py")]) == 0
@@ -193,6 +193,23 @@ class TestCli:
         assert "E1" in capsys.readouterr().out
         assert repro_main(["lint", "--list-rules"]) == 0
         assert "D1" in capsys.readouterr().out
+
+        # `repro lint ARGS` is `python -m repro.analysis ARGS`, flag for flag.
+        monkeypatch.chdir(REPO_ROOT)  # --baseline's default file
+        bad = str(FIXTURES / "bad_e1.py")
+        for argv in ([bad, "--strict", "--baseline"], ["--format", "json", bad]):
+            code = repro_main(["lint", *argv])
+            via_repro = capsys.readouterr()
+            assert code == main(argv) == 1
+            assert capsys.readouterr() == via_repro
+        with pytest.raises(SystemExit) as via_repro_help:
+            repro_main(["lint", "--help"])
+        repro_help = capsys.readouterr()
+        with pytest.raises(SystemExit) as direct_help:
+            main(["--help"])
+        assert via_repro_help.value.code == direct_help.value.code == 0
+        assert capsys.readouterr() == repro_help
+        assert repro_help.out.startswith("usage: repro.analysis")
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -83,8 +83,21 @@ class TestSpecValidationErrors:
         [
             (["ycsb", "--records", "0"], "record_count must be positive: 0"),
             (["cluster", "--shards", "0"], "shards must be positive: 0"),
+            (
+                ["sweep", "--grid", "missing.json"],
+                "[Errno 2] No such file or directory: 'missing.json'",
+            ),
+            (
+                ["compile", "--out", "/nonexistent/x.ops", "--ops", "100"],
+                "[Errno 2] No such file or directory: '/nonexistent/x.ops'",
+            ),
         ],
-        ids=["ycsb-records-0", "cluster-shards-0"],
+        ids=[
+            "ycsb-records-0",
+            "cluster-shards-0",
+            "sweep-grid-missing",
+            "compile-out-unwritable",
+        ],
     )
     def test_exits_2_with_one_line(self, capsys, argv, message):
         assert main(argv) == 2

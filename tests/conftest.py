@@ -11,7 +11,7 @@ import os
 # Arm the runtime invariant sanitizer for the whole suite: every
 # Viyojit/HardwareViyojit any test builds re-checks the budget bound,
 # evicted-page durability, post-scan coherence, and clock monotonicity
-# (see repro.analysis.sanitizer).  The checks are pure reads, so the
+# (see repro.core.sanitizer).  The checks are pure reads, so the
 # golden-trace fixtures — generated without the sanitizer — must still
 # match byte-for-byte; that equality is itself a regression test.
 os.environ.setdefault("REPRO_SANITIZE", "1")

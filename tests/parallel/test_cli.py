@@ -1,15 +1,10 @@
-"""``repro sweep`` and the perf CLI's robustness/baseline satellites."""
+"""``repro sweep``: determinism, grid files, interrupts and failures."""
 
 from __future__ import annotations
 
 import json
-import subprocess
-import types
 
-import pytest
-
-from repro.cli import BENCH_BASELINE_PATH, main
-from repro.perf import SCHEMA_VERSION
+from repro.cli import main
 
 SWEEP_ARGS = [
     "sweep",
@@ -86,79 +81,3 @@ class TestSweepCommand:
         assert "sweep failed" in err
         assert "partial results: 2 of" in err
 
-
-def _fake_report() -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "quick",
-        "micro": {},
-        "macro": {},
-        "wall": {"micro": {}, "macro": {}, "speedups": {}, "repeats": 1},
-    }
-
-
-@pytest.fixture()
-def fake_suite(monkeypatch):
-    import repro.perf
-
-    monkeypatch.setattr(
-        repro.perf, "run_suite", lambda quick, repeats: _fake_report()
-    )
-
-
-def _fake_git(stdout: str, returncode: int = 0):
-    def runner(cmd, **kwargs):
-        assert cmd[:2] == ["git", "status"]
-        return types.SimpleNamespace(returncode=returncode, stdout=stdout)
-
-    return runner
-
-
-class TestPerfBaselineUpdate:
-    def test_refuses_on_dirty_tree(
-        self, fake_suite, monkeypatch, tmp_path, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(subprocess, "run", _fake_git(" M src/x.py\n"))
-        assert main(["perf", "--quick", "--update-baseline"]) == 1
-        assert "refusing to update baseline" in capsys.readouterr().err
-        assert not (tmp_path / BENCH_BASELINE_PATH).exists()
-
-    def test_force_overrides_dirty_tree(
-        self, fake_suite, monkeypatch, tmp_path, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "benchmarks").mkdir()
-        monkeypatch.setattr(subprocess, "run", _fake_git(" M src/x.py\n"))
-        assert main(["perf", "--quick", "--update-baseline", "--force"]) == 0
-        assert "updated" in capsys.readouterr().out
-        written = json.loads((tmp_path / BENCH_BASELINE_PATH).read_text())
-        assert written["schema_version"] == SCHEMA_VERSION
-
-    def test_clean_tree_updates_without_force(
-        self, fake_suite, monkeypatch, tmp_path
-    ):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "benchmarks").mkdir()
-        monkeypatch.setattr(subprocess, "run", _fake_git(""))
-        assert main(["perf", "--quick", "--update-baseline"]) == 0
-        assert (tmp_path / BENCH_BASELINE_PATH).exists()
-
-    def test_unreadable_git_counts_as_dirty(
-        self, fake_suite, monkeypatch, tmp_path
-    ):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(subprocess, "run", _fake_git("", returncode=128))
-        assert main(["perf", "--quick", "--update-baseline"]) == 1
-
-
-class TestPerfInterrupt:
-    def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys):
-        import repro.perf
-
-        def interrupted(quick, repeats):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(repro.perf, "run_suite", interrupted)
-        assert main(["perf", "--quick"]) == 130
-        assert "interrupted" in capsys.readouterr().err
