@@ -47,7 +47,7 @@ def _parse_workloads(spec: str):
         token = token.strip().upper()
         name = token if token.startswith("YCSB-") else f"YCSB-{token}"
         if name not in YCSB_WORKLOADS:
-            raise SystemExit(
+            raise ValueError(
                 f"unknown workload {token!r}; choose from "
                 f"{sorted(YCSB_WORKLOADS)}"
             )
@@ -306,11 +306,11 @@ def cmd_crashfind(args: argparse.Namespace) -> int:
         try:
             stride = int(args.crash_points)
         except ValueError:
-            raise SystemExit(
+            raise ValueError(
                 f"--crash-points must be 'all' or a stride: {args.crash_points!r}"
-            )
+            ) from None
         if stride < 1:
-            raise SystemExit(f"--crash-points stride must be >= 1: {stride}")
+            raise ValueError(f"--crash-points stride must be >= 1: {stride}")
     report = explore_crash_points(
         spec,
         plan,

@@ -14,28 +14,19 @@ still cover the page.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Set
-
-import numpy as np
+from typing import Iterator, Set
 
 
 class DirtyTracker:
-    """Running count + addresses of dirty NV-DRAM pages.
+    """Running count + addresses of dirty NV-DRAM pages."""
 
-    When ``num_pages`` is given, a boolean membership mask is maintained
-    alongside the set so the victim-queue rebuild can derive its candidate
-    array with one vectorized step instead of a Python-level filter
-    (:attr:`dirty_mask` is ``None`` otherwise).
-    """
-
-    def __init__(self, budget_pages: int, num_pages: Optional[int] = None) -> None:
+    def __init__(self, budget_pages: int) -> None:
         if budget_pages <= 0:
             raise ValueError(f"budget_pages must be positive: {budget_pages}")
         self.budget_pages = int(budget_pages)
+        # The runtime and flusher read this set directly on the hot path;
+        # every change still goes through add()/remove().
         self._dirty: Set[int] = set()
-        self.dirty_mask: Optional[np.ndarray] = (
-            np.zeros(int(num_pages), dtype=bool) if num_pages else None
-        )
         self.epoch_new_dirty = 0  # new dirty pages this epoch (pressure input)
         self.total_dirtied = 0
 
@@ -77,16 +68,12 @@ class DirtyTracker:
                 f"{self.budget_pages}"
             )
         self._dirty.add(pfn)
-        if self.dirty_mask is not None:
-            self.dirty_mask[pfn] = True
         self.epoch_new_dirty += 1
         self.total_dirtied += 1
 
     def remove(self, pfn: int) -> None:
         """Record that ``pfn``'s latest contents reached durable media."""
         self._dirty.discard(pfn)
-        if self.dirty_mask is not None:
-            self.dirty_mask[pfn] = False
 
     def snapshot(self) -> Set[int]:
         """Copy of the current dirty set (crash simulation)."""

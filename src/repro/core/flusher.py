@@ -27,9 +27,7 @@ device outage is reported, never silently swallowed mid-eviction.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from repro.core.dirty_tracker import DirtyTracker
 from repro.core.stats import ViyojitStats
@@ -63,7 +61,13 @@ class FlushFailure(RuntimeError):
 
 
 class Flusher:
-    """Issues page write-outs and applies their completions."""
+    """Issues page write-outs and applies their completions.
+
+    The per-flush collaborators are bound once at construction.  The
+    SSD's fault hook is still read on every submission (inside
+    ``submit_write``), because the fault injector attaches and detaches
+    it while the system runs.
+    """
 
     def __init__(
         self,
@@ -106,13 +110,24 @@ class Flusher:
         self.retries = 0        # submissions re-attempted after a fault
         self.retry_failures = 0  # FlushFailures surfaced (retry exhaustion)
         self._inflight: Dict[int, int] = {}  # pfn -> completion time (ns)
-        # Boolean mirror of ``_inflight`` membership, so the victim-queue
-        # rebuild can mask candidates without a per-page Python call.
-        self.inflight_mask = np.zeros(region.num_pages, dtype=bool)
         self.tracer = tracer
         self._flush_latency = (
             tracer.metrics.histogram("flush_latency_ns") if tracer.enabled else None
         )
+        # Hot-path bindings (see the class docstring).
+        self._dirty = tracker._dirty  # read-only membership checks
+        self._untrack = tracker.remove
+        self._clock = sim.clock
+        self._schedule = sim.events.schedule
+        self._protect_page = mmu.protect_page
+        # Section 5.4's MMU counts dirty pages in hardware and must hear
+        # about every completed flush; the software MMU has no such hook.
+        self._page_cleaned = getattr(mmu, "page_cleaned", None)
+        self._page_bytes = region.page_bytes
+        self._page_version = region.page_version
+        self._page_size = region.page_size
+        self._submit_write = ssd.submit_write
+        self._persist = backing.persist
 
     @property
     def outstanding(self) -> int:
@@ -144,85 +159,86 @@ class Flusher:
         when that hook is set, else the whole page); the durable snapshot
         is always the full page image.
         """
-        if pfn in self._inflight:
+        inflight = self._inflight
+        if pfn in inflight:
             raise RuntimeError(f"page {pfn} is already being flushed")
-        if pfn not in self.tracker:
+        if pfn not in self._dirty:
             raise RuntimeError(f"page {pfn} is not dirty; nothing to flush")
-        if not self.has_slot():
+        if len(inflight) >= self.max_outstanding:
             raise RuntimeError(
                 f"flush queue full ({self.max_outstanding} outstanding)"
             )
+        page_size = self._page_size
         if nbytes is None:
             if self.flush_bytes_of is not None:
                 nbytes = self.flush_bytes_of(pfn)
             else:
-                nbytes = self.region.page_size
-        if not 0 < nbytes <= self.region.page_size:
-            raise ValueError(
-                f"flush size {nbytes} outside (0, {self.region.page_size}]"
-            )
-        cost = self.mmu.protect_page(pfn)
-        self.stats.pte_update_time_ns += cost
-        data = self.region.page_bytes(pfn)
-        version = int(self.region.page_version[pfn])
+                nbytes = page_size
+        if not 0 < nbytes <= page_size:
+            raise ValueError(f"flush size {nbytes} outside (0, {page_size}]")
+        cost = self._protect_page(pfn)
+        stats = self.stats
+        stats.pte_update_time_ns += cost
+        data = self._page_bytes(pfn)
+        version = self._page_version.item(pfn)
         physical = nbytes
         if self.reducer is not None:
             reduced = self.reducer.process(data[:nbytes])
             physical = max(1, reduced.physical_bytes)
             cost += reduced.cpu_cost_ns
-        issued_at = self.sim.now
-        completion, backoff_ns = self._submit_with_retry(pfn, issued_at, physical)
-        cost += backoff_ns
-        self._inflight[pfn] = completion
-        self.inflight_mask[pfn] = True
-        self.stats.pages_flushed += 1
-        self.stats.bytes_flushed += nbytes
+        issued_at = self._clock._now
+        try:
+            completion = self._submit_write(issued_at, physical)
+        except SSDFaultError as exc:
+            completion, backoff_ns = self._resubmit(pfn, issued_at, physical, exc)
+            cost += backoff_ns
+        inflight[pfn] = completion
+        stats.pages_flushed += 1
+        stats.bytes_flushed += nbytes
 
         def complete() -> None:
-            self.backing.persist(pfn, data, version)
-            self.tracker.remove(pfn)
-            del self._inflight[pfn]
-            self.inflight_mask[pfn] = False
-            self.stats.flush_completions += 1
+            self._persist(pfn, data, version)
+            self._untrack(pfn)
+            del inflight[pfn]
+            stats.flush_completions += 1
             if self.tracer.enabled:
                 latency = completion - issued_at
                 self.tracer.emit(
                     FlushComplete(t=completion, pfn=pfn, latency_ns=latency)
                 )
                 self._flush_latency.observe(latency)
-            cleaned = getattr(self.mmu, "page_cleaned", None)
-            if cleaned is not None:
-                cleaned(pfn)
+            if self._page_cleaned is not None:
+                self._page_cleaned(pfn)
             if self.on_cleaned is not None:
                 self.on_cleaned(pfn)
 
-        self.sim.schedule_at(completion, complete)
+        self._schedule(completion, complete)
         return cost
 
-    def _submit_with_retry(self, pfn: int, issued_at: int, physical: int):
-        """Submit ``physical`` bytes, retrying rejected submissions.
+    def _resubmit(
+        self, pfn: int, issued_at: int, physical: int, error: SSDFaultError
+    ) -> Tuple[int, int]:
+        """Retry a rejected submission of ``physical`` bytes with backoff.
 
-        Returns ``(completion_ns, backoff_ns)`` where ``backoff_ns`` is
-        the total virtual time the issuing thread spent backing off (zero
-        on first-attempt success, which is the only path a fault-free run
-        ever takes).  On exhaustion, rolls the page's protection back and
-        raises :class:`FlushFailure`.
+        Called after the first attempt failed with ``error``.  Returns
+        ``(completion_ns, backoff_ns)`` where ``backoff_ns`` is the total
+        virtual time the issuing thread spent backing off.  After
+        ``max_retries`` further rejections, rolls the page's protection
+        back and raises :class:`FlushFailure`.
         """
         backoff_ns = 0
         attempt = 1
-        while True:
+        while attempt <= self.max_retries:
+            self.retries += 1
+            backoff_ns += self.retry_backoff_ns * (2 ** (attempt - 1))
+            attempt += 1
             try:
-                completion = self.ssd.submit_write(issued_at + backoff_ns, physical)
-                return completion, backoff_ns
+                return self.ssd.submit_write(issued_at + backoff_ns, physical), backoff_ns
             except SSDFaultError as exc:
-                if attempt > self.max_retries:
-                    self.retry_failures += 1
-                    # Roll back the protect-before-copy step: the flush
-                    # never happened, so the page stays dirty *and*
-                    # writable instead of wedging behind a protection it
-                    # will never be released from.
-                    self.mmu.unprotect_page(pfn)
-                    raise FlushFailure(pfn, attempt, exc) from exc
-                self.retries += 1
-                backoff_ns += self.retry_backoff_ns * (2 ** (attempt - 1))
-                attempt += 1
+                error = exc
+        self.retry_failures += 1
+        # Roll back the protect-before-copy step: the flush never
+        # happened, so the page stays dirty *and* writable instead of
+        # wedging behind a protection it will never be released from.
+        self.mmu.unprotect_page(pfn)
+        raise FlushFailure(pfn, attempt, error) from error

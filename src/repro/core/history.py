@@ -18,18 +18,23 @@ raw absolute epochs would let an update from hundreds of epochs ago
 outrank a genuinely-never-updated page forever, inverting coldness among
 long-idle pages.
 
-The per-page update *count* over the window is maintained incrementally
-(one vectorized add/subtract per scan) rather than recomputed by popcount
-at every ranking — victim ranking is on the epoch hot path.
+The window is kept as the last ``history_epochs`` scans' updated-page
+arrays rather than as one shifted word per page: a page's bit leaves the
+window exactly ``history_epochs`` scans after the scan that set it, so
+each scan adjusts only the pages it added and the pages whose oldest
+update just fell out.  The per-page update *count* and the packed
+ranking key are maintained the same way, so an epoch costs O(pages
+updated) instead of O(region), and victim ranking — which runs at every
+epoch boundary and whenever the fault path's victim queue runs dry —
+only gathers precomputed keys.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Union
+from collections import deque
+from typing import Deque, Iterable, List, Union
 
 import numpy as np
-
-_UINT64_ONE = np.uint64(1)
 
 
 def _popcount(values: np.ndarray) -> np.ndarray:
@@ -48,17 +53,15 @@ class UpdateHistory:
             raise ValueError(f"history_epochs must be in [1, 64]: {history_epochs}")
         self.num_pages = int(num_pages)
         self.history_epochs = int(history_epochs)
-        self._history = np.zeros(self.num_pages, dtype=np.uint64)
+        # Updated pages of each remembered scan, oldest first.
+        self._window: Deque[np.ndarray] = deque()
         # Epoch of the most recent observed update; -1 = never observed.
         self._last_update = np.full(self.num_pages, -1, dtype=np.int64)
-        # Incrementally-maintained per-page popcount of ``_history``.
+        # In how many of the remembered scans each page was updated.
         self._counts = np.zeros(self.num_pages, dtype=np.int64)
-        self._mask = (
-            np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-            if history_epochs == 64
-            else np.uint64((1 << history_epochs) - 1)
-        )
-        self._oldest_bit = np.uint64(history_epochs - 1)
+        # Packed ``(last, counts, pfn)`` ranking key per page (see
+        # :meth:`coldest`); a never-updated page's key is its number.
+        self._keys = np.arange(self.num_pages, dtype=np.int64)
         self.epoch = 0
 
     def record_scan(self, updated_pfns: np.ndarray) -> None:
@@ -68,20 +71,31 @@ class UpdateHistory:
         epoch that just ended (the output of
         :meth:`repro.mem.PageTable.scan_and_clear_dirty`).
         """
-        # The window's oldest bit falls off the edge on this shift; keep
-        # the per-page popcount in sync without re-counting every word.
-        dropped = (self._history >> self._oldest_bit) & _UINT64_ONE
-        np.subtract(
-            self._counts, dropped.astype(np.int64), out=self._counts
-        )
-        self._history = (self._history << _UINT64_ONE) & self._mask
-        if len(updated_pfns):
-            self._history[updated_pfns] |= _UINT64_ONE
-            self._last_update[updated_pfns] = self.epoch
-            # Bit 0 is always clear right after the shift, so every
-            # updated page gains exactly one set bit.
-            self._counts[updated_pfns] += 1
+        # The packed key must stay below 2**63; only reachable after
+        # ~2**56 epochs, so fail loudly rather than wrap silently.
+        if (self.epoch + 2) * 65 * self.num_pages >= 2**63:
+            raise OverflowError(
+                f"update history exhausted its epoch range at epoch {self.epoch}"
+            )
+        updated = np.array(updated_pfns, dtype=np.int64)
+        window = self._window
+        if len(window) == self.history_epochs:
+            # This scan shifts the oldest remembered epoch out.
+            dropped = window.popleft()
+            if len(dropped):
+                self._counts[dropped] -= 1
+                self._repack(dropped)
+        window.append(updated)
+        if len(updated):
+            self._last_update[updated] = self.epoch
+            self._counts[updated] += 1
+            self._repack(updated)
         self.epoch += 1
+
+    def _repack(self, pfns: np.ndarray) -> None:
+        """Recompute the ranking keys of ``pfns`` after their history moved."""
+        last, counts = self._ranking_keys(pfns)
+        self._keys[pfns] = ((last + 1) * 65 + counts) * self.num_pages + pfns
 
     def last_update_epoch(self, pfn: int) -> int:
         """Epoch of the page's most recent observed update (-1 = never)."""
@@ -116,34 +130,26 @@ class UpdateHistory:
         (less write-popular first), then by page number for determinism.
         Updates older than the window rank as never-observed.
 
-        The three lexicographic keys pack into one int64 composite —
+        The three lexicographic keys are packed into one int64 per page —
         ``counts`` is bounded by the 64-epoch window and ``pfn`` by the
-        region size, so ascending composite order IS ascending
-        ``(last, counts, pfn)`` order — which lets an ``argpartition``
-        isolate the top ``k`` before the full sort.  Victim ranking runs
-        at every epoch boundary over every dirty candidate; partitioning
-        first makes the per-epoch cost O(n + k log k) instead of
-        O(n log n).
+        region size, so ascending packed order IS ascending
+        ``(last, counts, pfn)`` order.  Keys change only when a scan
+        touches a page, so ranking gathers them and lets an
+        ``argpartition`` isolate the top ``k`` before the final sort:
+        O(n + k log k) in the candidates, nothing in the region size.
         """
-        pfns = self._as_pfn_array(candidates)
-        if len(pfns) == 0 or k <= 0:
+        if k <= 0:
             return []
-        last, counts = self._ranking_keys(pfns)
-        k = min(k, len(pfns))
-        # last < epoch and counts <= 64; numpy wraps int64 overflow
-        # silently, so bound the composite in exact Python arithmetic
-        # first and fall back to the three-key lexsort if it could wrap
-        # (only reachable after ~2^56 epochs).
-        if (self.epoch + 2) * 65 * self.num_pages >= 2**62:
-            order = np.lexsort((pfns, counts, last))
-            return [int(p) for p in pfns[order[:k]]]
-        composite = ((last + 1) * 65 + counts) * self.num_pages + pfns
+        pfns = self._as_pfn_array(candidates)
+        if len(pfns) == 0:
+            return []
+        keys = self._keys[pfns]
         if k < len(pfns):
-            top = np.argpartition(composite, k - 1)[:k]
-            top = top[np.argsort(composite[top])]
+            top = np.argpartition(keys, k - 1)[:k]
+            top = top[np.argsort(keys[top])]
         else:
-            top = np.argsort(composite)
-        return [int(p) for p in pfns[top]]
+            top = np.argsort(keys)
+        return pfns[top].tolist()
 
     def hottest(self, candidates: Union[np.ndarray, Iterable[int]], k: int) -> List[int]:
         """The ``k`` most-recently-updated pages (diagnostics / tests)."""

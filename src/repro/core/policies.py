@@ -30,15 +30,15 @@ from __future__ import annotations
 import abc
 import random
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Collection, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.core.history import UpdateHistory
 
-#: Policies accept either a plain sequence of page numbers or a numpy
-#: array (the runtime's vectorized candidate materialization).
-Candidates = Union[np.ndarray, Sequence[int]]
+#: Policies accept a collection of page numbers (the runtime hands over
+#: a set, or a list in dirty-set order) or a numpy array.
+Candidates = Union[np.ndarray, Collection[int]]
 
 
 class VictimPolicy(abc.ABC):
@@ -47,10 +47,10 @@ class VictimPolicy(abc.ABC):
     name: str = "abstract"
 
     #: True when :meth:`rank` is a pure function of the candidate *set*
-    #: (ties broken by page number), letting the runtime hand over a
-    #: vectorized candidate array in sorted order.  Policies whose output
-    #: depends on candidate order (random's shuffle, the defensive
-    #: fallbacks of fifo/clock) keep the legacy materialization.
+    #: (ties broken by page number), letting the runtime hand over an
+    #: unordered set.  Policies whose output depends on candidate order
+    #: (random's shuffle, the defensive fallbacks of fifo/clock) get a
+    #: list in dirty-set iteration order instead.
     order_insensitive: bool = False
 
     def note_dirtied(self, pfn: int) -> None:

@@ -27,11 +27,8 @@ threshold interrupt.
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Collection, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance only
     from repro.power.battery import Battery
@@ -119,6 +116,7 @@ class NVDRAMSystem:
         self._region_bytes = self.region.size
         self._tlb_hit = self.tlb.hit
         self._tlb_hit_dirty = self.tlb.hit_dirty
+        self._write_probe = self.mmu.write_probe
         # The data-path fast cases fuse the region's single-page slice
         # helpers inline (one Python call per access instead of two); the
         # bounds they would re-check are already established by the
@@ -263,13 +261,21 @@ class NVDRAMSystem:
             self._touch_write(pfn)
             self.region.write(...)   # atomic with the access
             self.sim.drain_due()
+
+        A faulted probe is charged as :meth:`_advance` would, then the
+        handler runs and the store retries (the instruction restart).
         """
+        clock = self._clock
+        probe = self._write_probe
         while True:
-            cost = self.mmu.write_probe(pfn)
+            cost = probe(pfn)
             if cost >= 0:
-                self._clock._now += cost
+                clock._now += cost
                 return
-            self._advance(-cost - 1)
+            now = clock._now - cost - 1
+            clock._now = now
+            if now >= self._events.next_due_at:
+                self._drain()
             self._handle_fault(pfn)
 
     def _handle_fault(self, pfn: int) -> None:
@@ -638,10 +644,10 @@ class Viyojit(NVDRAMSystem):
             else BackingStore(num_pages, self.machine.page_size)
         )
         self.stats = ViyojitStats()
-        self.tracker = DirtyTracker(config.dirty_budget_pages, num_pages)
+        self.tracker = DirtyTracker(config.dirty_budget_pages)
         self.history = UpdateHistory(num_pages, config.history_epochs)
         self.pressure = PressureEstimator(config.pressure_alpha)
-        from repro.core.policies import make_policy
+        from repro.core.policies import VictimPolicy, make_policy
 
         self.policy = make_policy(
             config.victim_policy, history=self.history, seed=config.policy_seed
@@ -663,7 +669,32 @@ class Viyojit(NVDRAMSystem):
         )
         #: FlushFailures absorbed by the eviction loops (victim rotated).
         self.eviction_flush_failures = 0
-        self._victim_queue: Deque[int] = deque()
+        # The last victim ranking and how far into it we have consumed.
+        self._victim_queue: List[int] = []
+        self._victim_cursor = 0
+        self._victim_want = max(config.max_outstanding_io * 4, 64)
+        # Fault-lane bindings: the tracker's set and the flusher's
+        # in-flight dict are the membership truth, and policy hooks the
+        # base class defines as no-ops (LRU's ``note_dirtied``, ...) are
+        # skipped instead of called per page.
+        self._dirty = self.tracker._dirty
+        self._inflight = self.flusher._inflight
+        self._max_outstanding = self.flusher.max_outstanding
+        self._issue = self.flusher.issue
+        self._add_dirty = self.tracker.add
+        self._unprotect_page = self.mmu.unprotect_page
+        self._trap_cost_ns = self.machine.trap_cost_ns
+        policy_type = type(self.policy)
+        self._note_dirtied = (
+            None
+            if policy_type.note_dirtied is VictimPolicy.note_dirtied
+            else self.policy.note_dirtied
+        )
+        self._note_cleaned = (
+            None
+            if policy_type.note_cleaned is VictimPolicy.note_cleaned
+            else self.policy.note_cleaned
+        )
         # Runtime invariant checker (repro.core.sanitizer): pure reads at each
         # hook, so arming it cannot perturb the simulation.
         self.sanitizer: Optional[SimulationSanitizer] = (
@@ -726,38 +757,51 @@ class Viyojit(NVDRAMSystem):
             self._h_blocked.observe(blocked)
 
     def _handle_fault(self, pfn: int) -> None:
-        entered_at = self.sim.now
-        self.stats.write_faults += 1
-        self.stats.trap_time_ns += self.machine.trap_cost_ns
-        self._advance(self.machine.trap_cost_ns)
+        clock = self._clock
+        events = self._events
+        stats = self.stats
+        dirty = self._dirty
+        tracker = self.tracker
+        entered_at = clock._now
+        stats.write_faults += 1
+        stats.trap_time_ns += self._trap_cost_ns
+        now = entered_at + self._trap_cost_ns
+        clock._now = now
+        if now >= events.next_due_at:
+            self._drain()
 
         # A write landed on a page whose flush is in flight: wait for the
         # IO so the durable copy is a state that really existed, then
         # re-dirty the page through the normal path (section 5.1).
-        if self.flusher.is_inflight(pfn):
-            self.stats.inflight_waits += 1
-            self._wait_until(self.flusher.completion_time(pfn))
+        if pfn in self._inflight:
+            stats.inflight_waits += 1
+            self._wait_until(self._inflight[pfn])
 
         # Make room: at the budget, the least-recently-updated dirty page
         # is synchronously written out before this page may be dirtied.
-        self._make_room()
+        if len(dirty) >= tracker.budget_pages:
+            self._make_room()
 
-        cost = self.mmu.unprotect_page(pfn)
-        self.stats.pte_update_time_ns += cost
-        self._advance(cost)
+        cost = self._unprotect_page(pfn)
+        stats.pte_update_time_ns += cost
+        now = clock._now + cost
+        clock._now = now
+        if now >= events.next_due_at:
+            self._drain()
         # The PTE-update advance drains due simulation events; a scheduled
         # battery-degradation step may have just shrunk the budget (and
         # drained down to it), so the room made above can be gone again.
-        if self.tracker.at_budget:
+        if len(dirty) >= tracker.budget_pages:
             self._make_room()
-        self.tracker.add(pfn)
+        self._add_dirty(pfn)
         if self.sanitizer is not None:
             self.sanitizer.after_dirtied(pfn)
-        self.policy.note_dirtied(pfn)
-        self.stats.pages_dirtied += 1
-        self.stats.record_dirty_level(self.tracker.count)
+        if self._note_dirtied is not None:
+            self._note_dirtied(pfn)
+        stats.pages_dirtied += 1
+        stats.record_dirty_level(len(dirty))
         if self._h_fault is not None:
-            self._h_fault.observe(self.sim.now - entered_at)
+            self._h_fault.observe(clock._now - entered_at)
 
     def _make_room(self) -> None:
         """Evict synchronously until the dirty set is under budget.
@@ -770,7 +814,10 @@ class Viyojit(NVDRAMSystem):
         :class:`FlushFailure` propagates to the application.
         """
         consecutive_failures = 0
-        while self.tracker.at_budget:
+        dirty = self._dirty
+        inflight = self._inflight
+        tracker = self.tracker
+        while len(dirty) >= tracker.budget_pages:
             victim = self._next_victim()
             if victim is None:
                 # Every dirty page is already in flight; the budget frees
@@ -783,11 +830,11 @@ class Viyojit(NVDRAMSystem):
                         BudgetWait(t=wait_from, wait_ns=self.sim.now - wait_from)
                     )
                 continue
-            if not self.flusher.has_slot():
+            if len(inflight) >= self._max_outstanding:
                 self._wait_until(self.flusher.earliest_completion())
                 continue
             try:
-                issue_cost = self.flusher.issue(victim)
+                issue_cost = self._issue(victim)
             except FlushFailure:
                 self.eviction_flush_failures += 1
                 consecutive_failures += 1
@@ -799,42 +846,50 @@ class Viyojit(NVDRAMSystem):
             self.stats.sync_evictions += 1
             if self.tracer.enabled:
                 self.tracer.emit(
-                    SyncEviction(
-                        t=self.sim.now, pfn=victim, dirty=self.tracker.count
-                    )
+                    SyncEviction(t=self.sim.now, pfn=victim, dirty=len(dirty))
                 )
-            self._wait_until(self.flusher.completion_time(victim))
+            self._wait_until(inflight.get(victim))
 
     # -- victim selection ------------------------------------------------------
 
     def _rebuild_victim_queue(self) -> None:
-        want = max(self.config.max_outstanding_io * 4, 64)
-        if self.policy.order_insensitive and self.tracker.dirty_mask is not None:
-            # One vectorized step over the membership masks; valid only
-            # because the policy's ranking is a pure function of the
-            # candidate set, not of the order we materialize it in.
-            if self.flusher.outstanding:
-                mask = self.tracker.dirty_mask & ~self.flusher.inflight_mask
-            else:
-                mask = self.tracker.dirty_mask
-            candidates: Union[np.ndarray, List[int]] = np.flatnonzero(mask)
+        """Rank the current candidates: dirty pages not already in flight."""
+        dirty = self._dirty
+        inflight = self._inflight
+        candidates: Collection[int]
+        if self.policy.order_insensitive:
+            # Set algebra in C; valid only because the policy's ranking
+            # is a pure function of the candidate set, not of its order.
+            candidates = dirty.difference(inflight)
         else:
-            candidates = [
-                pfn for pfn in self.tracker if not self.flusher.is_inflight(pfn)
-            ]
-        self._victim_queue = deque(self.policy.rank(candidates, want))
+            candidates = [pfn for pfn in dirty if pfn not in inflight]
+        self._victim_queue = self.policy.rank(candidates, self._victim_want)
+        self._victim_cursor = 0
 
     def _next_victim(self) -> Optional[int]:
-        while self._victim_queue:
-            pfn = self._victim_queue.popleft()
-            if pfn in self.tracker and not self.flusher.is_inflight(pfn):
-                return pfn
-        self._rebuild_victim_queue()
-        while self._victim_queue:
-            pfn = self._victim_queue.popleft()
-            if pfn in self.tracker and not self.flusher.is_inflight(pfn):
-                return pfn
-        return None
+        """The next ranked page still dirty and not in flight, if any.
+
+        The ranking is consumed through a cursor and re-taken only when
+        it runs dry; entries that were cleaned or went in flight since
+        the ranking are skipped.
+        """
+        dirty = self._dirty
+        inflight = self._inflight
+        rebuilt = False
+        while True:
+            queue = self._victim_queue
+            cursor = self._victim_cursor
+            while cursor < len(queue):
+                pfn = queue[cursor]
+                cursor += 1
+                if pfn in dirty and pfn not in inflight:
+                    self._victim_cursor = cursor
+                    return pfn
+            self._victim_cursor = cursor
+            if rebuilt:
+                return None
+            self._rebuild_victim_queue()
+            rebuilt = True
 
     # -- the epoch timer (sections 5.2 and 5.3) ---------------------------------
 
@@ -930,25 +985,27 @@ class Viyojit(NVDRAMSystem):
         """
         if self.sanitizer is not None:
             self.sanitizer.after_flush_complete(pfn)
-        self.policy.note_cleaned(pfn)
+        if self._note_cleaned is not None:
+            self._note_cleaned(pfn)
         if not self.config.proactive or not self._started:
             return
+        inflight = self._inflight
         if (
-            self.tracker.count - self.flusher.outstanding
-            > self._proactive_threshold
-            and self.flusher.has_slot()
+            len(self._dirty) - len(inflight) > self._proactive_threshold
+            and len(inflight) < self._max_outstanding
         ):
             victim = self._next_victim()
             if victim is not None:
-                issue_cost = self.flusher.issue(victim)
-                self.sim.clock.advance(issue_cost)
+                # Issue costs are non-negative machine charges; the clock
+                # bump is open-coded like the rest of the fault lane.
+                self._clock._now += self._issue(victim)
                 self.stats.proactive_flushes += 1
                 if self.tracer.enabled:
                     self.tracer.emit(
                         ProactiveFlush(
                             t=self.sim.now,
                             pfn=victim,
-                            dirty=self.tracker.count,
+                            dirty=len(self._dirty),
                             threshold=self._proactive_threshold,
                         )
                     )

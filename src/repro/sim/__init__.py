@@ -19,11 +19,10 @@ Public classes
 """
 
 from repro.sim.clock import NS_PER_MS, NS_PER_SEC, NS_PER_US, SimClock
-from repro.sim.events import Event, EventQueue, Simulation
+from repro.sim.events import EventQueue, Simulation
 
 __all__ = [
     "SimClock",
-    "Event",
     "EventQueue",
     "Simulation",
     "NS_PER_US",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.clock import SimClock
@@ -20,87 +19,53 @@ from repro.sim.clock import SimClock
 #: Sentinel for "no pending event": later than any reachable timestamp.
 NEVER_NS = 1 << 63
 
-
-@dataclass(frozen=True)
-class Event:
-    """A callback scheduled at an absolute virtual time.
-
-    Events compare by ``(when_ns, seq)`` so that simultaneous events fire
-    in the order they were scheduled — important for determinism.
-    """
-
-    when_ns: int
-    seq: int
-    action: Callable[[], None] = field(compare=False)
+Action = Callable[[], None]
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` ordered by timestamp then FIFO.
+    """Min-heap of ``(when_ns, seq, action)`` entries.
 
-    :attr:`next_due_at` is a *lower bound* on the earliest pending
-    event's timestamp (``NEVER_NS`` when empty), maintained so hot-path
-    callers can skip :meth:`pop_due` entirely while the clock has not
-    reached it.  Cancellations may leave the bound conservatively early —
-    never late — so "clock below the bound" always means "nothing due".
+    Entries order by timestamp, then by ``seq`` — a counter stamped at
+    scheduling time — so simultaneous events fire in the order they were
+    scheduled.  That FIFO tie order is the simulator's determinism
+    contract.
+
+    :attr:`next_due_at` is the earliest pending timestamp (``NEVER_NS``
+    when empty), maintained so hot-path callers can skip draining
+    entirely while the clock has not reached it.  Callers may only rely
+    on it as a lower bound: "clock below the bound" always means "nothing
+    due".
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Event]] = []
+        self._heap: List[Tuple[int, int, Action]] = []
         self._counter = itertools.count()
-        self._cancelled: set = set()
         self.next_due_at: int = NEVER_NS
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, when_ns: int, action: Callable[[], None]) -> Event:
+    def schedule(self, when_ns: int, action: Action) -> None:
         """Schedule ``action`` to run at absolute time ``when_ns``."""
         if when_ns < 0:
             raise ValueError(f"cannot schedule event at negative time: {when_ns}")
-        event = Event(when_ns=int(when_ns), seq=next(self._counter), action=action)
-        heapq.heappush(self._heap, (event.when_ns, event.seq, event))
-        if event.when_ns < self.next_due_at:
-            self.next_due_at = event.when_ns
-        return event
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (lazily removed on pop)."""
-        self._cancelled.add((event.when_ns, event.seq))
-
-    def _refresh_bound(self) -> None:
-        self.next_due_at = self._heap[0][0] if self._heap else NEVER_NS
+        when_ns = int(when_ns)
+        heapq.heappush(self._heap, (when_ns, next(self._counter), action))
+        if when_ns < self.next_due_at:
+            self.next_due_at = when_ns
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the earliest pending event, or ``None`` if empty."""
-        while self._heap:
-            when, seq, _event = self._heap[0]
-            if (when, seq) in self._cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled.discard((when, seq))
-                continue
-            self.next_due_at = when
-            return when
-        self.next_due_at = NEVER_NS
-        return None
+        return self._heap[0][0] if self._heap else None
 
-    def pop_due(self, now_ns: int) -> Optional[Event]:
-        """Pop the earliest event with timestamp <= ``now_ns``, if any."""
-        if now_ns < self.next_due_at:
+    def pop_due(self, now_ns: int) -> Optional[Action]:
+        """Pop the earliest action with timestamp <= ``now_ns``, if any."""
+        heap = self._heap
+        if not heap or heap[0][0] > now_ns:
             return None
-        while self._heap:
-            when, seq, event = self._heap[0]
-            if (when, seq) in self._cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled.discard((when, seq))
-                continue
-            if when > now_ns:
-                self.next_due_at = when
-                return None
-            heapq.heappop(self._heap)
-            self._refresh_bound()
-            return event
-        self.next_due_at = NEVER_NS
-        return None
+        action = heapq.heappop(heap)[2]
+        self.next_due_at = heap[0][0] if heap else NEVER_NS
+        return action
 
 
 class Simulation:
@@ -124,27 +89,33 @@ class Simulation:
     def now(self) -> int:
         return self.clock.now
 
-    def schedule_at(self, when_ns: int, action: Callable[[], None]) -> Event:
+    def schedule_at(self, when_ns: int, action: Action) -> None:
         """Schedule ``action`` at absolute virtual time ``when_ns``."""
-        return self.events.schedule(when_ns, action)
+        self.events.schedule(when_ns, action)
 
-    def schedule_after(self, delta_ns: int, action: Callable[[], None]) -> Event:
+    def schedule_after(self, delta_ns: int, action: Action) -> None:
         """Schedule ``action`` ``delta_ns`` after the current time."""
-        return self.events.schedule(self.clock.now + delta_ns, action)
+        self.events.schedule(self.clock.now + delta_ns, action)
 
     def drain_due(self) -> int:
         """Fire every event due at or before the current clock time.
 
         Returns the number of events fired.  Events may schedule further
-        events; those fire too if they are already due.
+        events; those fire too if they are already due.  The queue's
+        bound is refreshed before each action runs, so an action that
+        re-enters the simulation sees a consistent queue.
         """
+        clock = self.clock
+        events = self.events
+        heap = events._heap
+        pop = heapq.heappop
         fired = 0
-        while True:
-            event = self.events.pop_due(self.clock.now)
-            if event is None:
-                return fired
-            event.action()
+        while heap and heap[0][0] <= clock._now:
+            action = pop(heap)[2]
+            events.next_due_at = heap[0][0] if heap else NEVER_NS
+            action()
             fired += 1
+        return fired
 
     def run_until(self, when_ns: int) -> int:
         """Advance to ``when_ns``, firing due events *in timestamp order*.
@@ -153,15 +124,16 @@ class Simulation:
         event by event so an event's action observes the virtual time at
         which it logically fires.
         """
+        clock = self.clock
+        events = self.events
+        heap = events._heap
+        pop = heapq.heappop
         fired = 0
-        while True:
-            next_time = self.events.peek_time()
-            if next_time is None or next_time > when_ns:
-                break
-            self.clock.advance_to(next_time)
-            event = self.events.pop_due(self.clock.now)
-            if event is not None:
-                event.action()
-                fired += 1
-        self.clock.advance_to(when_ns)
+        while heap and heap[0][0] <= when_ns:
+            at, _seq, action = pop(heap)
+            events.next_due_at = heap[0][0] if heap else NEVER_NS
+            clock.advance_to(at)
+            action()
+            fired += 1
+        clock.advance_to(when_ns)
         return fired

@@ -70,9 +70,12 @@ class TestYCSBCommand:
         )
         assert code == 0
 
-    def test_unknown_workload(self):
-        with pytest.raises(SystemExit, match="unknown workload"):
-            main(["ycsb", "--workloads", "Z"])
+
+
+UNKNOWN_WORKLOAD = (
+    "unknown workload 'Z'; choose from "
+    "['YCSB-A', 'YCSB-B', 'YCSB-C', 'YCSB-D', 'YCSB-E', 'YCSB-F']"
+)
 
 
 class TestSpecValidationErrors:
@@ -91,12 +94,26 @@ class TestSpecValidationErrors:
                 ["compile", "--out", "/nonexistent/x.ops", "--ops", "100"],
                 "[Errno 2] No such file or directory: '/nonexistent/x.ops'",
             ),
+            (["ycsb", "--workloads", "Z"], UNKNOWN_WORKLOAD),
+            (["sweep", "--workloads", "Z"], UNKNOWN_WORKLOAD),
+            (
+                ["crashfind", "--crash-points", "abc"],
+                "--crash-points must be 'all' or a stride: 'abc'",
+            ),
+            (
+                ["crashfind", "--crash-points", "0"],
+                "--crash-points stride must be >= 1: 0",
+            ),
         ],
         ids=[
             "ycsb-records-0",
             "cluster-shards-0",
             "sweep-grid-missing",
             "compile-out-unwritable",
+            "ycsb-unknown-workload",
+            "sweep-unknown-workload",
+            "crashfind-crash-points-abc",
+            "crashfind-crash-points-0",
         ],
     )
     def test_exits_2_with_one_line(self, capsys, argv, message):

@@ -129,10 +129,13 @@ class TestColdestPartitionEquivalence:
         history = UpdateHistory(8)
         history.record_scan(np.array([1]))
         expected = history.coldest([1, 2, 3], k=2)
-        # Force the exact-arithmetic bound to trip: the fallback must
-        # produce the identical ordering.
+        # Keys are packed when a scan records them, so an epoch counter
+        # past the exact-arithmetic bound cannot reorder a ranking; the
+        # next scan refuses to pack a key that could wrap.
         history.epoch = 2**60
         assert history.coldest([1, 2, 3], k=2) == expected
+        with pytest.raises(OverflowError):
+            history.record_scan(np.array([2]))
 
 
 class TestHottest:

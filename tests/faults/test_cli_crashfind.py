@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.faults.plan import FaultPlan, SSDFaultRule
 
@@ -91,10 +89,10 @@ class TestCrashfind:
         assert doc["probed"] < doc["candidates_total"]
 
     def test_bad_crash_points_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["crashfind", "--crash-points", "sometimes"])
-        with pytest.raises(SystemExit):
-            main(["crashfind", "--crash-points", "0"])
+        for value in ("sometimes", "0"):
+            assert main(["crashfind", "--crash-points", value]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro: error: --crash-points")
 
     def test_listed_in_cmd_list(self, capsys):
         code, out = run_cli(capsys, "list")

@@ -16,8 +16,8 @@ class TestEventQueue:
         queue = EventQueue()
         fired = []
         queue.schedule(100, lambda: fired.append("a"))
-        event = queue.pop_due(100)
-        event.action()
+        action = queue.pop_due(100)
+        action()
         assert fired == ["a"]
 
     def test_not_due_yet(self):
@@ -37,8 +37,8 @@ class TestEventQueue:
         queue.schedule(300, lambda: fired.append(3))
         queue.schedule(100, lambda: fired.append(1))
         queue.schedule(200, lambda: fired.append(2))
-        while (event := queue.pop_due(1000)) is not None:
-            event.action()
+        while (action := queue.pop_due(1000)) is not None:
+            action()
         assert fired == [1, 2, 3]
 
     def test_fifo_for_simultaneous_events(self):
@@ -46,35 +46,17 @@ class TestEventQueue:
         fired = []
         for tag in "abc":
             queue.schedule(50, lambda tag=tag: fired.append(tag))
-        while (event := queue.pop_due(50)) is not None:
-            event.action()
+        while (action := queue.pop_due(50)) is not None:
+            action()
         assert fired == ["a", "b", "c"]
-
-    def test_cancel(self):
-        queue = EventQueue()
-        fired = []
-        keep = queue.schedule(10, lambda: fired.append("keep"))
-        drop = queue.schedule(5, lambda: fired.append("drop"))
-        queue.cancel(drop)
-        assert queue.peek_time() == 10
-        queue.pop_due(100).action()
-        assert fired == ["keep"]
-        assert keep.when_ns == 10
-
-    def test_peek_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.schedule(1, lambda: None)
-        queue.schedule(2, lambda: None)
-        queue.cancel(first)
-        assert queue.peek_time() == 2
 
 
 class TestSimulation:
     def test_schedule_after_is_relative(self):
         sim = Simulation()
         sim.clock.advance(100)
-        event = sim.schedule_after(50, lambda: None)
-        assert event.when_ns == 150
+        sim.schedule_after(50, lambda: None)
+        assert sim.events.peek_time() == 150
 
     def test_drain_due_fires_everything_due(self):
         sim = Simulation()
@@ -128,6 +110,35 @@ class TestSimulation:
         sim.schedule_at(10, recur)
         sim.run_until(100)
         assert fired == [10, 20, 30, 40, 50]
+
+    def test_same_instant_events_fire_in_schedule_order(self):
+        """``(when, seq)`` FIFO ties, re-entrant scheduling included.
+
+        An action that schedules at the current instant queues behind
+        every event already scheduled for that instant, under both
+        drain entry points.
+        """
+
+        def populate(sim, fired):
+            def first():
+                fired.append("a")
+                sim.schedule_at(40, lambda: fired.append("d"))
+
+            sim.schedule_at(40, first)
+            sim.schedule_at(40, lambda: fired.append("b"))
+            sim.schedule_at(40, lambda: fired.append("c"))
+            sim.schedule_at(30, lambda: fired.append("early"))
+
+        drained, stepped = [], []
+        sim = Simulation()
+        populate(sim, drained)
+        sim.clock.advance(40)
+        assert sim.drain_due() == 5
+        sim = Simulation()
+        populate(sim, stepped)
+        assert sim.run_until(40) == 5
+        assert drained == stepped == ["early", "a", "b", "c", "d"]
+        assert sim.events.next_due_at > 40 and len(sim.events) == 0
 
     def test_run_until_past_is_safe(self):
         sim = Simulation()
