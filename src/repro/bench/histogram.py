@@ -1,4 +1,4 @@
-"""Log-bucketed latency histogram (HdrHistogram-style, dependency-free).
+"""Log-bucketed latency histogram (HdrHistogram-style).
 
 The runner records one latency sample per operation; at paper scale
 (10M ops) storing raw samples is wasteful, and the evaluation needs exact
@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 _SUBBUCKETS = 128  # linear subdivisions per power of two: <1% rel. error
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
 
 
 def _bucket_of(value_ns: int) -> int:
@@ -66,8 +69,40 @@ class LatencyHistogram:
             self.max_ns = value_ns
 
     def record_many(self, values_ns: Iterable[int]) -> None:
-        for value in values_ns:
-            self.record(value)
+        """Add many integer samples at once (any iterable, int64 range).
+
+        The same state as :meth:`record` per sample — bucket counts,
+        ``count``, sum, min and max, all plain ``int`` — from one
+        vectorized bucket mapping.  A negative sample raises
+        ``ValueError`` before anything is recorded.
+        """
+        values = np.fromiter(values_ns, dtype=np.int64)
+        if values.size == 0:
+            return
+        low = int(values.min())
+        if low < 0:
+            raise ValueError(f"latency cannot be negative: {low}")
+        high = int(values.max())
+        # _bucket_of, vectorized: bit_length(v) is the count of powers of
+        # two <= v (an exact integer search), and values below
+        # _SUBBUCKETS get magnitude 0, i.e. their own bucket.
+        magnitude = np.maximum(
+            np.searchsorted(_POWERS_OF_TWO, values, side="right")
+            - _SUBBUCKETS.bit_length(),
+            0,
+        )
+        indices, counts = np.unique(
+            magnitude * _SUBBUCKETS + (values >> magnitude), return_counts=True
+        )
+        buckets = self._buckets
+        for index, count in zip(indices.tolist(), counts.tolist()):
+            buckets[index] = buckets.get(index, 0) + count
+        self.count += values.size
+        self._sum_ns += sum(values.tolist())
+        if self.min_ns is None or low < self.min_ns:
+            self.min_ns = low
+        if self.max_ns is None or high > self.max_ns:
+            self.max_ns = high
 
     @property
     def mean_ns(self) -> float:

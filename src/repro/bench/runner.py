@@ -409,11 +409,15 @@ class BatchedSession:
         keys: Sequence[bytes],
         scan_lengths: Sequence[int] = (),
     ) -> None:
-        """Execute one batch; per-op latency is the clock delta."""
+        """Execute one batch; per-op latency is the clock delta.
+
+        The batch's deltas are collected in op order and recorded once per
+        kind (kinds in order of first appearance), which leaves every
+        histogram exactly as one ``record`` per op would.
+        """
         runner = self._runner
         get, put, rmw, scan = self._get, self._put, self._rmw, self._scan
         clock = self._clock
-        samples = self._samples
         size = runner.scale.value_size
         reps = -(-size // 8)
         # One vectorized hash pass covers every non-read op's payload
@@ -429,6 +433,7 @@ class BatchedSession:
         )
         runner._nonce = nonce + len(mutating)
         seed_at = dict(zip(mutating, seeds))
+        latencies = [0] * len(kinds)
         for index, kind in enumerate(kinds):
             op_start = clock._now
             if kind == "read":
@@ -445,10 +450,19 @@ class BatchedSession:
                 scan(keys[index], scan_lengths[index])
             else:  # update | insert
                 put(keys[index], (seed_at[index] * reps)[:size])
+            latencies[index] = clock._now - op_start
+        samples = self._samples
+        for kind in dict.fromkeys(kinds):
             histogram = samples.get(kind)
             if histogram is None:
                 histogram = samples[kind] = LatencyHistogram()
-            histogram.record(clock._now - op_start)
+            histogram.record_many(
+                [
+                    latency
+                    for latency, op_kind in zip(latencies, kinds)
+                    if op_kind == kind
+                ]
+            )
         self._executed += len(kinds)
 
     def finish(self, spec: WorkloadSpec) -> RunResult:

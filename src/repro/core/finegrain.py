@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set
 
 from repro.core.config import ViyojitConfig
-from repro.core.runtime import Viyojit
+from repro.core.runtime import DataPath, Viyojit
 from repro.mem.machine import MachineModel
 from repro.sim.events import Simulation
 from repro.storage.backing_store import BackingStore
@@ -220,6 +220,14 @@ class FineGrainViyojit(Viyojit):
                 issue_cost = self.flusher.issue(victim)
                 self.sim.clock.advance(issue_cost)
                 self.stats.proactive_flushes += 1
+
+    def _build_lane(self) -> DataPath:
+        # Every store needs block accounting and may need byte-budget room,
+        # even through a translation cached dirty, so the lane's store is
+        # this class's ``write``; loads share the page-granular lane.
+        lane = super()._build_lane()
+        lane.write = self.write
+        return lane
 
     def write(self, addr: int, data: bytes) -> None:
         """Store with block-granular dirty accounting.

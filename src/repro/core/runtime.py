@@ -83,6 +83,9 @@ class NVDRAMSystem:
     callers measure operation latency as a clock delta.
     """
 
+    #: The single-page load/store closures (see :meth:`data_path`).
+    _lane: "DataPath"
+
     def __init__(
         self,
         sim: Simulation,
@@ -111,18 +114,9 @@ class NVDRAMSystem:
         self._clock = sim.clock
         self._events = sim.events
         self._drain = sim.drain_due
-        self._dram_cost_ns = self.machine.dram_access_cost_ns
         self._page_size = self.region.page_size
         self._region_bytes = self.region.size
-        self._tlb_hit = self.tlb.hit
-        self._tlb_hit_dirty = self.tlb.hit_dirty
         self._write_probe = self.mmu.write_probe
-        # The data-path fast cases fuse the region's single-page slice
-        # helpers inline (one Python call per access instead of two); the
-        # bounds they would re-check are already established by the
-        # fast-path guards.  Same bookkeeping, same bytes.
-        self._region_pages = self.region._pages
-        self._page_version = self.region.page_version
 
     def _build_mmu(self) -> MMU:
         return MMU(self.page_table, self.tlb, self.machine)
@@ -131,6 +125,7 @@ class NVDRAMSystem:
 
     def start(self) -> None:
         """Prepare the region for use.  Subclasses set protection policy."""
+        self._lane = self._build_lane()
         self._started = True
 
     def _require_started(self) -> None:
@@ -246,9 +241,6 @@ class NVDRAMSystem:
         if now >= self._events.next_due_at:
             self.sim.drain_due()
 
-    def _touch_read(self, pfn: int) -> None:
-        self._advance(self.mmu.read_cost(pfn))
-
     def _touch_write(self, pfn: int) -> None:
         """Resolve protection for a store to ``pfn``.
 
@@ -262,21 +254,31 @@ class NVDRAMSystem:
             self.region.write(...)   # atomic with the access
             self.sim.drain_due()
 
-        A faulted probe is charged as :meth:`_advance` would, then the
-        handler runs and the store retries (the instruction restart).
+        The lane's store (:meth:`data_path`) open-codes this pattern.
+        """
+        cost = self._write_probe(pfn)
+        if cost < 0:
+            cost = self._resolve_fault(pfn, cost)
+        self._clock._now += cost
+
+    def _resolve_fault(self, pfn: int, cost: int) -> int:
+        """Handle a store to ``pfn`` whose probe faulted (``cost < 0``).
+
+        The faulted probe is charged as :meth:`_advance` would, then the
+        handler runs and the store retries (the instruction restart),
+        until a probe succeeds.  Returns that probe's cost, not yet
+        charged: the caller charges it and applies the store before any
+        event may run (see :meth:`_touch_write`).
         """
         clock = self._clock
-        probe = self._write_probe
-        while True:
-            cost = probe(pfn)
-            if cost >= 0:
-                clock._now += cost
-                return
+        while cost < 0:
             now = clock._now - cost - 1
             clock._now = now
             if now >= self._events.next_due_at:
                 self._drain()
             self._handle_fault(pfn)
+            cost = self._write_probe(pfn)
+        return cost
 
     def _handle_fault(self, pfn: int) -> None:
         raise NotImplementedError
@@ -284,227 +286,122 @@ class NVDRAMSystem:
     def read(self, addr: int, size: int) -> bytes:
         """Load ``size`` bytes, charging MMU costs for each page touched.
 
-        TLB-hit fast path: a resident translation charges only the DRAM
-        access, inline; misses take the full MMU path, which inserts the
-        entry and counts the miss exactly once.
+        Validation and the multi-page walk only: each page's slice is one
+        single-page load through the lane (:meth:`data_path`), in address
+        order.
         """
         if not self._started:
             self._require_started()
-        region = self.region
         if size <= 0 or addr < 0 or addr + size > self._region_bytes:
-            # Rare: keep the legacy path's validation behavior exactly
-            # (empty reads, plus the canonical out-of-range exceptions).
-            for pfn in region.pages_of_range(addr, size):
-                self._touch_read(pfn)
-            return region.read(addr, size)
+            # Empty or out of range: no page is touched; the region returns
+            # b"" or raises the canonical exception.
+            self.region.pages_of_range(addr, size)
+            return self.region.read(addr, size)
+        read_at = self._lane.read_at
         page_size = self._page_size
-        first = addr // page_size
-        last = (addr + size - 1) // page_size
-        mmu = self.mmu
-        clock = self._clock
-        events = self._events
-        dram_cost = self._dram_cost_ns
-        if first == last:
-            if self._tlb_hit(first):
-                mmu.read_accesses += 1
-                now = clock._now + dram_cost
-                clock._now = now
-                if now >= events.next_due_at:
-                    self._drain()
-            else:
-                self._touch_read(first)
-            page = self._region_pages.get(first)
-            if page is None:
-                return bytes(size)
-            offset = addr - first * page_size
-            return bytes(memoryview(page)[offset : offset + size])
-        tlb_hit = self._tlb_hit
-        drain = self._drain
-        for pfn in range(first, last + 1):
-            if tlb_hit(pfn):
-                mmu.read_accesses += 1
-                now = clock._now + dram_cost
-                clock._now = now
-                if now >= events.next_due_at:
-                    drain()
-            else:
-                self._touch_read(pfn)
-        return region.read(addr, size)
+        end = addr + size
+        chunks = []
+        while addr < end:
+            take = min(end - addr, page_size - addr % page_size)
+            buffer, offset = read_at(addr, take)
+            chunks.append(
+                bytes(take) if buffer is None else buffer[offset : offset + take]
+            )
+            addr += take
+        return b"".join(chunks)
 
     def write(self, addr: int, data: bytes) -> None:
         """Store ``data``, faulting (and resolving) per protected page.
 
-        Each page's slice is applied immediately after its access
-        resolves, so no background flush can interleave between "page
-        became writable and dirty" and "the bytes actually landed".
-
-        TLB fast path: a translation cached *dirty* implies the page is
-        unprotected and its PTE dirty bit already set (protection toggles
-        always shoot the entry down), so the store charges one DRAM
-        access inline and skips the MMU round-trip.
+        Validation and the multi-page walk only: each page's slice is one
+        single-page store through the lane (:meth:`data_path`), which
+        applies it immediately after its access resolves, so no
+        background flush can interleave between "page became writable and
+        dirty" and "the bytes actually landed".
         """
         if not self._started:
             self._require_started()
         if not data:
             return
-        region = self.region
+        size = len(data)
+        if addr < 0 or addr + size > self._region_bytes:
+            self.region.page_of(addr if addr < 0 else self._region_bytes)  # raises
+        store = self._lane.write
         page_size = self._page_size
-        if addr < 0 or addr + len(data) > self._region_bytes:
-            region.page_of(addr if addr < 0 else self._region_bytes)  # raises
-        mmu = self.mmu
-        hit_dirty = self._tlb_hit_dirty
-        clock = self._clock
-        events = self._events
-        drain = self._drain
-        dram_cost = self._dram_cost_ns
-        pfn = addr // page_size
-        offset = addr - pfn * page_size
-        if offset + len(data) <= page_size:
-            # Common case: the store lands in one page — no cursor walk,
-            # no memoryview slicing.
-            if hit_dirty(pfn):
-                mmu.write_accesses += 1
-                clock._now += dram_cost
-            else:
-                self._touch_write(pfn)
-            pages = self._region_pages
-            page = pages.get(pfn)
-            if page is None:
-                page = pages[pfn] = bytearray(page_size)
-            page[offset : offset + len(data)] = data
-            self._page_version[pfn] += 1
-            if clock._now >= events.next_due_at:
-                drain()
-            return
-        cursor = addr
         view = memoryview(data)
-        while view.nbytes > 0:
-            pfn = cursor // page_size
-            offset = cursor - pfn * page_size
-            take = min(view.nbytes, page_size - offset)
-            if hit_dirty(pfn):
-                mmu.write_accesses += 1
-                clock._now += dram_cost
-            else:
-                self._touch_write(pfn)
-            region.write_page_slice(pfn, offset, view[:take])
-            if clock._now >= events.next_due_at:
-                drain()
-            cursor += take
-            view = view[take:]
+        done = 0
+        while done < size:
+            take = min(size - done, page_size - (addr + done) % page_size)
+            store(addr + done, view[done : done + take])
+            done += take
 
-
-    # -- batched data path ---------------------------------------------------
+    # -- the lane: single-page loads and stores ------------------------------
 
     def run_ops(self, writes, addrs, payloads, verify: bool = True) -> None:
-        """Apply a batch of operations with one Python-level dispatch.
+        """Apply a batch of operations: one loop over the lane's closures.
 
         ``writes``/``addrs``/``payloads`` are parallel sequences: for a
         write, ``payload`` is the bytes to store; for a read, the expected
         read-back bytes (the durability oracle, compared unless ``verify``
-        is false).  Per element this replays exactly the fast/slow paths
-        of :meth:`read`/:meth:`write` — same TLB probes, same clock
-        charges, same drain points — so batching is wall-clock-only.  The
-        monkeypatch-off equivalence tests in ``tests/perf`` pin that.
+        is false).  Each element is exactly one :meth:`write` or
+        :meth:`read` — same probes, same clock charges, same drain points
+        — so batching is wall-clock-only.
         """
         if not self._started:
             self._require_started()
-        region = self.region
-        region_bytes = self._region_bytes
-        page_size = self._page_size
-        mmu = self.mmu
-        hit = self._tlb_hit
-        hit_dirty = self._tlb_hit_dirty
-        clock = self._clock
-        events = self._events
-        drain = self._drain
-        dram_cost = self._dram_cost_ns
-        pages = self._region_pages
-        page_version = self._page_version
-        touch_read = self._touch_read
-        touch_write = self._touch_write
-        slow_read = self.read
-        slow_write = self.write
+        store = self._lane.write
+        read_at = self._lane.read_at
         for is_write, addr, payload in zip(writes, addrs, payloads):
-            size = len(payload)
-            pfn = addr // page_size
-            offset = addr - pfn * page_size
-            if size == 0 or addr < 0 or offset + size > page_size:
-                # Empty, out-of-range, or page-spanning: the canonical
-                # per-op path handles validation and the multi-page walk.
-                if is_write:
-                    slow_write(addr, payload)
-                else:
-                    data = slow_read(addr, size)
-                    if verify and data != payload:
-                        raise AssertionError(
-                            f"read-back mismatch at address {addr}"
-                        )
-                continue
             if is_write:
-                if addr + size > region_bytes:
-                    region.page_of(region_bytes)  # raises, like write()
-                if hit_dirty(pfn):
-                    mmu.write_accesses += 1
-                    clock._now += dram_cost
-                else:
-                    touch_write(pfn)
-                page = pages.get(pfn)
-                if page is None:
-                    page = pages[pfn] = bytearray(page_size)
-                page[offset : offset + size] = payload
-                page_version[pfn] += 1
-                if clock._now >= events.next_due_at:
-                    drain()
-            else:
-                if addr + size > region_bytes:
-                    slow_read(addr, size)  # raises, like read()
-                if hit(pfn):
-                    mmu.read_accesses += 1
-                    now = clock._now + dram_cost
-                    clock._now = now
-                    if now >= events.next_due_at:
-                        drain()
-                else:
-                    touch_read(pfn)
-                page = pages.get(pfn)
-                if verify:
-                    data = (
-                        bytes(size)
-                        if page is None
-                        else page[offset : offset + size]
-                    )
-                    if data != payload:
-                        raise AssertionError(
-                            f"read-back mismatch at address {addr}"
-                        )
+                store(addr, payload)
+                continue
+            size = len(payload)
+            buffer, offset = read_at(addr, size)
+            if verify and payload != (
+                bytes(size) if buffer is None else buffer[offset : offset + size]
+            ):
+                raise AssertionError(f"read-back mismatch at address {addr}")
 
     def data_path(self) -> "DataPath":
-        """Fused single-page accessors for batched clients.
+        """The lane: the only implementation of a single-page load/store.
 
-        Returns closures that replay :meth:`read`/:meth:`write` exactly —
-        the closure bodies are the same fast paths with the attribute
-        chains resolved once at build time instead of per access.  Any
-        access the fast path cannot take verbatim (page-spanning,
-        out-of-range, empty) falls back to the canonical methods, so
-        the simulation cannot tell the difference.  Built per batch run,
-        after any test monkeypatching, so class-level deoptimizations
-        (``TLB.hit`` and friends) are honoured.
+        Built once, by :meth:`start`.  :meth:`read`, :meth:`write`,
+        :meth:`run_ops` and the fused KV operations
+        (:mod:`repro.kvstore.fastpath`) all run their page touches through
+        these closures.
         """
         self._require_started()
+        return self._lane
+
+    def _build_lane(self) -> "DataPath":
+        """The lane's closures, over attributes resolved once.
+
+        A TLB hit is open-coded: a resident translation costs one DRAM
+        access for a load, and so does a store through a translation
+        cached *dirty* — that flag implies the page is unprotected and its
+        PTE dirty bit set, because protection toggles always shoot the
+        entry down.  Anything else is one call into the MMU
+        (``read_cost``/``write_probe``), which counts the miss, inserts
+        the entry and sets the PTE bits; a faulted store enters
+        :meth:`_resolve_fault`.  Empty, page-spanning and out-of-range
+        requests go to :meth:`read`/:meth:`write`, whose walk sends each
+        page's slice back here.
+        """
         region_bytes = self._region_bytes
         page_size = self._page_size
         mmu = self.mmu
-        hit = self._tlb_hit
-        hit_dirty = self._tlb_hit_dirty
+        tlb = self.tlb
+        entries = tlb._entries
+        touch = entries.move_to_end
+        read_cost = mmu.read_cost
+        probe = self._write_probe
+        resolve_fault = self._resolve_fault
         clock = self._clock
         events = self._events
         drain = self._drain
-        dram_cost = self._dram_cost_ns
-        pages = self._region_pages
-        page_version = self._page_version
-        touch_read = self._touch_read
-        touch_write = self._touch_write
+        dram_cost = self.machine.dram_access_cost_ns
+        pages = self.region._pages
+        page_version = self.region.page_version
         slow_read = self.read
         slow_write = self.write
 
@@ -520,11 +417,17 @@ class NVDRAMSystem:
             ):
                 slow_write(addr, data)
                 return
-            if hit_dirty(pfn):
+            if entries.get(pfn):
+                touch(pfn)
+                tlb.hits += 1
                 mmu.write_accesses += 1
                 clock._now += dram_cost
             else:
-                touch_write(pfn)
+                cost = probe(pfn)
+                if cost < 0:
+                    cost = resolve_fault(pfn, cost)
+                clock._now += cost
+            # The bytes land before any event may run (see _touch_write).
             page = pages.get(pfn)
             if page is None:
                 page = pages[pfn] = bytearray(page_size)
@@ -538,9 +441,9 @@ class NVDRAMSystem:
 
             ``buffer`` is the backing page (``None`` for a never-written
             page, which reads as zeros) and ``offset`` the position of the
-            requested bytes within it.  Accesses the single-page fast path
-            cannot serve are routed through :meth:`NVDRAMSystem.read` and
-            returned as ``(bytes, 0)``.
+            requested bytes within it.  Requests that are not one in-range
+            page are served by :meth:`NVDRAMSystem.read` and returned as
+            ``(bytes, 0)``.
             """
             pfn = addr // page_size
             offset = addr - pfn * page_size
@@ -551,32 +454,27 @@ class NVDRAMSystem:
                 or addr + size > region_bytes
             ):
                 return slow_read(addr, size), 0
-            if hit(pfn):
+            if pfn in entries:
+                touch(pfn)
+                tlb.hits += 1
                 mmu.read_accesses += 1
                 now = clock._now + dram_cost
-                clock._now = now
-                if now >= events.next_due_at:
-                    drain()
             else:
-                touch_read(pfn)
+                now = clock._now + read_cost(pfn)
+            clock._now = now
+            if now >= events.next_due_at:
+                drain()
             return pages.get(pfn), offset
 
-        def read(addr: int, size: int) -> bytes:
-            buffer, offset = read_at(addr, size)
-            if buffer is None:
-                return bytes(size)
-            return bytes(buffer[offset : offset + size])
-
-        return DataPath(read=read, write=write, read_at=read_at)
+        return DataPath(write=write, read_at=read_at)
 
 
 class DataPath:
-    """Bound fast-path accessors from :meth:`NVDRAMSystem.data_path`."""
+    """The lane's closures, from :meth:`NVDRAMSystem.data_path`."""
 
-    __slots__ = ("read", "write", "read_at")
+    __slots__ = ("write", "read_at")
 
-    def __init__(self, read, write, read_at) -> None:
-        self.read = read
+    def __init__(self, write, read_at) -> None:
         self.write = write
         self.read_at = read_at
 

@@ -31,7 +31,7 @@ import struct
 from typing import Callable, NamedTuple
 
 from repro.kvstore.heap import size_class
-from repro.kvstore.store import KVStore, RECORD_HEADER, _RECORD_FIELDS
+from repro.kvstore.store import KVStore, LRU_OFFSET, RECORD_HEADER, _RECORD_FIELDS
 
 _U64 = struct.Struct("<Q")
 
@@ -53,10 +53,11 @@ class FastOps(NamedTuple):
 def build_fast_ops(store: KVStore) -> FastOps:
     """Compile the fused operation closures for ``store``.
 
-    Built after store construction (and after any test monkeypatching),
-    so deoptimized substrate methods are honoured.  Fast and method calls
-    may be freely interleaved on the same store: all mutable state
-    (counters, caches, heap) is shared, not snapshotted.
+    Every page touch goes through the system's lane
+    (:meth:`~repro.core.runtime.NVDRAMSystem.data_path`), so a subclass
+    that builds its own lane is honoured.  Fast and method calls may be
+    freely interleaved on the same store: all mutable state (counters,
+    caches, heap) is shared, not snapshotted.
     """
     if store.index is not None:
         raise ValueError(
@@ -75,6 +76,7 @@ def build_fast_ops(store: KVStore) -> FastOps:
     heap_alloc = heap.alloc
     heap_free = heap.free
     block_size = heap.block_size
+    bucket_cache = store._bucket_cache
     bucket_addr = store._bucket_addr
     metadata_addrs = store._metadata_addrs
     metadata_pages = store._metadata_pages
@@ -84,17 +86,15 @@ def build_fast_ops(store: KVStore) -> FastOps:
     unpack_header = _RECORD_FIELDS.unpack_from
     unpack_u64 = _U64.unpack_from
 
-    def charge_base() -> None:
-        # KVStore._charge_base -> NVDRAMSystem.charge -> _advance, fused.
-        now = clock._now + base_cost
-        clock._now = now
-        if now >= events.next_due_at:
-            drain()
+    # The operations below open-code KVStore._charge_base (the clock bump
+    # of NVDRAMSystem.charge), _touch_metadata and _read_record_header.
 
     def find(key):
         # KVStore._find with headers parsed in place: one 8-byte pointer
         # read, then per step one 24-byte header read + one key read.
-        link_addr = bucket_addr(key)
+        link_addr = bucket_cache.get(key)
+        if link_addr is None:
+            link_addr = bucket_addr(key)  # hashes and memoizes
         buffer, offset = read_at(link_addr, 8)
         current = 0 if buffer is None else unpack_u64(buffer, offset)[0]
         while current:
@@ -115,18 +115,6 @@ def build_fast_ops(store: KVStore) -> FastOps:
             current = next_addr
         return None, link_addr
 
-    def touch_metadata() -> None:
-        counter = store._op_counter = store._op_counter + 1
-        stamp = counter.to_bytes(8, "little")
-        write(metadata_addrs[counter % metadata_pages], stamp)
-        write(opctr_addr, stamp)
-
-    def read_header(record):
-        buffer, offset = read_at(record, RECORD_HEADER)
-        if buffer is None:
-            return 0, 0, 0
-        return unpack_header(buffer, offset)
-
     def write_record(next_addr: int, key: bytes, value: bytes) -> int:
         record = heap_alloc(RECORD_HEADER + len(key) + len(value))
         blob = (
@@ -141,7 +129,11 @@ def build_fast_ops(store: KVStore) -> FastOps:
         return record
 
     def update(record: int, link_addr: int, key: bytes, value: bytes) -> None:
-        next_addr, key_len, _old_len = read_header(record)
+        buffer, offset = read_at(record, RECORD_HEADER)
+        if buffer is None:
+            next_addr = key_len = 0
+        else:
+            next_addr, key_len, _old_len = unpack_header(buffer, offset)
         if size_class(RECORD_HEADER + key_len + len(value)) == block_size(record):
             write(record + 12, len(value).to_bytes(4, "little"))
             write(record + RECORD_HEADER + key_len, value)
@@ -155,13 +147,16 @@ def build_fast_ops(store: KVStore) -> FastOps:
     def put(key: bytes, value: bytes) -> None:
         if not key:
             raise ValueError("key must be non-empty")
-        charge_base()
+        now = clock._now + base_cost
+        clock._now = now
+        if now >= events.next_due_at:
+            drain()
         stats.puts += 1
         record, link_addr = find(key)
         if record is not None:
             update(record, link_addr, key, value)
         else:
-            head_link = bucket_addr(key)
+            head_link = bucket_cache[key]  # memoized by find
             buffer, offset = read_at(head_link, 8)
             current_head = 0 if buffer is None else unpack_u64(buffer, offset)[0]
             new_record = write_record(current_head, key, value)
@@ -169,37 +164,60 @@ def build_fast_ops(store: KVStore) -> FastOps:
             store._record_count += 1
             stats.inserts += 1
             write(count_addr, store._record_count.to_bytes(8, "little"))
-        touch_metadata()
+        counter = store._op_counter = store._op_counter + 1
+        stamp = counter.to_bytes(8, "little")
+        write(metadata_addrs[counter % metadata_pages], stamp)
+        write(opctr_addr, stamp)
 
     def get(key: bytes) -> bool:
         if not key:
             raise ValueError("key must be non-empty")
-        charge_base()
+        now = clock._now + base_cost
+        clock._now = now
+        if now >= events.next_due_at:
+            drain()
         stats.gets += 1
         record, _link_addr = find(key)
-        touch_metadata()
+        counter = store._op_counter = store._op_counter + 1
+        stamp = counter.to_bytes(8, "little")
+        write(metadata_addrs[counter % metadata_pages], stamp)
+        write(opctr_addr, stamp)
         if record is None:
             stats.misses += 1
             return False
         stats.hits += 1
-        if store._op_counter % lru_interval == 0:
-            write(record + 16, store._op_counter.to_bytes(8, "little"))
-        _next_addr, key_len, val_len = read_header(record)
+        if counter % lru_interval == 0:
+            write(record + LRU_OFFSET, stamp)
+        buffer, offset = read_at(record, RECORD_HEADER)
+        if buffer is None:
+            key_len = val_len = 0
+        else:
+            _next_addr, key_len, val_len = unpack_header(buffer, offset)
         read_at(record + RECORD_HEADER + key_len, val_len)  # value: charged,
         return True  # never copied — the caller discards it.
 
     def rmw(key: bytes, make_value: Callable[[int], bytes]) -> bool:
         if not key:
             raise ValueError("key must be non-empty")
-        charge_base()
+        now = clock._now + base_cost
+        clock._now = now
+        if now >= events.next_due_at:
+            drain()
         stats.rmws += 1
         record, link_addr = find(key)
-        touch_metadata()
+        counter = store._op_counter = store._op_counter + 1
+        stamp = counter.to_bytes(8, "little")
+        write(metadata_addrs[counter % metadata_pages], stamp)
+        write(opctr_addr, stamp)
         if record is None:
             stats.misses += 1
             return False
         stats.hits += 1
-        _next_addr, key_len, val_len = read_header(record)
+        buffer, offset = read_at(record, RECORD_HEADER)
+        if buffer is None:
+            key_len = val_len = 0
+        else:
+            _next_addr, key_len, val_len = unpack_header(buffer, offset)
         read_at(record + RECORD_HEADER + key_len, val_len)  # old value read
         update(record, link_addr, key, make_value(val_len))
         return True

@@ -74,6 +74,11 @@ class MMU:
         self.read_accesses = 0
         self.write_accesses = 0
         self.faults = 0
+        # The TLB's LRU map is one dict for the TLB's lifetime (flushes and
+        # shootdowns mutate it in place), so the probes bind it once.
+        self._tlb_entries = tlb._entries
+        self._dram_cost_ns = machine.dram_access_cost_ns
+        self._walk_cost_ns = machine.dram_access_cost_ns + machine.tlb_miss_cost_ns
 
     def _translate_cost(self, pfn: int) -> int:
         hit = self.tlb.lookup(pfn)
@@ -90,11 +95,25 @@ class MMU:
     def read_cost(self, pfn: int) -> int:
         """Hot-path form of :meth:`read_access`: just the cost, no outcome.
 
-        Loads never fault and have no PTE side effects, so the outcome
-        object carries nothing but ``cost_ns`` — skip allocating it.
+        Self-contained: the :meth:`TLB.lookup` it performs (touch and
+        count a hit; count a miss, evict LRU, insert clean) is inline, so
+        a load is one frame.  Counters and residency are identical.
         """
         self.read_accesses += 1
-        return self._translate_cost(pfn)
+        tlb = self.tlb
+        entries = self._tlb_entries
+        if pfn in entries:
+            entries.move_to_end(pfn)
+            tlb.hits += 1
+            return self._dram_cost_ns
+        if not 0 <= pfn < tlb.num_pages:
+            raise IndexError(f"page frame {pfn} out of range [0, {tlb.num_pages})")
+        tlb.misses += 1
+        while len(entries) >= tlb.capacity:
+            entries.popitem(last=False)
+            tlb.capacity_evictions += 1
+        entries[pfn] = False
+        return self._walk_cost_ns
 
     def write_access(self, pfn: int) -> AccessOutcome:
         """A store: faults when the page is write-protected.
@@ -132,19 +151,48 @@ class MMU:
         ``-cost_ns - 1`` when it faulted.  Accounting, tracing, and PTE
         side effects are identical to :meth:`write_access`; only the
         per-store allocation is gone.
+
+        Self-contained like :meth:`read_cost`: one TLB dict probe tells
+        a dirty hit, a clean hit and a miss apart, and the protection
+        check and the ``PageTable.set_dirty`` bit updates are inline.
+        Past the protection check the translation is always resident and
+        clean (a dirty hit returned early), so the store always marks the
+        PTE and caches the dirty flag.
         """
         self.write_accesses += 1
-        if self.tlb.hit_dirty(pfn):
-            return self.machine.dram_access_cost_ns
-        cost = self._translate_cost(pfn)
-        if self.page_table.is_write_protected(pfn):
+        tlb = self.tlb
+        entries = self._tlb_entries
+        cached = entries.get(pfn)
+        if cached is not None:
+            entries.move_to_end(pfn)
+            tlb.hits += 1
+            if cached:
+                return self._dram_cost_ns
+            cost = self._dram_cost_ns
+        else:
+            if not 0 <= pfn < tlb.num_pages:
+                raise IndexError(
+                    f"page frame {pfn} out of range [0, {tlb.num_pages})"
+                )
+            tlb.misses += 1
+            while len(entries) >= tlb.capacity:
+                entries.popitem(last=False)
+                tlb.capacity_evictions += 1
+            entries[pfn] = False
+            cost = self._walk_cost_ns
+        page_table = self.page_table
+        if page_table.write_protected[pfn]:
             self.faults += 1
             if self.tracer.enabled:
                 self.tracer.emit(WriteFault(t=self.tracer.now(), pfn=pfn))
             return -cost - 1
-        if not self.tlb.dirty_cached(pfn):
-            self.page_table.set_dirty(pfn)
-            self.tlb.cache_dirty(pfn)
+        if not page_table.dirty[pfn]:
+            page_table.dirty[pfn] = True
+            page_table._dirty_count += 1
+        if not page_table.shadow_dirty[pfn]:
+            page_table.shadow_dirty[pfn] = True
+            page_table._shadow_count += 1
+        entries[pfn] = True
         return cost
 
     # -- runtime-side PTE manipulation (the paper's kernel module) --------
@@ -271,32 +319,15 @@ class HardwareAssistedMMU(MMU):
         return AccessOutcome(cost_ns=cost, faulted=False, newly_dirtied=newly_dirtied)
 
     def write_probe(self, pfn: int) -> int:
-        """Allocation-free :meth:`write_access`; same counter/hook logic."""
-        self.write_accesses += 1
-        if self.tlb.hit_dirty(pfn):
-            return self.machine.dram_access_cost_ns
-        cost = self._translate_cost(pfn)
-        if self.page_table.is_write_protected(pfn):
-            self.faults += 1
-            if self.tracer.enabled:
-                self.tracer.emit(WriteFault(t=self.tracer.now(), pfn=pfn))
-            return -cost - 1
-        if not self.tlb.dirty_cached(pfn):
-            first_time_dirty = not self.page_table.is_shadow_dirty(pfn)
-            if first_time_dirty and self.on_new_dirty is not None:
-                self.on_new_dirty(pfn)
-            self.page_table.set_dirty(pfn)
-            self.tlb.cache_dirty(pfn)
-            if first_time_dirty:
-                self.dirty_counter += 1
-                if (
-                    self.interrupt_threshold is not None
-                    and self.dirty_counter >= self.interrupt_threshold
-                    and self.on_threshold is not None
-                ):
-                    self.interrupts_raised += 1
-                    self.on_threshold(pfn)
-        return cost
+        """:meth:`write_access` in the probe's int encoding.
+
+        The counter and the ``on_new_dirty``/threshold hooks fire exactly
+        as in :meth:`write_access` (the base class's inlined probe has no
+        place for them); this MMU is off the benchmarked paths, so the
+        outcome allocation is kept.
+        """
+        outcome = self.write_access(pfn)
+        return -outcome.cost_ns - 1 if outcome.faulted else outcome.cost_ns
 
     def page_cleaned(self, pfn: int) -> None:
         """OS notification that a page was flushed: decrement the counter."""

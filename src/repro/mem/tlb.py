@@ -77,21 +77,12 @@ class TLB:
         self._entries[pfn] = False
         return False
 
-    # -- hot-path probes ---------------------------------------------------
-    #
     # ``lookup`` inserts on miss, so probing it speculatively would perturb
-    # residency.  These probes touch-and-count *only* on success and leave
-    # the TLB (and its counters) completely untouched on failure, letting
-    # callers fall back to the full access path — which then counts the
-    # miss exactly once.
-
-    def hit(self, pfn: int) -> bool:
-        """Touch ``pfn`` if resident; no insertion or miss accounting."""
-        if pfn in self._entries:
-            self._entries.move_to_end(pfn)
-            self.hits += 1
-            return True
-        return False
+    # residency.  ``hit_dirty`` touches-and-counts *only* on success and
+    # leaves the TLB (and its counters) untouched on failure, so the
+    # caller's fallback counts the miss exactly once.  The data-path lane
+    # (``NVDRAMSystem.data_path``) and ``MMU.read_cost``/``write_probe``
+    # open-code the same checks against ``_entries``.
 
     def hit_dirty(self, pfn: int) -> bool:
         """Touch ``pfn`` only if resident *with the cached dirty flag set*.

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.bench.histogram import LatencyHistogram, _bucket_of, _bucket_midpoint
 
@@ -54,6 +55,45 @@ class TestRecording:
             LatencyHistogram().percentile(0)
         with pytest.raises(ValueError):
             LatencyHistogram().percentile(101)
+
+
+#: Bucket-boundary values: 0, the linear/log seam, and every power of two
+#: up to 2**50 with its neighbours.
+_EDGES = [0, 127, 128] + [
+    value for k in range(1, 51) for value in ((1 << k) - 1, 1 << k, (1 << k) + 1)
+]
+_SAMPLES = st.lists(
+    st.one_of(st.sampled_from(_EDGES), st.integers(0, 1 << 50)), max_size=120
+)
+
+
+def _state(hist):
+    return (dict(hist._buckets), hist.count, hist._sum_ns, hist.min_ns, hist.max_ns)
+
+
+class TestRecordMany:
+    @given(earlier=_SAMPLES, values=_SAMPLES, as_generator=st.booleans())
+    def test_equals_per_sample_record(self, earlier, values, as_generator):
+        one, many = LatencyHistogram(), LatencyHistogram()
+        for value in earlier:
+            one.record(value)
+            many.record(value)
+        for value in values:
+            one.record(value)
+        many.record_many((v for v in values) if as_generator else values)
+        assert _state(many) == _state(one)
+        buckets, count, total, low, high = _state(many)
+        plain = [count, total, *buckets, *buckets.values()]
+        plain += [v for v in (low, high) if v is not None]
+        assert all(type(v) is int for v in plain)
+
+    def test_negative_raises_and_leaves_state(self):
+        hist = LatencyHistogram()
+        hist.record_many([5, 300, 1 << 40])
+        before = _state(hist)
+        with pytest.raises(ValueError, match="negative"):
+            hist.record_many([7, -1, 9])
+        assert _state(hist) == before
 
 
 class TestPercentiles:

@@ -157,6 +157,46 @@ class TestFineGrainRuntime:
         assert report.dirty_bytes == 40 * 256
         assert report.survives
 
+    def test_batched_stores_keep_block_accounting(self):
+        """``run_ops`` and the lane's store are the subclass's ``write``.
+
+        Same stream three ways — per-op ``write``, ``run_ops``, and
+        ``data_path().write`` — must leave identical block bitmaps,
+        stats, clocks and contents, with the byte budget enforced.
+        """
+        rng = random.Random(7)
+        stream = [
+            (rng.randrange(256) * PAGE + rng.randrange(PAGE - 128),
+             bytes([rng.randrange(256)]) * 128)
+            for _ in range(3_000)
+        ]
+
+        def run(mode):
+            system = make_finegrain(Simulation(), budget_pages=8)
+            base = system.mmap(256 * PAGE).base_addr
+            addrs = [base + offset for offset, _data in stream]
+            payloads = [data for _offset, data in stream]
+            if mode == "run_ops":
+                system.run_ops([True] * len(stream), addrs, payloads)
+            else:
+                store = system.write if mode == "write" else system.data_path().write
+                for addr, data in zip(addrs, payloads):
+                    store(addr, data)
+            return {
+                "blocks": dict(system.blocks._bitmaps),
+                "dirty_bytes": system.blocks.dirty_bytes,
+                "stats": system.stats.summary(),
+                "now": system.sim.now,
+                "pages": sorted(system.region.touched_pages()),
+                "bytes": system.read(base, 256 * PAGE),
+            }
+
+        per_op = run("write")
+        assert per_op["dirty_bytes"] <= 8 * PAGE
+        assert per_op["stats"]["sync_evictions"] > 0
+        assert run("run_ops") == per_op
+        assert run("data_path") == per_op
+
     def test_write_racing_inflight_flush_preserved(self, sim):
         system = make_finegrain(sim, budget_pages=4, proactive=False)
         mapping = system.mmap(8 * PAGE)

@@ -1,9 +1,12 @@
 """Unit tests for the MMU: faults, dirty-bit side effects, scan costs."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.mem.machine import MachineModel
 from repro.mem.mmu import MMU, HardwareAssistedMMU
+from repro.mem.page_table import PageTable
+from repro.mem.tlb import TLB
 
 
 @pytest.fixture
@@ -140,6 +143,54 @@ class TestWriteProbe:
         assert first < 0 and second < 0
         assert mmu.faults == 2
         assert mmu.dirty_counter == 0
+
+
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["read", "write", "protect", "unprotect", "scan"]),
+        st.integers(0, 11),
+        st.booleans(),
+    ),
+    max_size=60,
+)
+
+
+@given(steps=_STEPS)
+def test_inlined_probes_match_canonical_accesses(steps):
+    """``read_cost``/``write_probe`` inline ``TLB.lookup`` and the PTE
+    updates; step for step they must leave exactly the state (costs,
+    counters, LRU order, cached dirty flags, PTE bits) that
+    ``read_access``/``write_access`` leave."""
+    machine = MachineModel(tlb_entries=4)
+    fast, canonical = (
+        MMU(PageTable(12), TLB(12, machine.tlb_entries), machine) for _ in range(2)
+    )
+
+    def state(mmu):
+        pt, tlb = mmu.page_table, mmu.tlb
+        return (
+            mmu.read_accesses, mmu.write_accesses, mmu.faults,
+            tlb.hits, tlb.misses, tlb.capacity_evictions,
+            list(tlb._entries.items()),
+            pt.write_protected.tolist(), pt.dirty.tolist(),
+            pt.shadow_dirty.tolist(), pt.dirty_count, pt.shadow_dirty_count,
+        )
+
+    for op, pfn, flush in steps:
+        if op == "read":
+            assert fast.read_cost(pfn) == canonical.read_access(pfn).cost_ns
+        elif op == "write":
+            outcome = canonical.write_access(pfn)
+            expected = -outcome.cost_ns - 1 if outcome.faulted else outcome.cost_ns
+            assert fast.write_probe(pfn) == expected
+        elif op == "scan":
+            assert fast.epoch_scan(flush)[0].tolist() == (
+                canonical.epoch_scan(flush)[0].tolist()
+            )
+        else:
+            getattr(fast, f"{op}_page")(pfn)
+            getattr(canonical, f"{op}_page")(pfn)
+        assert state(fast) == state(canonical)
 
 
 class TestProtectionOps:

@@ -1,21 +1,26 @@
 """The tentpole's core contract: fast paths change wall time ONLY.
 
-Every hot-path optimization in this PR — the TLB hit/hit-dirty probes,
-the event-queue next-due lower bound, and the vectorized (order-
-insensitive) victim-candidate materialization — must be invisible to the
-simulation: same simulated clocks, same stats, same flush traffic, for
-both systems.  This test switches all of them off via monkeypatching and
-replays the same macro workload; every simulated quantity must match the
-optimized run exactly.
+Every hot-path optimization — the data-path lane's open-coded TLB hits
+and self-contained MMU probes, the event-queue next-due lower bound, and
+the vectorized (order-insensitive) victim-candidate materialization —
+must be invisible to the simulation: same simulated clocks, same stats,
+same flush traffic, same latency histograms, for both systems.  The
+deoptimized run swaps every system for one whose lane sends each page
+touch through the canonical ``MMU.read_access``/``write_access`` (the
+method-call TLB and page-table API, sharing no code with the lane's
+inlined probes), and monkeypatches the other fast paths off; every
+simulated quantity must match the optimized run exactly.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bench import runner as runner_module
 from repro.bench.runner import ExperimentScale, run_workload
+from repro.core.runtime import DataPath, FullBatteryNVDRAM, Viyojit
 from repro.workloads.compiled import compile_workload
-from repro.workloads.ycsb import YCSB_A
+from repro.workloads.ycsb import YCSB_A, YCSB_C
 
 from tests.bench.reference_runner import run_workload_per_op
 
@@ -31,6 +36,14 @@ def _snapshot(result) -> dict:
     }
     for kind, summary in sorted(result.latency.items()):
         out[f"latency.{kind}"] = (summary.count, summary.avg_ms, summary.p99_ms)
+    for kind, hist in sorted(result.histograms.items()):
+        out[f"histogram.{kind}"] = (
+            sorted(hist._buckets.items()),
+            hist.count,
+            hist._sum_ns,
+            hist.min_ns,
+            hist.max_ns,
+        )
     return out
 
 
@@ -46,14 +59,83 @@ def _compiled(spec):
     )
 
 
+class CanonicalLane:
+    """Mixin: a lane whose every page touch is one canonical MMU access.
+
+    A load is ``MMU.read_access``, then ``SimClock.advance`` and
+    ``drain_due``; a store is ``MMU.write_access``, retried through the
+    fault handler until it succeeds, charged without a drain, applied
+    with ``NVDRAMRegion.write_page_slice``, then followed by
+    ``drain_due`` — the ordering rule of ``NVDRAMSystem._touch_write``,
+    spelled out.
+    """
+
+    def _build_lane(self) -> DataPath:
+        system = self
+        mmu = self.mmu
+        region = self.region
+        page_size = region.page_size
+        sim = self.sim
+
+        def charge(cost_ns: int) -> None:
+            sim.clock.advance(cost_ns)
+            sim.drain_due()
+
+        def single_page(addr: int, size: int) -> bool:
+            return (
+                size > 0
+                and addr >= 0
+                and addr % page_size + size <= page_size
+                and addr + size <= region.size
+            )
+
+        def read_at(addr: int, size: int):
+            if not single_page(addr, size):
+                return system.read(addr, size), 0
+            pfn = addr // page_size
+            charge(mmu.read_access(pfn).cost_ns)
+            return region.read_page_slice(pfn, addr % page_size, size), 0
+
+        def write(addr: int, data: bytes) -> None:
+            if not single_page(addr, len(data)):
+                system.write(addr, data)
+                return
+            pfn = addr // page_size
+            outcome = mmu.write_access(pfn)
+            while outcome.faulted:
+                charge(outcome.cost_ns)
+                system._handle_fault(pfn)
+                outcome = mmu.write_access(pfn)
+            sim.clock.advance(outcome.cost_ns)
+            region.write_page_slice(pfn, addr % page_size, data)
+            sim.drain_due()
+
+        return DataPath(write=write, read_at=read_at)
+
+
+class CanonicalViyojit(CanonicalLane, Viyojit):
+    pass
+
+
+class CanonicalNVDRAM(CanonicalLane, FullBatteryNVDRAM):
+    pass
+
+
+def _refuse(self, pfn):
+    raise AssertionError("an inlined probe ran under the canonical oracle")
+
+
 def _disable_fast_paths(monkeypatch) -> None:
     from repro.core import policies
-    from repro.mem.tlb import TLB
+    from repro.mem.mmu import MMU
     from repro.sim.events import EventQueue
 
-    # TLB probes always miss: every access takes the canonical MMU path.
-    monkeypatch.setattr(TLB, "hit", lambda self, pfn: False)
-    monkeypatch.setattr(TLB, "hit_dirty", lambda self, pfn: False)
+    # Every system the runners build takes the canonical lane, and the
+    # lane's inlined probes must never be reached around it.
+    monkeypatch.setattr(runner_module, "Viyojit", CanonicalViyojit)
+    monkeypatch.setattr(runner_module, "FullBatteryNVDRAM", CanonicalNVDRAM)
+    monkeypatch.setattr(MMU, "read_cost", _refuse)
+    monkeypatch.setattr(MMU, "write_probe", _refuse)
     # The next-due bound always demands a drain attempt.
     # ``next_due_at`` is normally a plain instance attribute; installing
     # a class-level data descriptor overrides it for every queue.
@@ -76,9 +158,14 @@ def _disable_fast_paths(monkeypatch) -> None:
 @pytest.mark.parametrize("budget_fraction", [0.175, None],
                          ids=["viyojit", "nvdram"])
 def test_fast_paths_are_simulation_invisible(monkeypatch, budget_fraction):
-    optimized = _snapshot(run_workload(YCSB_A, SCALE, budget_fraction))
+    specs = (YCSB_A, YCSB_C)
+    optimized = [
+        _snapshot(run_workload(spec, SCALE, budget_fraction)) for spec in specs
+    ]
     _disable_fast_paths(monkeypatch)
-    deoptimized = _snapshot(run_workload(YCSB_A, SCALE, budget_fraction))
+    deoptimized = [
+        _snapshot(run_workload(spec, SCALE, budget_fraction)) for spec in specs
+    ]
     assert optimized == deoptimized
 
 
@@ -97,3 +184,15 @@ def test_compiled_replay_is_simulation_invisible(monkeypatch, budget_fraction):
         run_workload(YCSB_A, SCALE, budget_fraction, compiled=_compiled(YCSB_A))
     )
     assert compiled == reference
+
+
+def test_canonical_lane_is_engaged(monkeypatch):
+    """The oracle bites: under it, every runner system is canonical."""
+    _disable_fast_paths(monkeypatch)
+    sim, system = runner_module.build_viyojit(SCALE, 0.175)
+    assert isinstance(system, CanonicalViyojit)
+    reads = system.mmu.read_accesses
+    system.read(system.region.page_size, 8)
+    assert system.mmu.read_accesses == reads + 1
+    with pytest.raises(AssertionError, match="inlined probe"):
+        system.mmu.read_cost(0)
