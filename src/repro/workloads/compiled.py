@@ -68,6 +68,7 @@ from repro.workloads.distributions import (
     ScrambledZipfianGenerator,
     UniformGenerator,
     ZIPFIAN_CONSTANT,
+    uniforms,
 )
 from repro.workloads.ycsb import (
     OpBatch,
@@ -370,7 +371,6 @@ def _compile_indices(
     chooser = random.Random(seed)
     keygen = _keygen(spec, record_count, theta, seed)
     inserter = CounterGenerator(record_count)
-    rand = chooser.random
     read_bound = spec.read_proportion
     update_bound = read_bound + spec.update_proportion
     insert_bound = update_bound + spec.insert_proportion
@@ -378,7 +378,7 @@ def _compile_indices(
     done = 0
     while done < operation_count:
         n = min(_COMPILE_BLOCK, operation_count - done)
-        draws = np.array([rand() for _ in range(n)], dtype=np.float64)
+        draws = uniforms(chooser, n)
         codes = np.full(n, CODE_RMW, dtype=np.uint8)
         codes[draws < insert_bound] = CODE_INSERT
         codes[draws < update_bound] = CODE_UPDATE

@@ -20,6 +20,23 @@ from repro.kvstore.hashing import fnv1a, fnv1a_le8
 ZIPFIAN_CONSTANT = 0.99
 
 
+def uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` draws equal to ``[rng.random() for _ in range(count)]``.
+
+    Bit for bit, and leaving ``rng`` in the identical state: CPython's
+    ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53`` over two
+    consecutive 32-bit Mersenne Twister outputs ``a``, ``b``, and
+    ``getrandbits(64 * count)`` emits exactly ``2 * count`` such outputs,
+    least significant word first.
+    """
+    words = np.frombuffer(
+        rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4"
+    )
+    high = (words[0::2] >> 5).astype(np.float64)
+    low = (words[1::2] >> 6).astype(np.float64)
+    return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+
+
 def zeta(n: int, theta: float, initial_sum: float = 0.0, from_n: int = 0) -> float:
     """Incremental generalized harmonic number: sum_{i=1..n} 1/i^theta."""
     if n < from_n:
@@ -45,8 +62,13 @@ class ZipfianGenerator:
         self._recompute()
 
     def _recompute(self) -> None:
-        self._eta = (1.0 - (2.0 / self.items) ** (1.0 - self.theta)) / (
-            1.0 - self._zeta2 / self._zetan
+        spread = 1.0 - self._zeta2 / self._zetan
+        # With two items every draw resolves to rank 0 or 1 before eta
+        # is read, and the formula is 0/0.
+        self._eta = (
+            (1.0 - (2.0 / self.items) ** (1.0 - self.theta)) / spread
+            if spread
+            else 0.0
         )
 
     def grow_to(self, items: int) -> None:
@@ -72,7 +94,7 @@ class ZipfianGenerator:
         """Vectorized batch of ``count`` draws (same distribution as next)."""
         if count < 0:
             raise ValueError(f"count must be non-negative: {count}")
-        u = np.array([self._rng.random() for _ in range(count)], dtype=np.float64)
+        u = uniforms(self._rng, count)
         uz = u * self._zetan
         ranks = (self.items * (self._eta * u - self._eta + 1.0) ** self._alpha).astype(
             np.int64

@@ -32,6 +32,7 @@ from repro.workloads.distributions import (
     ScrambledZipfianGenerator,
     UniformGenerator,
     ZIPFIAN_CONSTANT,
+    uniforms,
 )
 
 import random
@@ -333,7 +334,6 @@ def iter_op_batches(
     else:
         keygen = UniformGenerator(record_count, seed + 1)
     inserter = CounterGenerator(record_count)
-    rand = chooser.random
     read_bound = spec.read_proportion
     update_bound = read_bound + spec.update_proportion
     insert_bound = update_bound + spec.insert_proportion
@@ -342,7 +342,7 @@ def iter_op_batches(
     while remaining > 0:
         n = min(batch_size, remaining)
         remaining -= n
-        draws = np.array([rand() for _ in range(n)], dtype=np.float64)
+        draws = uniforms(chooser, n)
         codes = np.full(n, 3, dtype=np.int8)  # rmw unless reclassified
         codes[draws < insert_bound] = 2
         codes[draws < update_bound] = 1

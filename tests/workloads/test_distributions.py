@@ -1,5 +1,7 @@
 """Unit tests for the request-key distributions."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,43 @@ from repro.workloads.distributions import (
     ScrambledZipfianGenerator,
     UniformGenerator,
     ZipfianGenerator,
+    uniforms,
     zeta,
 )
+
+
+class TestUniforms:
+    """``uniforms`` is ``n`` calls to ``random()``: values and RNG state."""
+
+    @staticmethod
+    def _assert_same_as_random(seed, advance, count):
+        expected_rng = random.Random(seed)
+        actual_rng = random.Random(seed)
+        for rng in (expected_rng, actual_rng):
+            for _ in range(advance):
+                rng.random()
+        expected = np.array(
+            [expected_rng.random() for _ in range(count)], dtype=np.float64
+        )
+        actual = uniforms(actual_rng, count)
+        assert actual.dtype == np.float64
+        assert actual.tobytes() == expected.tobytes()
+        assert actual_rng.getstate() == expected_rng.getstate()
+
+    # 312 draws consume one 624-word Mersenne Twister block.
+    @pytest.mark.parametrize("count", [0, 1, 311, 312, 313, 623, 624, 625])
+    @pytest.mark.parametrize("advance", [0, 1, 311])
+    def test_block_edges(self, count, advance):
+        self._assert_same_as_random(7, advance, count)
+
+    @pytest.mark.parametrize("count", [2, 3, 95, 96, 97])
+    def test_small_sizes(self, count):
+        self._assert_same_as_random(11, 2, count)
+
+    def test_large_draw_from_an_advanced_state(self):
+        rng = random.Random(99)
+        rng.getrandbits(1_000)
+        self._assert_same_as_random(rng.getrandbits(64), 17, 100_003)
 
 
 class TestZeta:
@@ -59,6 +96,27 @@ class TestZipfian:
         assert batch.min() >= 0 and batch.max() < 1000
         counts = np.bincount(batch, minlength=1000)
         assert counts[0] == counts.max()
+
+    @pytest.mark.parametrize(
+        "items, theta, seed", [(4_096, 0.99, 42), (64, 0.5, 7), (1, 0.2, 3)]
+    )
+    def test_sample_equals_repeated_next(self, items, theta, seed):
+        per_draw = ZipfianGenerator(items, theta=theta, seed=seed)
+        bulk = ZipfianGenerator(items, theta=theta, seed=seed)
+        expected = [per_draw.next() for _ in range(60_000)]
+        actual = []
+        for count in (0, 1, 95, 96, 97, 2_048, 57_663):
+            actual.extend(bulk.sample(count).tolist())
+        assert actual == expected
+        assert bulk.next() == per_draw.next()
+
+    def test_two_items(self):
+        gen = ZipfianGenerator(2, seed=6)
+        draws = [gen.next() for _ in range(200)] + gen.sample(200).tolist()
+        assert set(draws) == {0, 1}
+        grown = ZipfianGenerator(1, seed=6)
+        grown.grow_to(2)
+        assert [grown.next() for _ in range(200)] == draws[:200]
 
     def test_grow(self):
         gen = ZipfianGenerator(10, seed=5)
