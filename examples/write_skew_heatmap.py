@@ -34,9 +34,9 @@ def main() -> None:
     sim, system = build_viyojit(scale, budget_fraction=2 / 17.5)
     runner = YCSBRunner(sim, system, scale)
     runner.load_batched()
-    versions_before = system.region.page_version.copy()
+    versions_before = np.array(system.region.page_version, dtype=np.int64)
     runner.run_batched(YCSB_A)
-    writes_per_page = (system.region.page_version - versions_before).astype(np.int64)
+    writes_per_page = np.array(system.region.page_version, dtype=np.int64) - versions_before
     heap = runner.store.heap_mapping
     heap_writes = writes_per_page[heap.base_page : heap.base_page + heap.num_pages]
 

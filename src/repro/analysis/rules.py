@@ -16,7 +16,8 @@ V1   virtual-time discipline: ``*_ns`` values never derive from a
 T1   tracer guard: trace-event objects are only constructed under an
      ``if tracer.enabled`` guard (zero-overhead untraced path)
 L1   layering: only ``repro.mem`` may index the ``PageTable`` bit
-     arrays (``dirty`` / ``write_protected`` / ``shadow_dirty``);
+     columns (``dirty`` / ``write_protected`` / ``shadow_dirty`` and
+     their byte forms ``_dirty_bits`` / ``_wp_bits`` / ``_shadow_bits``);
      everyone else goes through the MMU
 E1   no bare ``assert`` for invariant enforcement in shipped code —
      ``python -O`` strips asserts, so correctness checks must raise
@@ -437,8 +438,18 @@ class TracerGuardRule(Rule):
             self._scan_expr(child, guarded)
 
 
-#: The PageTable bit arrays only ``repro.mem`` may index directly.
-PTE_BIT_ARRAYS = frozenset({"dirty", "write_protected", "shadow_dirty"})
+#: The PageTable bit columns only ``repro.mem`` may index directly: the
+#: numpy views and the bytearrays under them.
+PTE_BIT_ARRAYS = frozenset(
+    {
+        "dirty",
+        "write_protected",
+        "shadow_dirty",
+        "_dirty_bits",
+        "_wp_bits",
+        "_shadow_bits",
+    }
+)
 
 
 @register_rule

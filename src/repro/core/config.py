@@ -11,7 +11,22 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.sim.clock import NS_PER_MS
+
+
+def require_page_count(value: object, name: str) -> int:
+    """``value`` as a whole number of pages: an ``int`` or numpy integer.
+
+    A fractional dirty budget would truncate to zero pages and leave the
+    fault path evicting forever, and ``True`` would silently mean one
+    page, so floats and bools are refused with a ``ValueError`` naming
+    the value.  Positivity is left to the caller's own check.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number of pages: {value!r}")
 
 
 def _sanitize_default() -> bool:
@@ -94,6 +109,7 @@ class ViyojitConfig:
     sanitize: bool = field(default_factory=_sanitize_default)
 
     def __post_init__(self) -> None:
+        require_page_count(self.dirty_budget_pages, "dirty_budget_pages")
         if self.dirty_budget_pages <= 0:
             raise ValueError(
                 f"dirty_budget_pages must be positive: {self.dirty_budget_pages}"

@@ -16,16 +16,20 @@ from __future__ import annotations
 
 from typing import Iterator, Set
 
+from repro.core.config import require_page_count
+
 
 class DirtyTracker:
     """Running count + addresses of dirty NV-DRAM pages."""
 
     def __init__(self, budget_pages: int) -> None:
+        budget_pages = require_page_count(budget_pages, "budget_pages")
         if budget_pages <= 0:
             raise ValueError(f"budget_pages must be positive: {budget_pages}")
-        self.budget_pages = int(budget_pages)
-        # The runtime and flusher read this set directly on the hot path;
-        # every change still goes through add()/remove().
+        self.budget_pages = budget_pages
+        # The membership truth.  ``add``/``remove`` are the canonical
+        # updates; the runtime's fault path and the flusher's completion
+        # open-code them (same budget check, same counters).
         self._dirty: Set[int] = set()
         self.epoch_new_dirty = 0  # new dirty pages this epoch (pressure input)
         self.total_dirtied = 0
@@ -72,7 +76,10 @@ class DirtyTracker:
         self.total_dirtied += 1
 
     def remove(self, pfn: int) -> None:
-        """Record that ``pfn``'s latest contents reached durable media."""
+        """Record that ``pfn``'s latest contents reached durable media.
+
+        The flusher's completion open-codes this ``discard``.
+        """
         self._dirty.discard(pfn)
 
     def snapshot(self) -> Set[int]:

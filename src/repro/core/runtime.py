@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance only
     from repro.power.battery import Battery
     from repro.power.power_model import PowerModel
 
-from repro.core.config import ViyojitConfig
+from repro.core.config import ViyojitConfig, require_page_count
 from repro.core.dirty_tracker import DirtyTracker
 from repro.core.flusher import Flusher, FlushFailure
 from repro.core.history import UpdateHistory
@@ -268,7 +268,8 @@ class NVDRAMSystem:
         handler runs and the store retries (the instruction restart),
         until a probe succeeds.  Returns that probe's cost, not yet
         charged: the caller charges it and applies the store before any
-        event may run (see :meth:`_touch_write`).
+        event may run (see :meth:`_touch_write`).  :class:`Viyojit`
+        replaces this loop with one that holds the handler body.
         """
         clock = self._clock
         while cost < 0:
@@ -579,7 +580,6 @@ class Viyojit(NVDRAMSystem):
         self._inflight = self.flusher._inflight
         self._max_outstanding = self.flusher.max_outstanding
         self._issue = self.flusher.issue
-        self._add_dirty = self.tracker.add
         self._unprotect_page = self.mmu.unprotect_page
         self._trap_cost_ns = self.machine.trap_cost_ns
         policy_type = type(self.policy)
@@ -654,52 +654,94 @@ class Viyojit(NVDRAMSystem):
         if self._h_blocked is not None and blocked > 0:
             self._h_blocked.observe(blocked)
 
-    def _handle_fault(self, pfn: int) -> None:
+    def _resolve_fault(self, pfn: int, cost: int) -> int:
+        """Fig 6 steps 3-8: the fault handler, inside the retry loop.
+
+        Each pass charges the faulted probe (as :meth:`_advance` would),
+        takes the trap, waits out an in-flight flush of the page, makes
+        room at the budget, unprotects the page and adds it to the dirty
+        set, then retries the store.  ``DirtyTracker.add`` (with its
+        budget check) and the peak/sampling part of
+        ``ViyojitStats.record_dirty_level`` are open-coded, so a fault is
+        one frame plus the PTE toggle.  Returns the successful probe's
+        cost, not yet charged (see :meth:`_touch_write`).
+        """
         clock = self._clock
         events = self._events
+        drain = self._drain
         stats = self.stats
         dirty = self._dirty
+        inflight = self._inflight
         tracker = self.tracker
-        entered_at = clock._now
-        stats.write_faults += 1
-        stats.trap_time_ns += self._trap_cost_ns
-        now = entered_at + self._trap_cost_ns
-        clock._now = now
-        if now >= events.next_due_at:
-            self._drain()
+        trap_cost = self._trap_cost_ns
+        while cost < 0:
+            now = clock._now - cost - 1
+            clock._now = now
+            if now >= events.next_due_at:
+                drain()
+            entered_at = now = clock._now
+            stats.write_faults += 1
+            stats.trap_time_ns += trap_cost
+            now += trap_cost
+            clock._now = now
+            if now >= events.next_due_at:
+                drain()
 
-        # A write landed on a page whose flush is in flight: wait for the
-        # IO so the durable copy is a state that really existed, then
-        # re-dirty the page through the normal path (section 5.1).
-        if pfn in self._inflight:
-            stats.inflight_waits += 1
-            self._wait_until(self._inflight[pfn])
+            # A write landed on a page whose flush is in flight: wait for
+            # the IO so the durable copy is a state that really existed,
+            # then re-dirty the page through the normal path (section 5.1).
+            if pfn in inflight:
+                stats.inflight_waits += 1
+                self._wait_until(inflight[pfn])
 
-        # Make room: at the budget, the least-recently-updated dirty page
-        # is synchronously written out before this page may be dirtied.
-        if len(dirty) >= tracker.budget_pages:
-            self._make_room()
+            # Make room: at the budget, the least-recently-updated dirty
+            # page is synchronously written out before this page may be
+            # dirtied.
+            if len(dirty) >= tracker.budget_pages:
+                self._make_room()
 
-        cost = self._unprotect_page(pfn)
-        stats.pte_update_time_ns += cost
-        now = clock._now + cost
-        clock._now = now
-        if now >= events.next_due_at:
-            self._drain()
-        # The PTE-update advance drains due simulation events; a scheduled
-        # battery-degradation step may have just shrunk the budget (and
-        # drained down to it), so the room made above can be gone again.
-        if len(dirty) >= tracker.budget_pages:
-            self._make_room()
-        self._add_dirty(pfn)
-        if self.sanitizer is not None:
-            self.sanitizer.after_dirtied(pfn)
-        if self._note_dirtied is not None:
-            self._note_dirtied(pfn)
-        stats.pages_dirtied += 1
-        stats.record_dirty_level(len(dirty))
-        if self._h_fault is not None:
-            self._h_fault.observe(clock._now - entered_at)
+            cost = self._unprotect_page(pfn)
+            stats.pte_update_time_ns += cost
+            now = clock._now + cost
+            clock._now = now
+            if now >= events.next_due_at:
+                drain()
+            # The PTE-update advance drains due simulation events; a
+            # scheduled battery-degradation step may have just shrunk the
+            # budget (and drained down to it), so the room made above can
+            # be gone again.
+            count = len(dirty)
+            if count >= tracker.budget_pages:
+                self._make_room()
+                count = len(dirty)
+            if pfn not in dirty:
+                # The tracker's budget check is the durability guarantee;
+                # it must never fire in a correct runtime.
+                if count >= tracker.budget_pages:
+                    raise RuntimeError(
+                        f"dirty budget violated: adding page {pfn} would "
+                        f"make {count + 1} dirty pages against a budget of "
+                        f"{tracker.budget_pages}"
+                    )
+                dirty.add(pfn)
+                count += 1
+                tracker.epoch_new_dirty += 1
+                tracker.total_dirtied += 1
+            if self.sanitizer is not None:
+                self.sanitizer.after_dirtied(pfn)
+            if self._note_dirtied is not None:
+                self._note_dirtied(pfn)
+            stats.pages_dirtied += 1
+            if count > stats.peak_dirty_pages:
+                stats.peak_dirty_pages = count
+            ticks = stats._sample_ticks
+            stats._sample_ticks = ticks + 1
+            if ticks % stats._sample_stride == 0:
+                stats._keep_sample(count)
+            if self._h_fault is not None:
+                self._h_fault.observe(clock._now - entered_at)
+            cost = self._write_probe(pfn)
+        return cost
 
     def _make_room(self) -> None:
         """Evict synchronously until the dirty set is under budget.
@@ -777,7 +819,8 @@ class Viyojit(NVDRAMSystem):
         while True:
             queue = self._victim_queue
             cursor = self._victim_cursor
-            while cursor < len(queue):
+            end = len(queue)
+            while cursor < end:
                 pfn = queue[cursor]
                 cursor += 1
                 if pfn in dirty and pfn not in inflight:
@@ -887,10 +930,10 @@ class Viyojit(NVDRAMSystem):
             self._note_cleaned(pfn)
         if not self.config.proactive or not self._started:
             return
-        inflight = self._inflight
+        outstanding = len(self._inflight)
         if (
-            len(self._dirty) - len(inflight) > self._proactive_threshold
-            and len(inflight) < self._max_outstanding
+            len(self._dirty) - outstanding > self._proactive_threshold
+            and outstanding < self._max_outstanding
         ):
             victim = self._next_victim()
             if victim is not None:
@@ -932,6 +975,7 @@ class Viyojit(NVDRAMSystem):
         budget after :meth:`drain_to_budget` brings the count down —
         callers reassigning battery to another tenant must drain first.
         """
+        pages = require_page_count(pages, "budget")
         if pages <= 0:
             raise ValueError(f"budget must be positive: {pages}")
         if pages > self.region.num_pages:
@@ -939,7 +983,7 @@ class Viyojit(NVDRAMSystem):
                 f"budget of {pages} pages exceeds region of "
                 f"{self.region.num_pages} pages"
             )
-        self.tracker.budget_pages = int(pages)
+        self.tracker.budget_pages = pages
         if self.sanitizer is not None:
             self.sanitizer.note_budget_change(self.tracker.budget_pages)
 
@@ -1039,6 +1083,10 @@ class HardwareViyojit(Viyojit):
     def _on_mmap(self, mapping: Mapping) -> None:
         for pfn in range(mapping.base_page, mapping.base_page + mapping.num_pages):
             self.mmu.release_protection(pfn)
+
+    # The generic retry loop over this class's own handler, not the
+    # software path's fused one.
+    _resolve_fault = NVDRAMSystem._resolve_fault
 
     def _handle_fault(self, pfn: int) -> None:
         # Stores can still fault on pages the flusher protected mid-IO.

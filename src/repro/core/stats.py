@@ -54,11 +54,19 @@ class ViyojitStats:
         if count > self.peak_dirty_pages:
             self.peak_dirty_pages = count
         if self._sample_ticks % self._sample_stride == 0:
-            self.dirty_page_samples.append(count)
-            if len(self.dirty_page_samples) >= MAX_DIRTY_SAMPLES:
-                self.dirty_page_samples = self.dirty_page_samples[::2]
-                self._sample_stride *= 2
+            self._keep_sample(count)
         self._sample_ticks += 1
+
+    def _keep_sample(self, count: int) -> None:
+        """Retain one sampled observation, decimating at the cap.
+
+        The write-fault path open-codes :meth:`record_dirty_level`'s peak
+        and tick bookkeeping and calls this only on a sampled tick.
+        """
+        self.dirty_page_samples.append(count)
+        if len(self.dirty_page_samples) >= MAX_DIRTY_SAMPLES:
+            self.dirty_page_samples = self.dirty_page_samples[::2]
+            self._sample_stride *= 2
 
     def mean_dirty_pages(self) -> float:
         """Mean of the retained dirty-level samples (0.0 when unsampled)."""

@@ -181,32 +181,51 @@ class MMU:
             entries[pfn] = False
             cost = self._walk_cost_ns
         page_table = self.page_table
-        if page_table.write_protected[pfn]:
+        if page_table._wp_bits[pfn]:
             self.faults += 1
             if self.tracer.enabled:
                 self.tracer.emit(WriteFault(t=self.tracer.now(), pfn=pfn))
             return -cost - 1
-        if not page_table.dirty[pfn]:
-            page_table.dirty[pfn] = True
+        dirty_bits = page_table._dirty_bits
+        if not dirty_bits[pfn]:
+            dirty_bits[pfn] = 1
             page_table._dirty_count += 1
-        if not page_table.shadow_dirty[pfn]:
-            page_table.shadow_dirty[pfn] = True
+        shadow_bits = page_table._shadow_bits
+        if not shadow_bits[pfn]:
+            shadow_bits[pfn] = 1
             page_table._shadow_count += 1
         entries[pfn] = True
         return cost
 
     # -- runtime-side PTE manipulation (the paper's kernel module) --------
 
+    # ``protect_page``/``unprotect_page`` are self-contained like the
+    # probes: ``PageTable.protect``/``unprotect`` (bounds check, bit
+    # write) and ``TLB.invalidate`` (shootdown, counter) are inline, so a
+    # toggle is one frame.  Bits, residency and counters are identical.
+
     def protect_page(self, pfn: int) -> int:
         """Set write-protect + shoot down the translation; returns cost."""
-        self.page_table.protect(pfn)
-        self.tlb.invalidate(pfn)
+        page_table = self.page_table
+        if not 0 <= pfn < page_table.num_pages:
+            raise IndexError(
+                f"page frame {pfn} out of range [0, {page_table.num_pages})"
+            )
+        page_table._wp_bits[pfn] = 1
+        self._tlb_entries.pop(pfn, None)
+        self.tlb.single_invalidations += 1
         return self.machine.pte_update_cost_ns
 
     def unprotect_page(self, pfn: int) -> int:
         """Clear write-protect + shoot down the translation; returns cost."""
-        self.page_table.unprotect(pfn)
-        self.tlb.invalidate(pfn)
+        page_table = self.page_table
+        if not 0 <= pfn < page_table.num_pages:
+            raise IndexError(
+                f"page frame {pfn} out of range [0, {page_table.num_pages})"
+            )
+        page_table._wp_bits[pfn] = 0
+        self._tlb_entries.pop(pfn, None)
+        self.tlb.single_invalidations += 1
         return self.machine.pte_update_cost_ns
 
     def unprotect_all(self) -> None:

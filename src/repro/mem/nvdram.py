@@ -7,14 +7,14 @@ written contents — rather than merely checking bookkeeping counters.
 A monotonically increasing per-page version number accompanies the bytes;
 the backing store records which version of each page it holds, which is
 how tests prove the write-protect-before-flush ordering of section 5.1
-prevents lost updates.
+prevents lost updates.  Versions are a list of Python ints: every store
+bumps one and every flush reads one, so a numpy scalar touch per access
+would cost more than the list lookup.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Tuple
 
 
 class NVDRAMRegion:
@@ -29,7 +29,7 @@ class NVDRAMRegion:
         self.page_size = int(page_size)
         self.size = self.num_pages * self.page_size
         self._pages: Dict[int, bytearray] = {}
-        self.page_version = np.zeros(self.num_pages, dtype=np.int64)
+        self.page_version: List[int] = [0] * self.num_pages
 
     # -- address helpers ---------------------------------------------------
 
@@ -141,9 +141,9 @@ class NVDRAMRegion:
         if len(data) != self.page_size:
             raise ValueError(f"expected {self.page_size} bytes, got {len(data)}")
         self._pages[pfn] = bytearray(data)
-        self.page_version[pfn] = version
+        self.page_version[pfn] = int(version)
 
     def touched_pages(self) -> Iterator[Tuple[int, int]]:
         """Yield ``(pfn, version)`` for pages that have ever been written."""
         for pfn in sorted(self._pages):
-            yield pfn, int(self.page_version[pfn])
+            yield pfn, self.page_version[pfn]

@@ -1,9 +1,12 @@
 """Simulated page table for one NV-DRAM region.
 
 Stores the architectural bits Viyojit manipulates — write-protect, dirty,
-and the section 5.4 shadow-dirty bit — as numpy boolean arrays indexed by
-page frame number.  The epoch scan ("page table walk" in the paper) is a
-vectorized read-and-clear over the dirty column.
+and the section 5.4 shadow-dirty bit — one byte per page frame.  Each
+column is a ``bytearray`` (0 or 1 per page) that the MMU's per-access
+paths index as plain Python ints, and is exposed under its public name
+as a zero-copy numpy bool view of the same bytes, so the epoch scan
+("page table walk" in the paper) stays a vectorized read-and-clear over
+the dirty column.
 """
 
 from __future__ import annotations
@@ -15,21 +18,29 @@ class PageTable:
     """Architectural per-page state for a region of ``num_pages`` pages.
 
     The real kernel module in the paper flips PTE bits with locked RMW
-    instructions; the analogous operations here are plain array writes.
+    instructions; the analogous operations here are plain byte writes.
     Cost accounting lives in :class:`repro.mem.mmu.MMU` and the Viyojit
     runtime, not here — the page table is pure state.
+
+    ``write_protected``/``dirty``/``shadow_dirty`` are bool views over
+    ``_wp_bits``/``_dirty_bits``/``_shadow_bits``: a write through either
+    name is visible through the other.  Both are ``repro.mem``-private
+    (lint rule L1).
     """
 
     def __init__(self, num_pages: int) -> None:
         if num_pages <= 0:
             raise ValueError(f"num_pages must be positive: {num_pages}")
         self.num_pages = int(num_pages)
-        self.write_protected = np.ones(self.num_pages, dtype=bool)
-        self.dirty = np.zeros(self.num_pages, dtype=bool)
+        self._wp_bits = bytearray(b"\x01") * self.num_pages
+        self._dirty_bits = bytearray(self.num_pages)
         # Section 5.4: a shadow dirty bit the hardware would set alongside
         # the dirty bit, so the OS can clear the architectural bit for
         # recency tracking without losing dirty-page information.
-        self.shadow_dirty = np.zeros(self.num_pages, dtype=bool)
+        self._shadow_bits = bytearray(self.num_pages)
+        self.write_protected = np.frombuffer(self._wp_bits, dtype=bool)
+        self.dirty = np.frombuffer(self._dirty_bits, dtype=bool)
+        self.shadow_dirty = np.frombuffer(self._shadow_bits, dtype=bool)
         self.walks = 0
         # Cached popcounts of the two dirty columns, maintained by the
         # mutators below so hot-path callers never pay an O(num_pages)
@@ -46,17 +57,17 @@ class PageTable:
 
     def is_write_protected(self, pfn: int) -> bool:
         self._check(pfn)
-        return bool(self.write_protected[pfn])
+        return bool(self._wp_bits[pfn])
 
     def protect(self, pfn: int) -> None:
         """Set the write-protect bit (step 1 / step 6 of the paper's Fig 6)."""
         self._check(pfn)
-        self.write_protected[pfn] = True
+        self._wp_bits[pfn] = 1
 
     def unprotect(self, pfn: int) -> None:
         """Clear the write-protect bit (step 8 of the paper's Fig 6)."""
         self._check(pfn)
-        self.write_protected[pfn] = False
+        self._wp_bits[pfn] = 0
 
     def protect_all(self) -> None:
         """Write-protect every page — Viyojit startup (Fig 6 step 1)."""
@@ -74,11 +85,11 @@ class PageTable:
     def set_dirty(self, pfn: int) -> None:
         """Hardware behaviour on a write through a clean translation."""
         self._check(pfn)
-        if not self.dirty[pfn]:
-            self.dirty[pfn] = True
+        if not self._dirty_bits[pfn]:
+            self._dirty_bits[pfn] = 1
             self._dirty_count += 1
-        if not self.shadow_dirty[pfn]:
-            self.shadow_dirty[pfn] = True
+        if not self._shadow_bits[pfn]:
+            self._shadow_bits[pfn] = 1
             self._shadow_count += 1
 
     @property
@@ -93,11 +104,11 @@ class PageTable:
 
     def is_dirty(self, pfn: int) -> bool:
         self._check(pfn)
-        return bool(self.dirty[pfn])
+        return bool(self._dirty_bits[pfn])
 
     def is_shadow_dirty(self, pfn: int) -> bool:
         self._check(pfn)
-        return bool(self.shadow_dirty[pfn])
+        return bool(self._shadow_bits[pfn])
 
     def scan_and_clear_dirty(self) -> np.ndarray:
         """One epoch-boundary page-table walk.
@@ -114,6 +125,6 @@ class PageTable:
 
     def clear_shadow(self, pfn: int) -> None:
         self._check(pfn)
-        if self.shadow_dirty[pfn]:
-            self.shadow_dirty[pfn] = False
+        if self._shadow_bits[pfn]:
+            self._shadow_bits[pfn] = 0
             self._shadow_count -= 1

@@ -114,7 +114,10 @@ class TLB:
     # -- invalidation ------------------------------------------------------
 
     def invalidate(self, pfn: int) -> None:
-        """Single-page shootdown (``invlpg``) after a PTE change."""
+        """Single-page shootdown (``invlpg``) after a PTE change.
+
+        ``MMU.protect_page``/``unprotect_page`` open-code this shootdown.
+        """
         self._entries.pop(pfn, None)
         self.single_invalidations += 1
 

@@ -13,6 +13,10 @@ def peek_shadow(page_table, pfn):
     return page_table.shadow_dirty[pfn]
 
 
+def poke_protection_byte(page_table, pfn):
+    page_table._wp_bits[pfn] = 0
+
+
 def through_the_mmu_is_fine(mmu, pfn):
     mmu.unprotect_page(pfn)
     return mmu.page_table.is_dirty(pfn)

@@ -102,6 +102,7 @@ class TestL1Layering:
             ("L1", 5),   # write_protected[pfn]
             ("L1", 9),   # dirty[:]
             ("L1", 13),  # shadow_dirty[pfn]
+            ("L1", 17),  # _wp_bits[pfn]
         ]
 
     def test_repro_mem_modules_exempt(self):

@@ -1,7 +1,9 @@
 """Tests for battery ballooning across tenants (section 6.3)."""
 
 import random
+import re
 
+import numpy as np
 import pytest
 
 from repro.core.ballooning import BatteryBroker
@@ -40,6 +42,21 @@ class TestBudgetRetuning:
             system.set_dirty_budget(0)
         with pytest.raises(ValueError):
             system.set_dirty_budget(10_000)
+
+    @pytest.mark.parametrize("pages", [0.5, 1.5, True])
+    def test_set_budget_rejects_non_integral(self, sim, pages):
+        """0.5 used to pass the positivity check and truncate to a budget
+        of 0, wedging the next faulting store in ``_make_room``."""
+        system = make_tenant(sim)
+        with pytest.raises(ValueError, match=re.escape(repr(pages))):
+            system.set_dirty_budget(pages)
+        assert system.dirty_budget_pages == 1
+
+    def test_set_budget_accepts_numpy_integers(self, sim):
+        system = make_tenant(sim)
+        system.set_dirty_budget(np.int64(8))
+        assert system.dirty_budget_pages == 8
+        assert type(system.dirty_budget_pages) is int
 
     def test_drain_to_budget_after_shrink(self, sim):
         system = make_tenant(sim)

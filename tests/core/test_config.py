@@ -1,5 +1,8 @@
 """Unit tests for ViyojitConfig validation."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.core.config import ViyojitConfig
@@ -26,6 +29,16 @@ class TestValidation:
     def test_budget_positive(self):
         with pytest.raises(ValueError):
             ViyojitConfig(dirty_budget_pages=0)
+
+    @pytest.mark.parametrize("budget", [0.5, 2.0, True, np.float64(3.0)])
+    def test_budget_must_be_whole_pages(self, budget):
+        """A fractional budget used to truncate to 0 pages and hang the
+        first faulting store; ``True`` used to mean one page."""
+        with pytest.raises(ValueError, match=re.escape(repr(budget))):
+            ViyojitConfig(dirty_budget_pages=budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert ViyojitConfig(dirty_budget_pages=np.int64(8)).dirty_budget_pages == 8
 
     def test_epoch_positive(self):
         with pytest.raises(ValueError):

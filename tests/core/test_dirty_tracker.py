@@ -1,5 +1,8 @@
 """Unit tests for exact dirty-set tracking."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.core.dirty_tracker import DirtyTracker
@@ -16,6 +19,15 @@ class TestBasics:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             DirtyTracker(0)
+
+    @pytest.mark.parametrize("budget", [0.5, 4.0, True])
+    def test_budget_must_be_whole_pages(self, budget):
+        with pytest.raises(ValueError, match=re.escape(repr(budget))):
+            DirtyTracker(budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        tracker = DirtyTracker(np.int32(4))
+        assert tracker.budget_pages == 4 and type(tracker.budget_pages) is int
 
     def test_add_and_contains(self):
         tracker = DirtyTracker(4)

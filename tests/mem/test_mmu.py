@@ -148,19 +148,39 @@ class TestWriteProbe:
 _STEPS = st.lists(
     st.tuples(
         st.sampled_from(["read", "write", "protect", "unprotect", "scan"]),
-        st.integers(0, 11),
+        # One frame past each end of the 12-page table: the inlined bounds
+        # checks must raise exactly where the canonical ones do.
+        st.integers(-1, 12),
         st.booleans(),
     ),
     max_size=60,
 )
 
 
+def _outcome(call, *args):
+    """``call(*args)``'s result, or ``IndexError`` if it raised one."""
+    try:
+        return call(*args)
+    except IndexError:
+        return IndexError
+
+
+def _canonical_toggle(mmu, op, pfn):
+    """``PageTable.protect``/``unprotect`` + ``TLB.invalidate``, spelled out."""
+    getattr(mmu.page_table, op)(pfn)
+    mmu.tlb.invalidate(pfn)
+    return mmu.machine.pte_update_cost_ns
+
+
 @given(steps=_STEPS)
 def test_inlined_probes_match_canonical_accesses(steps):
     """``read_cost``/``write_probe`` inline ``TLB.lookup`` and the PTE
-    updates; step for step they must leave exactly the state (costs,
-    counters, LRU order, cached dirty flags, PTE bits) that
-    ``read_access``/``write_access`` leave."""
+    updates, and ``protect_page``/``unprotect_page`` inline the page
+    table's bit toggle and the TLB shootdown; step for step they must
+    leave exactly the state (costs, counters, LRU order, cached dirty
+    flags, PTE bits and their popcounts) that ``read_access``/
+    ``write_access`` and ``PageTable.protect``/``unprotect`` +
+    ``TLB.invalidate`` leave."""
     machine = MachineModel(tlb_entries=4)
     fast, canonical = (
         MMU(PageTable(12), TLB(12, machine.tlb_entries), machine) for _ in range(2)
@@ -171,25 +191,33 @@ def test_inlined_probes_match_canonical_accesses(steps):
         return (
             mmu.read_accesses, mmu.write_accesses, mmu.faults,
             tlb.hits, tlb.misses, tlb.capacity_evictions,
+            tlb.single_invalidations, tlb.flushes,
             list(tlb._entries.items()),
             pt.write_protected.tolist(), pt.dirty.tolist(),
             pt.shadow_dirty.tolist(), pt.dirty_count, pt.shadow_dirty_count,
         )
 
+    def write_access(mmu, pfn):
+        outcome = mmu.write_access(pfn)
+        return -outcome.cost_ns - 1 if outcome.faulted else outcome.cost_ns
+
     for op, pfn, flush in steps:
         if op == "read":
-            assert fast.read_cost(pfn) == canonical.read_access(pfn).cost_ns
+            assert _outcome(fast.read_cost, pfn) == _outcome(
+                lambda p: canonical.read_access(p).cost_ns, pfn
+            )
         elif op == "write":
-            outcome = canonical.write_access(pfn)
-            expected = -outcome.cost_ns - 1 if outcome.faulted else outcome.cost_ns
-            assert fast.write_probe(pfn) == expected
+            assert _outcome(fast.write_probe, pfn) == _outcome(
+                write_access, canonical, pfn
+            )
         elif op == "scan":
             assert fast.epoch_scan(flush)[0].tolist() == (
                 canonical.epoch_scan(flush)[0].tolist()
             )
         else:
-            getattr(fast, f"{op}_page")(pfn)
-            getattr(canonical, f"{op}_page")(pfn)
+            assert _outcome(getattr(fast, f"{op}_page"), pfn) == _outcome(
+                _canonical_toggle, canonical, op, pfn
+            )
         assert state(fast) == state(canonical)
 
 

@@ -2,10 +2,12 @@
 
 ``dirty_count`` / ``shadow_dirty_count`` are maintained incrementally by
 the three mutators; hypothesis drives arbitrary interleavings of them
-and checks the caches against a fresh ``np.count_nonzero`` after every
-step.  The deterministic tests pin the boundary cases: an empty table
-(the budget-0 shape, where the cache must stay exactly zero through
-scans) and a fully dirty table (every page's bit set).
+(and of the protection toggles) and checks the caches against a fresh
+``np.count_nonzero`` after every step, and the public numpy views
+against the byte columns they are views of.  The deterministic tests
+pin the boundary cases: an empty table (the budget-0 shape, where the
+cache must stay exactly zero through scans) and a fully dirty table
+(every page's bit set).
 """
 
 from __future__ import annotations
@@ -24,15 +26,34 @@ KERNEL_PARAMS = [pytest.param(PageTable, id="object")]
 
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("set_dirty"), st.integers(0, NUM_PAGES - 1)),
-        st.tuples(st.just("clear_shadow"), st.integers(0, NUM_PAGES - 1)),
-        st.tuples(st.just("scan"), st.just(0)),
+        st.tuples(
+            st.sampled_from(["set_dirty", "clear_shadow", "protect", "unprotect"]),
+            st.integers(0, NUM_PAGES - 1),
+        ),
+        st.tuples(
+            st.sampled_from(["scan", "protect_all", "unprotect_all"]),
+            st.just(0),
+        ),
     ),
     max_size=200,
 )
 
 
+def _assert_views_match(table) -> None:
+    """Each public bool column is a view of its byte column, not a copy."""
+    for view, column in (
+        (table.write_protected, table._wp_bits),
+        (table.dirty, table._dirty_bits),
+        (table.shadow_dirty, table._shadow_bits),
+    ):
+        assert view.dtype == np.bool_
+        assert np.shares_memory(view, np.frombuffer(column, dtype=np.uint8))
+        assert view.tobytes() == bytes(column)
+        assert set(column) <= {0, 1}
+
+
 def _assert_counts_match(table) -> None:
+    _assert_views_match(table)
     assert table.dirty_count == int(np.count_nonzero(table.dirty))
     assert table.shadow_dirty_count == int(
         np.count_nonzero(table.shadow_dirty)
@@ -46,13 +67,36 @@ def test_cached_counts_equal_recomputed(table_cls, ops):
     table = table_cls(NUM_PAGES)
     _assert_counts_match(table)
     for name, pfn in ops:
-        if name == "set_dirty":
-            table.set_dirty(pfn)
-        elif name == "clear_shadow":
-            table.clear_shadow(pfn)
-        else:
+        if name == "scan":
             table.scan_and_clear_dirty()
+        elif name in ("protect_all", "unprotect_all"):
+            getattr(table, name)()
+        else:
+            getattr(table, name)(pfn)
         _assert_counts_match(table)
+
+
+@pytest.mark.parametrize("table_cls", KERNEL_PARAMS)
+def test_bulk_updates_reach_the_byte_columns(table_cls):
+    """Vectorized writes through the views land in the bytes the MMU
+    reads, and byte writes show through the views."""
+    table = table_cls(8)
+    assert bytes(table._wp_bits) == b"\x01" * 8
+    table.unprotect_all()
+    assert bytes(table._wp_bits) == bytes(8)
+    assert not table.write_protected.any()
+    table.protect(5)
+    assert table.write_protected.tolist() == [False] * 5 + [True] + [False] * 2
+    table.protect_all()
+    assert bytes(table._wp_bits) == b"\x01" * 8
+    assert table.protected_count() == 8
+    table.set_dirty(2)
+    table.set_dirty(6)
+    assert np.flatnonzero(table.dirty).tolist() == [2, 6]
+    assert table.scan_and_clear_dirty().tolist() == [2, 6]
+    assert bytes(table._dirty_bits) == bytes(8)
+    assert bytes(table._shadow_bits) == bytes([0, 0, 1, 0, 0, 0, 1, 0])
+    _assert_counts_match(table)
 
 
 @pytest.mark.parametrize("table_cls", KERNEL_PARAMS)
