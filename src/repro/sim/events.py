@@ -11,7 +11,6 @@ clock passes an event's timestamp.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.clock import SimClock
@@ -39,7 +38,7 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, Action]] = []
-        self._counter = itertools.count()
+        self._seq = 0  # the next entry's tie-break stamp
         self.next_due_at: int = NEVER_NS
 
     def __len__(self) -> int:
@@ -50,7 +49,9 @@ class EventQueue:
         if when_ns < 0:
             raise ValueError(f"cannot schedule event at negative time: {when_ns}")
         when_ns = int(when_ns)
-        heapq.heappush(self._heap, (when_ns, next(self._counter), action))
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (when_ns, seq, action))
         if when_ns < self.next_due_at:
             self.next_due_at = when_ns
 

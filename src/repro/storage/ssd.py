@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.obs.events import SSDWrite
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -114,16 +114,6 @@ class SSD:
         heapq.heapify(self._slots)
         self.stats = SSDStats()
 
-    def _service(
-        self, now_ns: int, latency_ns: int, size: int, bandwidth: float
-    ) -> Tuple[int, int]:
-        transfer_ns = round(size * NS_PER_SEC / bandwidth)
-        free_at = heapq.heappop(self._slots)
-        start = max(now_ns, free_at)
-        finish = start + latency_ns + transfer_ns
-        heapq.heappush(self._slots, finish)
-        return start, finish
-
     def submit_write(self, now_ns: int, size_bytes: int) -> int:
         """Submit a write at ``now_ns``; returns its completion time.
 
@@ -136,11 +126,21 @@ class SSD:
         extra_ns = 0
         if self.fault_hook is not None:
             extra_ns = self.fault_hook("write", now_ns, size_bytes)
-        self.stats.writes += 1
-        self.stats.bytes_written += size_bytes
-        start, finish = self._service(
-            now_ns, self.write_latency_ns + extra_ns, size_bytes, self.write_bandwidth
+        stats = self.stats
+        stats.writes += 1
+        stats.bytes_written += size_bytes
+        # The earliest-free slot serves the IO; one heapreplace leaves the
+        # same slot multiset as popping it and pushing ``finish``.
+        slots = self._slots
+        start = slots[0]
+        if start < now_ns:
+            start = now_ns
+        finish = (
+            start
+            + (self.write_latency_ns + extra_ns)
+            + round(size_bytes * NS_PER_SEC / self.write_bandwidth)
         )
+        heapq.heapreplace(slots, finish)
         if self.tracer.enabled:
             self.tracer.emit(
                 SSDWrite(
@@ -164,9 +164,13 @@ class SSD:
             extra_ns = self.fault_hook("read", now_ns, size_bytes)
         self.stats.reads += 1
         self.stats.bytes_read += size_bytes
-        _start, finish = self._service(
-            now_ns, self.read_latency_ns + extra_ns, size_bytes, self.read_bandwidth
+        slots = self._slots
+        finish = (
+            max(now_ns, slots[0])
+            + (self.read_latency_ns + extra_ns)
+            + round(size_bytes * NS_PER_SEC / self.read_bandwidth)
         )
+        heapq.heapreplace(slots, finish)
         return finish
 
     def earliest_free_slot(self) -> int:

@@ -65,6 +65,27 @@ class TestServiceModel:
         ssd.submit_write(0, 1024)
         assert ssd.earliest_free_slot() > 0
 
+    def test_mixed_traffic_matches_pop_push_model(self):
+        """Each IO takes the earliest-free slot: completions and the slot
+        multiset follow a pop-the-minimum, push-the-finish model exactly."""
+        ssd = SSD(queue_depth=3)
+        slots = [0, 0, 0]
+        now = 0
+        for i in range(60):
+            size = 512 + 97 * i
+            if i % 5 == 4:
+                completion = ssd.submit_read(now, size)
+                service = ssd.read_latency_ns + round(size * NS_PER_SEC / ssd.read_bandwidth)
+            else:
+                completion = ssd.submit_write(now, size)
+                service = ssd.write_latency_ns + round(size * NS_PER_SEC / ssd.write_bandwidth)
+            slots.sort()
+            expected = max(now, slots.pop(0)) + service
+            slots.append(expected)
+            assert completion == expected
+            now += 7_000 if i % 3 else 1_000
+        assert sorted(ssd._slots) == sorted(slots)
+
 
 class TestRates:
     def test_default_device_matches_paper_iops(self):
