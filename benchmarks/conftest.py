@@ -20,6 +20,10 @@ from repro.bench.runner import ExperimentScale
 
 SCALE_FACTOR = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
+#: Worker processes for the sweep engine.  The engine's report is
+#: byte-identical at any count, so this only sets the wall time.
+ENGINE_JOBS = os.cpu_count() or 1
+
 
 def bench_scale(records: int = 3000, ops: int = 9000) -> ExperimentScale:
     """The standard benchmark scale (multiplied by REPRO_BENCH_SCALE)."""
@@ -59,12 +63,14 @@ def scale() -> ExperimentScale:
 
 @pytest.fixture(scope="session")
 def ycsb_sweep(scale):
-    """One full YCSB budget sweep, shared by the Fig 7/8/9 benchmarks.
+    """One full YCSB budget sweep's payload entries, for Figs 7/8/9.
 
     The paper draws all three figures from the same experimental runs;
     doing the same here keeps the numbers mutually consistent and the
     total benchmark wall-time reasonable.
     """
-    from repro.bench.experiments import run_sweep
+    from repro.bench.experiments import figure_grid
+    from repro.parallel import run_sweep
 
-    return run_sweep(scale=scale)
+    grid = figure_grid(scale.record_count, scale.operation_count)
+    return run_sweep(grid, jobs=ENGINE_JOBS)["jobs"]

@@ -9,25 +9,32 @@ NV-DRAM region at the larger heap size).
 
 import pytest
 
-from repro.bench.experiments import fig10_rows
+from repro.bench.experiments import fig10_grids, fig10_rows
 from repro.bench.reporting import format_table
-from conftest import bench_scale
+from repro.parallel import run_sweep
+from conftest import ENGINE_JOBS, bench_scale
+
+
+def heap_scaling_rows(records, ops, **kwargs):
+    """Fig 10's rows from its two sweeps (1x and 3x heap) on the engine."""
+    scale = bench_scale(records=records, ops=ops)
+    small, large = (
+        run_sweep(grid, jobs=ENGINE_JOBS)["jobs"]
+        for grid in fig10_grids(
+            scale.record_count, scale.operation_count, heap_multiple=3.0, **kwargs
+        )
+    )
+    return fig10_rows(small, large)
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return fig10_rows(
-        small_scale=bench_scale(records=2000, ops=8000), heap_multiple=3.0
-    )
+    return heap_scaling_rows(2000, 8000)
 
 
 def test_fig10_heap_scaling(benchmark, rows):
     benchmark.pedantic(
-        lambda: fig10_rows(
-            small_scale=bench_scale(records=600, ops=1500),
-            heap_multiple=3.0,
-            budget_fractions=(2 / 17.5,),
-        ),
+        lambda: heap_scaling_rows(600, 1500, budget_fractions=(2 / 17.5,)),
         rounds=1,
         iterations=1,
     )

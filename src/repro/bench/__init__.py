@@ -19,13 +19,11 @@ from repro.bench.reporting import format_series, format_table
 from repro.bench.runner import (
     ExperimentScale,
     LatencySummary,
-    RepeatedResult,
     RunResult,
     YCSBRunner,
     build_baseline,
     build_viyojit,
     run_workload,
-    run_workload_repeated,
 )
 from repro.bench.trace_replay import ReplayResult, TraceReplayer
 
@@ -33,12 +31,10 @@ __all__ = [
     "ExperimentScale",
     "LatencySummary",
     "RunResult",
-    "RepeatedResult",
     "YCSBRunner",
     "build_viyojit",
     "build_baseline",
     "run_workload",
-    "run_workload_repeated",
     "TraceReplayer",
     "ReplayResult",
     "format_table",

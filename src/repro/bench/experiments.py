@@ -1,9 +1,12 @@
 """Per-figure experiment builders (section 6 + section 3 + section 2).
 
 Each ``figN_*`` function regenerates the data behind one figure of the
-paper as a list of printable rows.  The YCSB sweeps (Figs 7-9) share one
-:func:`run_sweep` so a single pass over the simulations feeds all three
-figures, exactly as one experimental run did in the paper.
+paper as a list of printable rows.  The YCSB figures (Figs 7-10) run on
+the sweep engine (:func:`repro.parallel.run_sweep`): :func:`figure_grid`
+and :func:`fig10_grids` describe the runs, and the row builders are pure
+functions of the resulting payload entries (``report["jobs"]``).  One
+grid feeds Figs 7, 8 and 9, exactly as one experimental run did in the
+paper; Fig 10 is the same grid at two heap sizes.
 
 Budget labels follow the paper's axes: "2 GB" means a dirty budget of
 2/17.5 of the initial heap ("11%"), regardless of the simulation's scaled
@@ -13,15 +16,16 @@ absolute size.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.bench.reporting import overhead_percent
 from repro.bench.runner import (
     PAPER_HEAP_GB,
     ExperimentScale,
-    RunResult,
+    rate_per_sim_s,
     run_workload,
 )
+from repro.parallel.grid import SweepGrid
 from repro.power.battery import Battery
 from repro.power.power_model import PowerModel
 from repro.power.scaling import figure1_rows
@@ -36,14 +40,7 @@ from repro.workloads.traces import (
     generate_volume_trace,
     scaled_spec,
 )
-from repro.workloads.ycsb import (
-    WorkloadSpec,
-    YCSB_A,
-    YCSB_B,
-    YCSB_C,
-    YCSB_D,
-    YCSB_F,
-)
+from repro.workloads.ycsb import WorkloadSpec, YCSB_A
 
 # The paper sweeps dirty budgets of 2..18 GB against a 17.5 GB heap; the
 # top x-axis labels them 11%..103%.
@@ -59,51 +56,70 @@ CONSERVATIVE_OP = {
     "YCSB-F": "rmw",
 }
 
-ALL_WORKLOADS = (YCSB_A, YCSB_B, YCSB_C, YCSB_D, YCSB_F)
-
-SweepKey = Tuple[str, Optional[float]]  # (workload name, budget fraction|None)
+ALL_WORKLOADS = ("YCSB-A", "YCSB-B", "YCSB-C", "YCSB-D", "YCSB-F")
 
 
-def run_sweep(
-    workloads: Sequence[WorkloadSpec] = ALL_WORKLOADS,
+def figure_grid(
+    record_count: int,
+    operation_count: int,
+    workloads: Sequence[str] = ALL_WORKLOADS,
     budget_fractions: Sequence[float] = DEFAULT_BUDGET_FRACTIONS,
-    scale: Optional[ExperimentScale] = None,
-) -> Dict[SweepKey, RunResult]:
-    """Run every (workload x budget) plus each workload's baseline."""
-    scale = scale if scale is not None else ExperimentScale()
-    results: Dict[SweepKey, RunResult] = {}
-    for spec in workloads:
-        results[(spec.name, None)] = run_workload(spec, scale, None)
-        for fraction in budget_fractions:
-            results[(spec.name, fraction)] = run_workload(spec, scale, fraction)
-    return results
+) -> SweepGrid:
+    """The Figs 7-9 sweep: every (workload x budget) plus each baseline."""
+    return SweepGrid(
+        workloads=tuple(workloads),
+        budget_fractions=(None, *budget_fractions),
+        record_count=record_count,
+        operation_count=operation_count,
+    )
+
+
+def _pairs(entries: Sequence[dict]) -> List[Tuple[dict, dict, dict]]:
+    """``(job, result, baseline result)`` per Viyojit entry, by (workload, budget).
+
+    A run's baseline is the full-battery run of the same workload, theta
+    and seed in the same sweep (empty if the sweep has none).
+    """
+
+    def point(job: dict) -> Tuple[object, ...]:
+        return (job["workload"], job["theta"], job["seed"])
+
+    baselines = {
+        point(entry["job"]): entry["result"]
+        for entry in entries
+        if entry["job"]["budget_fraction"] is None
+    }
+    measured = sorted(
+        (entry for entry in entries if entry["job"]["budget_fraction"] is not None),
+        key=lambda entry: (entry["job"]["workload"], entry["job"]["budget_fraction"]),
+    )
+    return [
+        (entry["job"], entry["result"], baselines.get(point(entry["job"]), {}))
+        for entry in measured
+    ]
+
+
+def _kops(result: dict) -> float:
+    return rate_per_sim_s(result["ops_executed"], result["sim_elapsed_ns"], 1e3)
 
 
 # -- Fig 7: throughput vs dirty budget ---------------------------------------
 
 
-def fig7_rows(results: Dict[SweepKey, RunResult]) -> List[dict]:
+def fig7_rows(entries: Sequence[dict]) -> List[dict]:
     """Throughput rows: one per (workload, budget), with baseline + overhead."""
     rows: List[dict] = []
-    for (name, fraction), result in sorted(
-        results.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0.0)
-    ):
-        if fraction is None:
-            continue
-        baseline = results[(name, None)]
+    for job, result, baseline in _pairs(entries):
+        fraction = job["budget_fraction"]
+        measured, base = _kops(result), _kops(baseline)
         rows.append(
             {
-                "workload": name,
+                "workload": job["workload"],
                 "budget_gb": round(fraction * PAPER_HEAP_GB, 1),
                 "budget_pct_of_heap": round(fraction * 100, 1),
-                "viyojit_kops": round(result.throughput_kops, 2),
-                "nvdram_kops": round(baseline.throughput_kops, 2),
-                "overhead_pct": round(
-                    overhead_percent(
-                        baseline.throughput_kops, result.throughput_kops
-                    ),
-                    1,
-                ),
+                "viyojit_kops": round(measured, 2),
+                "nvdram_kops": round(base, 2),
+                "overhead_pct": round(overhead_percent(base, measured), 1),
             }
         )
     return rows
@@ -112,29 +128,24 @@ def fig7_rows(results: Dict[SweepKey, RunResult]) -> List[dict]:
 # -- Fig 8: latency vs dirty budget --------------------------------------------
 
 
-def fig8_rows(results: Dict[SweepKey, RunResult]) -> List[dict]:
+def fig8_rows(entries: Sequence[dict]) -> List[dict]:
     """Average and 99th-percentile latency of the trap-prone op per workload."""
     rows: List[dict] = []
-    for (name, fraction), result in sorted(
-        results.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0.0)
-    ):
-        if fraction is None:
-            continue
-        op = CONSERVATIVE_OP.get(name, "read")
-        baseline = results[(name, None)]
-        measured = result.latency.get(op)
-        base = baseline.latency.get(op)
+    for job, result, baseline in _pairs(entries):
+        op = CONSERVATIVE_OP.get(job["workload"], "read")
+        measured = result["latency_ms"].get(op)
+        base = baseline["latency_ms"].get(op)
         if measured is None or base is None:
             continue
         rows.append(
             {
-                "workload": name,
+                "workload": job["workload"],
                 "operation": op,
-                "budget_gb": round(fraction * PAPER_HEAP_GB, 1),
-                "viyojit_avg_ms": round(measured.avg_ms, 4),
-                "viyojit_p99_ms": round(measured.p99_ms, 4),
-                "nvdram_avg_ms": round(base.avg_ms, 4),
-                "nvdram_p99_ms": round(base.p99_ms, 4),
+                "budget_gb": round(job["budget_fraction"] * PAPER_HEAP_GB, 1),
+                "viyojit_avg_ms": round(measured["avg_ms"], 4),
+                "viyojit_p99_ms": round(measured["p99_ms"], 4),
+                "nvdram_avg_ms": round(base["avg_ms"], 4),
+                "nvdram_p99_ms": round(base["p99_ms"], 4),
             }
         )
     return rows
@@ -143,68 +154,64 @@ def fig8_rows(results: Dict[SweepKey, RunResult]) -> List[dict]:
 # -- Fig 9: average SSD write rate ----------------------------------------------
 
 
-def fig9_rows(results: Dict[SweepKey, RunResult]) -> List[dict]:
+def fig9_rows(entries: Sequence[dict]) -> List[dict]:
     """Average write rate to the SSD during each Viyojit run."""
-    rows: List[dict] = []
-    for (name, fraction), result in sorted(
-        results.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0.0)
-    ):
-        if fraction is None:
-            continue
-        rows.append(
-            {
-                "workload": name,
-                "budget_gb": round(fraction * PAPER_HEAP_GB, 1),
-                "write_rate_mb_s": round(result.avg_write_rate_mb_s, 2),
-                "bytes_flushed": result.ssd_bytes_written,
-            }
-        )
-    return rows
+    return [
+        {
+            "workload": job["workload"],
+            "budget_gb": round(job["budget_fraction"] * PAPER_HEAP_GB, 1),
+            "write_rate_mb_s": round(
+                rate_per_sim_s(
+                    result["ssd_bytes_written"], result["sim_elapsed_ns"], 1e6
+                ),
+                2,
+            ),
+            "bytes_flushed": result["ssd_bytes_written"],
+        }
+        for job, result, _ in _pairs(entries)
+    ]
 
 
 # -- Fig 10: overhead shrinks with heap size --------------------------------------
 
 
-def fig10_rows(
-    small_scale: Optional[ExperimentScale] = None,
+def fig10_grids(
+    record_count: int,
+    operation_count: int,
     heap_multiple: float = 3.0,
     budget_fractions: Sequence[float] = (2 / 17.5, 4 / 17.5, 8 / 17.5),
-    workloads: Sequence[WorkloadSpec] = (YCSB_A, YCSB_B, YCSB_C, YCSB_F),
-) -> List[dict]:
-    """Throughput overhead at 11/23/46% battery, small heap vs 3x heap.
+    workloads: Sequence[str] = ("YCSB-A", "YCSB-B", "YCSB-C", "YCSB-F"),
+) -> Tuple[SweepGrid, SweepGrid]:
+    """Fig 10's two sweeps: the same grid at 1x and ``heap_multiple``x records.
 
-    The paper compares 17.5 GB against 52.5 GB (YCSB-D omitted: its
-    inserts would overflow NV-DRAM at the large size).  With a fixed key
-    space and zipf skew, the *fraction* of hot pages shrinks as the heap
-    grows, so the big heap should show lower overheads.
+    The paper compares 17.5 GB against 52.5 GB at 11/23/46% battery
+    (YCSB-D omitted: its inserts would overflow NV-DRAM at the large
+    size).
     """
-    small = small_scale if small_scale is not None else ExperimentScale()
-    large = replace(
-        small,
-        record_count=int(small.record_count * heap_multiple),
-        operation_count=small.operation_count,
-    )
-    rows: List[dict] = []
-    for scale, label in ((small, "1x heap"), (large, f"{heap_multiple:g}x heap")):
-        for spec in workloads:
-            baseline = run_workload(spec, scale, None)
-            for fraction in budget_fractions:
-                measured = run_workload(spec, scale, fraction)
-                rows.append(
-                    {
-                        "workload": spec.name,
-                        "heap": label,
-                        "budget_pct": round(fraction * 100, 1),
-                        "overhead_pct": round(
-                            overhead_percent(
-                                baseline.throughput_kops,
-                                measured.throughput_kops,
-                            ),
-                            1,
-                        ),
-                    }
-                )
-    return rows
+    small = figure_grid(record_count, operation_count, workloads, budget_fractions)
+    return small, replace(small, record_count=int(record_count * heap_multiple))
+
+
+def fig10_rows(small: Sequence[dict], large: Sequence[dict]) -> List[dict]:
+    """Throughput overhead per (heap, workload, budget) from both sweeps.
+
+    With a fixed key space and zipf skew, the *fraction* of hot pages
+    shrinks as the heap grows, so the big heap should show lower
+    overheads.  The heap label is the sweeps' record-count ratio.
+    """
+    multiple = large[0]["job"]["record_count"] / small[0]["job"]["record_count"]
+    return [
+        {
+            "workload": job["workload"],
+            "heap": label,
+            "budget_pct": round(job["budget_fraction"] * 100, 1),
+            "overhead_pct": round(
+                overhead_percent(_kops(baseline), _kops(result)), 1
+            ),
+        }
+        for entries, label in ((small, "1x heap"), (large, f"{multiple:g}x heap"))
+        for job, result, baseline in _pairs(entries)
+    ]
 
 
 # -- Section 6.3 ablation: stale dirty bits ------------------------------------------

@@ -144,6 +144,19 @@ class LatencySummary:
         )
 
 
+def rate_per_sim_s(count: int, elapsed_ns: int, unit: float) -> float:
+    """``count`` per second of simulated time, in ``unit``s (0 if none passed).
+
+    The one formula behind throughput (ops, ``unit=1e3``: kops) and the
+    SSD write rate (bytes, ``unit=1e6``: MB/s).  :class:`RunResult` and
+    the figure builders over sweep payloads both call it, so a rate
+    recomputed from a payload's integers is the live rate, bit for bit.
+    """
+    if elapsed_ns <= 0:
+        return 0.0
+    return count / (elapsed_ns / NS_PER_SEC) / unit
+
+
 @dataclass
 class RunResult:
     """Everything one (workload, system, budget) run produced."""
@@ -163,16 +176,12 @@ class RunResult:
 
     @property
     def throughput_kops(self) -> float:
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.ops_executed / (self.elapsed_ns / NS_PER_SEC) / 1e3
+        return rate_per_sim_s(self.ops_executed, self.elapsed_ns, 1e3)
 
     @property
     def avg_write_rate_mb_s(self) -> float:
         """Fig 9's metric: bytes flushed per second of workload time."""
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.ssd_bytes_written / (self.elapsed_ns / NS_PER_SEC) / 1e6
+        return rate_per_sim_s(self.ssd_bytes_written, self.elapsed_ns, 1e6)
 
 
 def build_viyojit(
@@ -474,57 +483,6 @@ class BatchedSession:
             self._ssd,
             self._bytes_before,
         )
-
-
-@dataclass
-class RepeatedResult:
-    """Mean +/- RMSE over several seeded runs (the paper's methodology).
-
-    Section 6.1: "each data point is averaged over three runs and the
-    error bars represent the root mean square error."
-    """
-
-    runs: List[RunResult]
-
-    @property
-    def mean_kops(self) -> float:
-        values = [run.throughput_kops for run in self.runs]
-        return sum(values) / len(values)
-
-    @property
-    def rmse_kops(self) -> float:
-        mean = self.mean_kops
-        values = [run.throughput_kops for run in self.runs]
-        return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
-
-    def latency_mean_ms(self, kind: str, tail: bool = False) -> float:
-        values = [
-            (run.latency[kind].p99_ms if tail else run.latency[kind].avg_ms)
-            for run in self.runs
-            if kind in run.latency
-        ]
-        if not values:
-            raise KeyError(f"no latency samples for operation kind {kind!r}")
-        return sum(values) / len(values)
-
-
-def run_workload_repeated(
-    spec: WorkloadSpec,
-    scale: ExperimentScale,
-    budget_fraction: Optional[float],
-    runs: int = 3,
-    **kwargs,
-) -> RepeatedResult:
-    """The paper's three-runs-with-RMSE protocol, seeds varied per run."""
-    if runs <= 0:
-        raise ValueError(f"runs must be positive: {runs}")
-    from dataclasses import replace as dc_replace
-
-    results = []
-    for index in range(runs):
-        seeded = dc_replace(scale, seed=scale.seed + 1000 * index)
-        results.append(run_workload(spec, seeded, budget_fraction, **kwargs))
-    return RepeatedResult(runs=results)
 
 
 def run_workload(

@@ -41,7 +41,7 @@ from repro.bench.runner import ExperimentScale, PAPER_HEAP_GB
 from repro.workloads.ycsb import YCSB_WORKLOADS
 
 
-def _parse_workloads(spec: str):
+def _parse_workloads(spec: str) -> List[str]:
     names = []
     for token in spec.split(","):
         token = token.strip().upper()
@@ -52,7 +52,7 @@ def _parse_workloads(spec: str):
                 f"{sorted(YCSB_WORKLOADS)}"
             )
         names.append(name)
-    return [YCSB_WORKLOADS[name] for name in names]
+    return names
 
 
 def _scale_from(args: argparse.Namespace) -> ExperimentScale:
@@ -124,36 +124,38 @@ def cmd_fig5(_args: argparse.Namespace) -> int:
 
 
 def cmd_ycsb(args: argparse.Namespace) -> int:
+    from repro.parallel import run_sweep
+
     workloads = _parse_workloads(args.workloads)
     fractions = [
         float(gb) / PAPER_HEAP_GB for gb in args.budgets_gb.split(",")
     ]
-    scale = _scale_from(args)
+    grid = experiments.figure_grid(args.records, args.ops, workloads, fractions)
     print(
         f"running {len(workloads)} workload(s) x {len(fractions)} budget(s) "
-        f"at {scale.record_count} records / {scale.operation_count} ops ...",
+        f"at {grid.record_count} records / {grid.operation_count} ops ...",
         file=sys.stderr,
     )
-    results = experiments.run_sweep(workloads, fractions, scale)
-    fig7 = experiments.fig7_rows(results)
+    entries = run_sweep(grid)["jobs"]
+    fig7 = experiments.fig7_rows(entries)
     print(format_table(fig7, title="Fig 7: throughput"))
     if args.chart and len(fractions) > 1:
         from repro.bench.charts import line_plot
 
         xs = sorted({row["budget_gb"] for row in fig7})
         series = {}
-        for spec in workloads:
+        for name in workloads:
             by_budget = {
                 row["budget_gb"]: row["viyojit_kops"]
                 for row in fig7
-                if row["workload"] == spec.name
+                if row["workload"] == name
             }
-            series[spec.name] = [by_budget[x] for x in xs]
+            series[name] = [by_budget[x] for x in xs]
             series["baseline"] = [
                 next(
                     row["nvdram_kops"]
                     for row in fig7
-                    if row["workload"] == workloads[0].name
+                    if row["workload"] == workloads[0]
                 )
             ] * len(xs)
         print()
@@ -164,9 +166,9 @@ def cmd_ycsb(args: argparse.Namespace) -> int:
             )
         )
     print()
-    print(format_table(experiments.fig8_rows(results), title="Fig 8: latency (ms)"))
+    print(format_table(experiments.fig8_rows(entries), title="Fig 8: latency (ms)"))
     print()
-    print(format_table(experiments.fig9_rows(results), title="Fig 9: SSD write rate"))
+    print(format_table(experiments.fig9_rows(entries), title="Fig 9: SSD write rate"))
     return 0
 
 
@@ -400,9 +402,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid:
         grid = SweepGrid.from_file(args.grid)
     else:
-        workloads = tuple(
-            spec.name for spec in _parse_workloads(args.workloads)
-        )
+        workloads = tuple(_parse_workloads(args.workloads))
         fractions: list = [] if args.no_baseline else [None]
         for token in args.budgets_gb.split(","):
             fractions.append(float(token) / PAPER_HEAP_GB)

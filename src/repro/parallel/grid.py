@@ -15,15 +15,34 @@ paper-equivalent GB via ``PAPER_HEAP_GB``.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple
 
 from repro.workloads.ycsb import YCSB_WORKLOADS
 
-#: Budget fractions the CLI uses when none are given: the paper's Fig 7
-#: x-axis (2..18 GB against the 17.5 GB heap), thinned to keep the
-#: default grid small.
-DEFAULT_SWEEP_BUDGETS_GB = (2.0, 6.0, 10.0, 14.0, 18.0)
+#: The grid's list-valued fields, with the noun for one of their values.
+AXES = {
+    "workloads": "workload",
+    "budget_fractions": "budget fraction",
+    "thetas": "theta",
+    "seeds": "seed",
+}
+
+
+def _require_int(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
+def _require_real(name: str, value: object) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,34 +116,44 @@ class SweepGrid:
     operation_count: int = 6_000
 
     def __post_init__(self) -> None:
-        if not self.workloads:
-            raise ValueError("grid needs at least one workload")
-        for name in self.workloads:
-            if name not in YCSB_WORKLOADS:
+        # Grids arrive from JSON files: check each value's type before its
+        # range, so a mistyped field is named instead of crashing (or
+        # silently running) somewhere downstream.
+        for name, label in AXES.items():
+            axis = getattr(self, name)
+            if not isinstance(axis, (list, tuple)):
+                raise ValueError(f"{name}: expected a list, got {axis!r}")
+            if not axis:
+                raise ValueError(f"grid needs at least one {label}")
+            object.__setattr__(self, name, tuple(axis))
+        for workload in self.workloads:
+            if not isinstance(workload, str) or workload not in YCSB_WORKLOADS:
                 raise ValueError(
-                    f"unknown workload {name!r}; choose from "
+                    f"unknown workload {workload!r}; choose from "
                     f"{sorted(YCSB_WORKLOADS)}"
                 )
-        if not self.budget_fractions:
-            raise ValueError("grid needs at least one budget fraction")
         for fraction in self.budget_fractions:
-            if fraction is not None and fraction <= 0:
-                raise ValueError(f"budget fraction must be positive: {fraction}")
-        if len(set(self.budget_fractions)) != len(self.budget_fractions):
-            raise ValueError("duplicate budget fractions in grid")
-        if not self.thetas:
-            raise ValueError("grid needs at least one theta")
+            if fraction is not None:
+                _require_real("budget_fractions", fraction)
+                if fraction <= 0:
+                    raise ValueError(
+                        f"budget fraction must be positive: {fraction}"
+                    )
         for theta in self.thetas:
+            _require_real("thetas", theta)
             if not 0 < theta < 1:
                 raise ValueError(f"theta must be in (0, 1): {theta}")
-        if not self.seeds:
-            raise ValueError("grid needs at least one seed")
-        if self.record_count <= 0:
-            raise ValueError(f"record_count must be positive: {self.record_count}")
-        if self.operation_count <= 0:
-            raise ValueError(
-                f"operation_count must be positive: {self.operation_count}"
-            )
+        for seed in self.seeds:
+            _require_int("seeds", seed)
+        for name in AXES:
+            axis = getattr(self, name)
+            if len(set(axis)) != len(axis):
+                raise ValueError(f"duplicate {name.replace('_', ' ')} in grid")
+        for name in ("record_count", "operation_count"):
+            value = getattr(self, name)
+            _require_int(name, value)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive: {value}")
 
     def jobs(
         self, timeout_s: Optional[float] = None
@@ -171,10 +200,7 @@ class SweepGrid:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-        kwargs: Dict[str, object] = {}
-        for key, value in data.items():
-            kwargs[key] = tuple(value) if isinstance(value, list) else value
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return cls(**data)  # type: ignore[arg-type]
 
     @classmethod
     def from_file(cls, path: str) -> "SweepGrid":

@@ -97,6 +97,14 @@ class TestSpecValidationErrors:
             (["ycsb", "--workloads", "Z"], UNKNOWN_WORKLOAD),
             (["sweep", "--workloads", "Z"], UNKNOWN_WORKLOAD),
             (
+                ["sweep", "--grid", "mistyped-grid.json"],
+                "seeds: expected an integer, got 1.5",
+            ),
+            (
+                ["ycsb", "--budgets-gb", "2,2"],
+                "duplicate budget fractions in grid",
+            ),
+            (
                 ["crashfind", "--crash-points", "abc"],
                 "--crash-points must be 'all' or a stride: 'abc'",
             ),
@@ -112,11 +120,17 @@ class TestSpecValidationErrors:
             "compile-out-unwritable",
             "ycsb-unknown-workload",
             "sweep-unknown-workload",
+            "sweep-grid-mistyped",
+            "ycsb-duplicate-budgets",
             "crashfind-crash-points-abc",
             "crashfind-crash-points-0",
         ],
     )
-    def test_exits_2_with_one_line(self, capsys, argv, message):
+    def test_exits_2_with_one_line(
+        self, capsys, monkeypatch, tmp_path, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mistyped-grid.json").write_text('{"seeds": [1.5]}')
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"repro: error: {message}\n"

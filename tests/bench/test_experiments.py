@@ -14,34 +14,42 @@ from repro.bench.experiments import (
     fig7_rows,
     fig8_rows,
     fig9_rows,
+    fig10_grids,
     fig10_rows,
-    run_sweep,
+    figure_grid,
     stale_bits_ablation,
 )
 from repro.bench.runner import ExperimentScale
-from repro.workloads.ycsb import YCSB_A, YCSB_C
+from repro.parallel import run_sweep
+from tests.bench.regen_figure_rows import FIXTURE, render
 
-TINY = ExperimentScale(record_count=300, operation_count=600)
 FRACTIONS = (0.12, 0.5)
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_sweep(
-        workloads=(YCSB_A, YCSB_C), budget_fractions=FRACTIONS, scale=TINY
-    )
+    grid = figure_grid(300, 600, ("YCSB-A", "YCSB-C"), FRACTIONS)
+    return run_sweep(grid)["jobs"]
 
 
 class TestSweep:
     def test_contains_baselines_and_budgets(self, sweep):
-        assert ("YCSB-A", None) in sweep
-        assert ("YCSB-A", 0.12) in sweep
-        assert ("YCSB-C", 0.5) in sweep
+        points = {
+            (entry["job"]["workload"], entry["job"]["budget_fraction"])
+            for entry in sweep
+        }
+        assert ("YCSB-A", None) in points
+        assert ("YCSB-A", 0.12) in points
+        assert ("YCSB-C", 0.5) in points
         assert len(sweep) == 6
 
     def test_default_fractions_span_the_paper_axis(self):
         gbs = [round(f * 17.5) for f in DEFAULT_BUDGET_FRACTIONS]
         assert gbs == [2, 4, 6, 8, 10, 12, 14, 16, 18]
+
+    def test_rows_reproduce_the_parent_fixture(self):
+        """Figs 7-10 and ``repro ycsb`` print what the serial loop did."""
+        assert render() == FIXTURE.read_text(encoding="utf-8")
 
 
 class TestFig7(object):
@@ -87,12 +95,13 @@ class TestFig9:
 
 class TestFig10:
     def test_larger_heap_lower_overhead_for_write_heavy(self):
-        rows = fig10_rows(
-            small_scale=TINY,
-            heap_multiple=3.0,
-            budget_fractions=(0.12,),
-            workloads=(YCSB_A,),
+        small, large = (
+            run_sweep(grid)["jobs"]
+            for grid in fig10_grids(
+                300, 600, budget_fractions=(0.12,), workloads=("YCSB-A",)
+            )
         )
+        rows = fig10_rows(small, large)
         small = next(r for r in rows if r["heap"] == "1x heap")
         large = next(r for r in rows if r["heap"] == "3x heap")
         assert large["overhead_pct"] <= small["overhead_pct"] + 2.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -81,8 +82,48 @@ def test_unknown_keys_rejected():
         ({"seeds": ()}, "at least one seed"),
         ({"record_count": 0}, "record_count"),
         ({"operation_count": 0}, "operation_count"),
+        # Mistyped values (as a JSON grid file can carry them) are named,
+        # not run or crashed on.
+        ({"seeds": (True,)}, "seeds: expected an integer, got True"),
+        ({"seeds": (1.5,)}, "seeds: expected an integer, got 1.5"),
+        ({"seeds": 5}, "seeds: expected a list, got 5"),
+        ({"workloads": "YCSB-A"}, "workloads: expected a list, got 'YCSB-A'"),
+        (
+            {"budget_fractions": (None, True)},
+            "budget_fractions: expected a finite number, got True",
+        ),
+        (
+            {"budget_fractions": (float("inf"),)},
+            "budget_fractions: expected a finite number, got inf",
+        ),
+        ({"thetas": ("x",)}, "thetas: expected a finite number, got 'x'"),
+        ({"record_count": "2000"}, "record_count: expected an integer, got '2000'"),
+        ({"operation_count": 6e3}, "operation_count: expected an integer"),
+        ({"workloads": ("YCSB-A", "YCSB-A")}, "duplicate workloads"),
+        ({"seeds": (1, 1)}, "duplicate seeds"),
     ],
 )
 def test_validation(kwargs, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(match)):
         SweepGrid(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        (
+            {"seeds": [True], "budget_fractions": [None, True]},
+            "expected a finite number, got True",
+        ),
+        ({"workloads": "YCSB-A"}, "workloads: expected a list"),
+        ({"seeds": [[1]]}, "seeds: expected an integer, got [1]"),
+    ],
+)
+def test_from_dict_validation(data, match):
+    """The ``repro sweep --grid`` path: JSON values reach the same checks."""
+    with pytest.raises(ValueError, match=re.escape(match)):
+        SweepGrid.from_dict(data)
+
+
+def test_list_axes_are_stored_as_tuples():
+    assert SweepGrid(seeds=[1, 2]) == SweepGrid(seeds=(1, 2))
