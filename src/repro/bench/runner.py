@@ -491,14 +491,9 @@ def run_workload(
     budget_fraction: Optional[float],
     flush_tlb_on_scan: bool = True,
     proactive: bool = True,
-    budget_pages: Optional[int] = None,
     compiled=None,
 ) -> RunResult:
     """Convenience: build, load, run.  ``budget_fraction=None`` = baseline.
-
-    An explicit ``budget_pages`` (cluster lease) overrides the
-    fraction-derived budget; it is an error without a non-``None``
-    ``budget_fraction``, because the baseline has no budget to override.
 
     ``compiled`` replays a pre-compiled op stream
     (:class:`repro.workloads.compiled.CompiledStream`) instead of
@@ -514,11 +509,6 @@ def run_workload(
             scale.zipf_theta,
             scale.seed,
         )
-    if budget_pages is not None and budget_fraction is None:
-        raise ValueError(
-            "budget_pages overrides a Viyojit budget; the full-battery "
-            "baseline (budget_fraction=None) has none"
-        )
     if budget_fraction is None:
         sim, system = build_baseline(scale)
     else:
@@ -527,7 +517,6 @@ def run_workload(
             budget_fraction,
             flush_tlb_on_scan=flush_tlb_on_scan,
             proactive=proactive,
-            budget_pages=budget_pages,
         )
     runner = YCSBRunner(sim, system, scale, ordered=spec.scan_proportion > 0)
     runner.load_batched()

@@ -27,7 +27,6 @@ from repro.cluster.rebalancer import (
     apportion,
     damp_grants,
     lease_churn,
-    moved_pages,
     plan_epoch,
 )
 from repro.cluster.report import (
@@ -80,7 +79,6 @@ __all__ = [
     "membership_rings",
     "misallocation_report",
     "misallocation_series",
-    "moved_pages",
     "plan_cluster",
     "plan_epoch",
     "pool_run_shard_job",

@@ -13,10 +13,10 @@ reading the stale snapshot directly.
 Three predictors ship:
 
 ``last-epoch``
-    The byte-compatible default: forecast = the previous epoch's
-    observed matrix, zeros before any history exists.  ``plan_cluster``
-    with this predictor (and damping off) reproduces PR 8's
-    CLUSTER.json deterministic view byte for byte.
+    The default: forecast = the previous epoch's observed matrix,
+    zeros before any history exists.  ``plan_cluster`` with this
+    predictor (and damping off) leases exactly as the original reactive
+    protocol did, so its misallocation equals its own baseline's.
 ``ewma``
     One exponentially weighted moving average over the *shard*
     aggregate demand (summed across tenants):

@@ -18,6 +18,7 @@ section 8's graceful-degradation stance, applied to the fleet).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +27,6 @@ from repro.cluster.rebalancer import (
     apportion,
     damp_grants,
     lease_churn,
-    moved_pages,
     plan_epoch,
 )
 from repro.power.battery import Battery
@@ -35,19 +35,6 @@ from repro.power.power_model import PowerModel
 
 class PoolError(ValueError):
     """A lease request or pool configuration violates pool invariants."""
-
-
-def _demand_signal(value: float) -> float:
-    """Canonical demand value for a lease record.
-
-    Observed demand is an integer count and passes through unchanged
-    (legacy CLUSTER.json bytes depend on that); predictor forecasts are
-    floats and are rounded so report bytes do not depend on float
-    formatting accidents.
-    """
-    if isinstance(value, int):
-        return value
-    return round(value, 3)
 
 
 @dataclass(frozen=True)
@@ -90,6 +77,8 @@ class BatteryPool:
             raise PoolError(f"shards must be positive: {shards}")
         if floor_pages <= 0:
             raise PoolError(f"floor_pages must be positive: {floor_pages}")
+        if not math.isfinite(capacity_pages):
+            raise PoolError(f"capacity_pages must be finite: {capacity_pages}")
         if capacity_pages < shards * floor_pages:
             raise PoolError(
                 f"capacity of {capacity_pages} pages cannot floor "
@@ -103,8 +92,10 @@ class BatteryPool:
         if not quotas:
             raise PoolError("tenant_quotas must not be empty")
         for quota in quotas:
-            if quota <= 0:
-                raise PoolError(f"tenant quotas must be positive: {quota}")
+            if not (math.isfinite(quota) and quota > 0):
+                raise PoolError(
+                    f"tenant_quotas must be finite and positive: {quota}"
+                )
         if abs(sum(quotas) - 1.0) > 1e-9:
             raise PoolError(
                 f"tenant quotas must sum to 1, got {sum(quotas)}"
@@ -242,8 +233,12 @@ class BatteryPool:
                 shard=shard,
                 epoch=epoch,
                 pages=leases[shard],
-                demand=_demand_signal(
-                    sum(demands[tenant][shard] for tenant in range(tenants))
+                # Observed counts are ints and round() keeps them so;
+                # forecasts are floats, rounded so report bytes do not
+                # depend on float formatting accidents.
+                demand=round(
+                    sum(demands[tenant][shard] for tenant in range(tenants)),
+                    3,
                 ),
                 tenant_pages=tuple(
                     grants[tenant][shard] for tenant in range(tenants)
@@ -258,21 +253,11 @@ class BatteryPool:
         """Total pages leased out in ``epoch``."""
         return sum(lease.pages for lease in self.lease_history[epoch])
 
-    def moved_pages(self, epoch: int) -> int:
-        """Pages that changed shards entering ``epoch`` (0 for the first)."""
-        if epoch == 0:
-            return 0
-        return moved_pages(
-            [lease.pages for lease in self.lease_history[epoch - 1]],
-            [lease.pages for lease in self.lease_history[epoch]],
-        )
-
     def churn(self, epoch: int) -> LeaseChurn:
         """Grown/shed/moved accounting entering ``epoch``.
 
         Across a degradation epoch ``shed`` exceeds ``grown`` by the
-        capacity lost — the full drain work shrinking shards perform —
-        which the one-number :meth:`moved_pages` view undercounts.
+        capacity lost — the full drain work shrinking shards perform.
         """
         if epoch == 0:
             return LeaseChurn(grown=0, shed=0)

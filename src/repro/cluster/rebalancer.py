@@ -169,9 +169,9 @@ def lease_churn(
 ) -> LeaseChurn:
     """Grown/shed/moved accounting between two lease vectors.
 
-    Unlike :func:`moved_pages`, this is exact when the vectors sum to
-    different capacities (degradation epochs): pages gained by growing
-    shards and pages shed by shrinking shards are reported separately.
+    Exact when the vectors sum to different capacities (degradation
+    epochs): pages gained by growing shards and pages shed by shrinking
+    shards are reported separately.
     """
     if len(previous) != len(current):
         raise ValueError("lease vectors must have equal length")
@@ -183,20 +183,6 @@ def lease_churn(
         else:
             shed += before - now
     return LeaseChurn(grown=grown, shed=shed)
-
-
-def moved_pages(
-    previous: Sequence[int], current: Sequence[int]
-) -> int:
-    """Budget pages gained by growing shards between two lease vectors.
-
-    When both vectors sum to the same capacity this equals the pages
-    shed by shrinking shards, i.e. the budget that physically "moved".
-    When the sums differ (a degradation epoch shrank the pool) the two
-    sides diverge — use :func:`lease_churn` for the full grown/shed
-    accounting; this helper keeps the historical one-number view.
-    """
-    return lease_churn(previous, current).grown
 
 
 def damp_grants(

@@ -16,6 +16,11 @@ The ``throughput_vs_total_battery`` table is the Fig-7-style curve at
 cluster scale: x = total pool battery in paper GB, one line per shard
 count, baseline-normalized when the grid includes the full-battery
 cluster.
+
+Schema 2 has one shape: every planner knob and every run's
+``migrations`` list is written whatever its value, and every budgeted
+run's summary carries ``pool`` (capacity and leased pages per epoch,
+grown/shed ``churn``, ``demand_starved``) and ``misallocation``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ __all__ = [
     "dumps",
 ]
 
-CLUSTER_SCHEMA_VERSION = 1
+CLUSTER_SCHEMA_VERSION = 2
 
 
 def _run_summary(
@@ -71,49 +76,29 @@ def _run_summary(
         ),
     }
     if plan.schedules is not None:
-        shard_ids = range(len(plan.leases[0])) if plan.leases else range(0)
-        pool: Dict[str, object] = {
+        churns = [
+            lease_churn(
+                [lease.pages for lease in plan.leases[epoch - 1]],
+                [lease.pages for lease in plan.leases[epoch]],
+            )
+            for epoch in range(1, len(plan.leases))
+        ]
+        summary["pool"] = {
             "capacity_schedule": list(plan.capacity_schedule),
             "leased_per_epoch": [
                 sum(lease.pages for lease in epoch_leases)
                 for epoch_leases in plan.leases
             ],
-            "moved_per_epoch": [0]
-            + [
-                sum(
-                    max(
-                        0,
-                        plan.leases[epoch][shard].pages
-                        - plan.leases[epoch - 1][shard].pages,
-                    )
-                    for shard in shard_ids
-                )
-                for epoch in range(1, len(plan.leases))
-            ],
-        }
-        if not plan.spec.is_legacy():
-            # The moved_per_epoch view above counts only the grown side,
-            # which undercounts drain work whenever degradation shrinks
-            # the pool between epochs.  Modern runs report both sides.
-            churns = [
-                lease_churn(
-                    [lease.pages for lease in plan.leases[epoch - 1]],
-                    [lease.pages for lease in plan.leases[epoch]],
-                )
-                for epoch in range(1, len(plan.leases))
-            ]
-            pool["churn"] = {
+            "churn": {
                 "grown_per_epoch": [0] + [c.grown for c in churns],
                 "shed_per_epoch": [0] + [c.shed for c in churns],
                 "moved_per_epoch": [0] + [c.moved for c in churns],
                 "total_grown_pages": sum(c.grown for c in churns),
                 "total_shed_pages": sum(c.shed for c in churns),
-            }
-        if plan.starved:
-            pool["demand_starved"] = list(plan.starved)
-        summary["pool"] = pool
-        if plan.misallocation is not None:
-            summary["misallocation"] = plan.misallocation
+            },
+            "demand_starved": list(plan.starved),
+        }
+        summary["misallocation"] = plan.misallocation
     return summary
 
 
@@ -186,21 +171,21 @@ def build_cluster_report(
             )
             job_wall_s[str(index)] = round(payload["wall_s"], 6)
             index += 1
-        run: Dict[str, object] = {
-            "spec": plan.spec.as_dict(),
-            "ring_checksum": plan.ring_checksum,
-            "demands": plan.demands,
-            "leases": [
-                [lease.as_dict() for lease in epoch_leases]
-                for epoch_leases in plan.leases
-            ],
-            "events": plan.events,
-            "shards": shards,
-            "summary": _run_summary(plan, shards),
-        }
-        if plan.migrations:
-            run["migrations"] = plan.migrations
-        runs.append(run)
+        runs.append(
+            {
+                "spec": plan.spec.as_dict(),
+                "ring_checksum": plan.ring_checksum,
+                "demands": plan.demands,
+                "leases": [
+                    [lease.as_dict() for lease in epoch_leases]
+                    for epoch_leases in plan.leases
+                ],
+                "events": plan.events,
+                "shards": shards,
+                "summary": _run_summary(plan, shards),
+                "migrations": plan.migrations,
+            }
+        )
     report: Dict[str, object] = {
         "schema_version": CLUSTER_SCHEMA_VERSION,
         "grid": grid.as_dict(),

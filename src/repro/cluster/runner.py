@@ -46,6 +46,7 @@ suite pins it, SIGKILLed shard workers and migration runs included.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
@@ -214,9 +215,9 @@ class ClusterSpec:
     * ``hotspot_rotate_keys`` — rotate the workload hotspot by this many
       keys at each epoch boundary (skew-shifting workload).
 
-    All of them default to the original reactive behaviour; a spec
-    using only defaults (:meth:`is_legacy`) produces byte-identical
-    CLUSTER.json output to the pre-forecasting planner.
+    All of them default to the original reactive behaviour.  Every knob
+    is written to CLUSTER.json whatever its value, and every budgeted run
+    reports its misallocation and lease churn.
     """
 
     shards: int
@@ -247,12 +248,12 @@ class ClusterSpec:
                 f"unknown workload {self.workload!r}; choose from "
                 f"{sorted(YCSB_WORKLOADS)}"
             )
-        if (
-            self.total_budget_fraction is not None
-            and self.total_budget_fraction <= 0
+        if self.total_budget_fraction is not None and not (
+            math.isfinite(self.total_budget_fraction)
+            and self.total_budget_fraction > 0
         ):
             raise ValueError(
-                f"total budget fraction must be positive: "
+                f"total_budget_fraction must be finite and positive: "
                 f"{self.total_budget_fraction}"
             )
         if not 0 < self.theta < 1:
@@ -278,6 +279,12 @@ class ClusterSpec:
                     f"{len(self.tenant_quotas)} quotas for "
                     f"{self.tenants} tenants"
                 )
+            for quota in self.tenant_quotas:
+                if not (math.isfinite(quota) and quota > 0):
+                    raise ValueError(
+                        f"tenant_quotas must be finite and positive: "
+                        f"{quota}"
+                    )
         if self.vnodes <= 0:
             raise ValueError(f"vnodes must be positive: {self.vnodes}")
         if self.floor_pages <= 0:
@@ -328,20 +335,6 @@ class ClusterSpec:
             self,
             "membership",
             _normalize_membership(self.membership, self.shards, self.epochs),
-        )
-
-    def is_legacy(self) -> bool:
-        """True when every forecasting/hysteresis knob is at its default.
-
-        Legacy specs follow the original reactive protocol and their
-        CLUSTER.json output stays byte-identical to the pre-forecasting
-        planner (the golden-fixture tests pin this).
-        """
-        return (
-            self.predictor == "last-epoch"
-            and self.churn_cap_pages is None
-            and not self.membership
-            and self.hotspot_rotate_keys == 0
         )
 
     def scale(self) -> ExperimentScale:
@@ -410,21 +403,7 @@ class ClusterSpec:
             list(self.quotas()) if self.tenants > 1 else None
         )
         data["pool_degrade"] = [list(step) for step in self.pool_degrade]
-        # Default-valued planning knobs are omitted so legacy specs
-        # serialize byte-identically to the pre-forecasting planner
-        # (same precedent as SweepJob.budget_pages).
-        if self.predictor == "last-epoch":
-            data.pop("predictor")
-        if self.ewma_alpha == DEFAULT_EWMA_ALPHA:
-            data.pop("ewma_alpha")
-        if self.churn_cap_pages is None:
-            data.pop("churn_cap_pages")
-        if self.membership:
-            data["membership"] = [list(entry) for entry in self.membership]
-        else:
-            data.pop("membership")
-        if self.hotspot_rotate_keys == 0:
-            data.pop("hotspot_rotate_keys")
+        data["membership"] = [list(entry) for entry in self.membership]
         data["total_budget_gb"] = self.total_budget_gb()
         return data
 
@@ -515,12 +494,7 @@ class ShardJob:
             if self.budget_schedule is not None
             else None
         )
-        if self.membership:
-            data["membership"] = [list(entry) for entry in self.membership]
-        else:
-            data.pop("membership")
-        if self.hotspot_rotate_keys == 0:
-            data.pop("hotspot_rotate_keys")
+        data["membership"] = [list(entry) for entry in self.membership]
         return data
 
 
@@ -535,7 +509,7 @@ class ClusterPlan:
     capacity_schedule: List[int]  # pool capacity per epoch
     schedules: Optional[List[Tuple[int, ...]]]  # per shard (None=baseline)
     events: List[Dict[str, object]]  # coordinator event dicts
-    misallocation: Optional[Dict[str, object]] = None  # modern pools only
+    misallocation: Optional[Dict[str, object]] = None  # None = baseline
     starved: List[Dict[str, int]] = field(default_factory=list)
     migrations: List[Dict[str, object]] = field(default_factory=list)
 
@@ -746,7 +720,7 @@ def plan_cluster(
     Degradation steps shrink the pool's health before their epoch's
     rebalance; membership changes re-ring routing and hand budget
     between shards; per-epoch L1 misallocation against the clairvoyant
-    plan is measured for every non-legacy pool run.  Baseline clusters
+    plan is measured for every pool run.  Baseline clusters
     (no pool) plan no leases.
 
     ``stream`` is the spec's compiled op stream when the caller already
@@ -882,7 +856,7 @@ def plan_cluster(
                     )
         leases = pool.rebalance(forecast, epoch, active=active)
         predictor.observe(demands[epoch])
-        moved = pool.moved_pages(epoch)
+        moved = pool.churn(epoch).grown
         # The report's event dicts are built by hand so the dataclasses
         # are only constructed under the tracer guard (the untraced path
         # must allocate no event objects).
@@ -960,28 +934,26 @@ def plan_cluster(
                 )
         previous_active = active
         events.extend(epoch_events)
-    misallocation: Optional[Dict[str, object]] = None
-    if not spec.is_legacy():
-        lease_vectors = [
-            [lease.pages for lease in epoch_leases]
-            for epoch_leases in pool.lease_history
-        ]
-        reference = _reference_lease_vectors(spec, demands, capacity)
-        active_schedule = (
-            [spec.active(epoch) for epoch in range(spec.epochs)]
-            if spec.membership
-            else None
-        )
-        misallocation = misallocation_report(
-            spec.predictor,
-            lease_vectors,
-            reference,
-            demands,
-            capacity_schedule,
-            spec.quotas(),
-            spec.floor_pages,
-            active_schedule,
-        )
+    lease_vectors = [
+        [lease.pages for lease in epoch_leases]
+        for epoch_leases in pool.lease_history
+    ]
+    reference = _reference_lease_vectors(spec, demands, capacity)
+    active_schedule = (
+        [spec.active(epoch) for epoch in range(spec.epochs)]
+        if spec.membership
+        else None
+    )
+    misallocation = misallocation_report(
+        spec.predictor,
+        lease_vectors,
+        reference,
+        demands,
+        capacity_schedule,
+        spec.quotas(),
+        spec.floor_pages,
+        active_schedule,
+    )
     return ClusterPlan(
         spec=spec,
         ring_checksum=rings[0].layout_checksum(),
@@ -1175,8 +1147,7 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
     payload["budget_schedule"] = (
         list(schedule) if schedule is not None else None
     )
-    if job.membership:
-        payload["migrated_in_keys"] = migrated_in
+    payload["migrated_in_keys"] = migrated_in
     return payload
 
 
@@ -1291,7 +1262,7 @@ class ClusterGrid:
         return tuple(out)
 
     def as_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
+        return {
             "shard_counts": list(self.shard_counts),
             "total_budgets_gb": list(self.total_budgets_gb),
             "workload": self.workload,
@@ -1310,20 +1281,12 @@ class ClusterGrid:
             "ring_seed": self.ring_seed,
             "floor_pages": self.floor_pages,
             "pool_degrade": [list(step) for step in self.pool_degrade],
+            "predictor": self.predictor,
+            "ewma_alpha": self.ewma_alpha,
+            "churn_cap_pages": self.churn_cap_pages,
+            "membership": [list(entry) for entry in self.membership],
+            "hotspot_rotate_keys": self.hotspot_rotate_keys,
         }
-        # Default-valued planning knobs are omitted for legacy
-        # byte-compatibility, mirroring ClusterSpec.as_dict.
-        if self.predictor != "last-epoch":
-            data["predictor"] = self.predictor
-        if self.ewma_alpha != DEFAULT_EWMA_ALPHA:
-            data["ewma_alpha"] = self.ewma_alpha
-        if self.churn_cap_pages is not None:
-            data["churn_cap_pages"] = self.churn_cap_pages
-        if self.membership:
-            data["membership"] = [list(entry) for entry in self.membership]
-        if self.hotspot_rotate_keys:
-            data["hotspot_rotate_keys"] = self.hotspot_rotate_keys
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ClusterGrid":

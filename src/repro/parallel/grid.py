@@ -62,12 +62,6 @@ class SweepJob:
     record_count: int
     operation_count: int
     timeout_s: Optional[float] = None
-    # Leased dirty budget in exact pages.  When set, the worker runs the
-    # system at precisely this budget instead of re-deriving one from
-    # ``budget_fraction`` — cluster jobs lease budgets from a shared
-    # battery pool, and a hermetic worker must not silently assume it
-    # owns a whole machine's battery.
-    budget_pages: Optional[int] = None
     # Test hook: when set, a pool worker touches this file and SIGKILLs
     # itself on the job's first attempt (see repro.parallel.worker).
     fault_kill_once_path: Optional[str] = None
@@ -77,18 +71,6 @@ class SweepJob:
     # so it can never change the payload.
     ops_path: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.budget_pages is not None:
-            if self.budget_fraction is None:
-                raise ValueError(
-                    "budget_pages leases a Viyojit budget; baseline jobs "
-                    "(budget_fraction=None) have none to lease"
-                )
-            if self.budget_pages <= 0:
-                raise ValueError(
-                    f"budget_pages must be positive: {self.budget_pages}"
-                )
-
     def as_dict(self) -> Dict[str, object]:
         data = asdict(self)
         data.pop("timeout_s")
@@ -97,10 +79,6 @@ class SweepJob:
         # bytes must not depend on whether a compiled stream backed the
         # run.
         data.pop("ops_path")
-        # Absent for plain sweep jobs so their SWEEP.json bytes are
-        # unchanged from before leases existed.
-        if self.budget_pages is None:
-            data.pop("budget_pages")
         return data
 
 

@@ -96,6 +96,7 @@ def run_sweep_job(job: SweepJob, in_worker: bool = False) -> Dict[str, object]:
     # A pre-compiled stream is opened read-only (np.memmap, mode="r"):
     # any number of workers can share the parent's one compilation
     # through the page cache, and nothing in a worker can write to it.
+    # A job handed no path compiles the same stream itself.
     compiled = open_ops(job.ops_path) if job.ops_path is not None else None
     holder: Dict[str, RunResult] = {}
 
@@ -104,7 +105,6 @@ def run_sweep_job(job: SweepJob, in_worker: bool = False) -> Dict[str, object]:
             spec,
             scale,
             job.budget_fraction,
-            budget_pages=job.budget_pages,
             compiled=compiled,
         )
 

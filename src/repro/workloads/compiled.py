@@ -102,7 +102,7 @@ _SECTIONS: Tuple[Tuple[str, str], ...] = (
 
 #: Chooser draws per classification block.  Any value yields the same
 #: stream (the draws are consumed in stream order regardless of
-#: chunking — the same invariance ``iter_op_batches`` relies on).
+#: chunking).
 _COMPILE_BLOCK = 8192
 #: Streams at or below this op count memoize their decoded batches.
 _BATCH_CACHE_MAX_OPS = 1_000_000
@@ -275,8 +275,8 @@ class CompiledStream:
     def batches(self, batch_size: int = 2048) -> Iterator[OpBatch]:
         """The stream as :class:`OpBatch` chunks (array-slice reads).
 
-        Chunk boundaries match :func:`iter_op_batches` for the same
-        ``batch_size``, so the batched executors see identical input.
+        Chunks are ``batch_size`` ops long (the last may be shorter),
+        whatever backs the stream.
 
         Replays are memoized: a stream is immutable, so once the
         batches for a ``batch_size`` have been decoded they are cached
@@ -345,11 +345,12 @@ def _compile_indices(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(codes, key_indices, scan_lengths)`` for the un-rotated stream.
 
-    The vectorized path mirrors :func:`iter_op_batches` exactly: the
-    chooser draws are consumed in blocks (stream-order invariant),
-    kinds classify with one threshold compare, insert-free runs take
-    batch ``sample`` draws, and every insert interleaves its
-    ``grow_to`` just like the per-op generator.  Scan mixes interleave
+    The one vectorized producer of YCSB operations (every batch of
+    :func:`iter_op_batches` is a slice of its output): the chooser
+    draws are consumed in blocks (stream-order invariant), kinds
+    classify with one threshold compare, insert-free runs take batch
+    ``sample`` draws, and every insert interleaves its ``grow_to``
+    just like the per-op :func:`generate_operations`.  Scan mixes interleave
     ``randrange`` calls in the chooser stream, so they fall back to
     consuming :func:`generate_operations` op by op (correct, just not
     vectorized) and recover indices via :func:`key_index`.

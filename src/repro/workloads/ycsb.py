@@ -21,10 +21,7 @@ script) replays against a KV store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, List, Tuple
-
-import numpy as np
+from typing import Iterator, Tuple
 
 from repro.workloads.distributions import (
     CounterGenerator,
@@ -32,7 +29,6 @@ from repro.workloads.distributions import (
     ScrambledZipfianGenerator,
     UniformGenerator,
     ZIPFIAN_CONSTANT,
-    uniforms,
 )
 
 import random
@@ -267,9 +263,6 @@ class OpBatch:
             )
 
 
-_KIND_NAMES = ("read", "update", "insert", "rmw")
-
-
 def iter_op_batches(
     spec: WorkloadSpec,
     record_count: int,
@@ -282,21 +275,16 @@ def iter_op_batches(
 ) -> Iterator[OpBatch]:
     """The :func:`generate_operations` stream, materialized in chunks.
 
-    Identical operations in identical order for any ``batch_size`` — the
-    chooser draws are taken one batch at a time (the scan-free mixes never
-    interleave other chooser calls), kinds are classified with one
-    vectorized threshold compare, and keys come from the generators'
-    ``sample`` batch draws, which consume the underlying RNG streams
-    exactly as repeated ``next`` calls would.  Workloads with scans
-    interleave ``randrange`` calls in the chooser stream, so they fall
-    back to chunking the per-op generator (correct, just not vectorized).
-
-    ``compiled`` is an optional
-    :class:`repro.workloads.compiled.CompiledStream` backing: batches
-    are then array slices instead of fresh generator runs.  The stream
-    must have been compiled from exactly these parameters (checked), so
-    the output is the same stream either way.
+    Batches are slices of the workload's compiled stream
+    (:func:`repro.workloads.compiled.compile_workload`), so the
+    operations are identical for any ``batch_size``.  ``compiled`` is an
+    optional pre-compiled :class:`repro.workloads.compiled.CompiledStream`
+    to slice instead of compiling here; it must have been compiled from
+    exactly these parameters (checked), so the output is the same
+    stream either way.
     """
+    from repro.workloads.compiled import compile_workload
+
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive: {batch_size}")
     if compiled is not None:
@@ -305,78 +293,10 @@ def iter_op_batches(
         )
         yield from compiled.batches(batch_size)
         return
-    if spec.scan_proportion > 0:
-        ops = generate_operations(
-            spec, record_count, operation_count, value_size, theta, seed
-        )
-        while True:
-            chunk = list(islice(ops, batch_size))
-            if not chunk:
-                return
-            yield OpBatch(
-                kinds=tuple(op.kind for op in chunk),
-                keys=tuple(op.key for op in chunk),
-                value_size=value_size,
-                scan_lengths=tuple(op.scan_length for op in chunk),
-            )
-    if record_count <= 0:
-        raise ValueError(f"record_count must be positive: {record_count}")
-    if operation_count < 0:
-        raise ValueError(f"operation_count must be non-negative: {operation_count}")
-    if value_size <= 0:
-        raise ValueError(f"value_size must be positive: {value_size}")
-
-    chooser = random.Random(seed)
-    if spec.request_distribution == "zipfian":
-        keygen = ScrambledZipfianGenerator(record_count, theta, seed + 1)
-    elif spec.request_distribution == "latest":
-        keygen = LatestGenerator(record_count, theta, seed + 1)
-    else:
-        keygen = UniformGenerator(record_count, seed + 1)
-    inserter = CounterGenerator(record_count)
-    read_bound = spec.read_proportion
-    update_bound = read_bound + spec.update_proportion
-    insert_bound = update_bound + spec.insert_proportion
-
-    remaining = operation_count
-    while remaining > 0:
-        n = min(batch_size, remaining)
-        remaining -= n
-        draws = uniforms(chooser, n)
-        codes = np.full(n, 3, dtype=np.int8)  # rmw unless reclassified
-        codes[draws < insert_bound] = 2
-        codes[draws < update_bound] = 1
-        codes[draws < read_bound] = 0
-        code_list = codes.tolist()
-        if 2 not in code_list:
-            indices = keygen.sample(n).tolist()
-            yield OpBatch(
-                kinds=tuple(_KIND_NAMES[code] for code in code_list),
-                keys=tuple(b"user%020d" % index for index in indices),
-                value_size=value_size,
-            )
-            continue
-        # Inserts interleave ``grow_to`` with the key draws: vectorize the
-        # insert-free runs, handle each insert individually in between.
-        kinds: List[str] = []
-        keys: List[bytes] = []
-        position = 0
-        for insert_at in np.flatnonzero(codes == 2).tolist() + [n]:
-            run = insert_at - position
-            if run:
-                indices = keygen.sample(run).tolist()
-                for code, index in zip(code_list[position:insert_at], indices):
-                    kinds.append(_KIND_NAMES[code])
-                    keys.append(b"user%020d" % index)
-            if insert_at < n:
-                new_index = inserter.next()
-                keygen.grow_to(new_index + 1)
-                kinds.append("insert")
-                keys.append(b"user%020d" % new_index)
-            position = insert_at + 1
-        yield OpBatch(
-            kinds=tuple(kinds), keys=tuple(keys), value_size=value_size
-        )
+    stream = compile_workload(
+        spec, record_count, operation_count, value_size, theta, seed
+    )
+    yield from stream._decode_batches(batch_size)
 
 
 def load_operations(

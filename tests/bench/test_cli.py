@@ -105,6 +105,14 @@ class TestSpecValidationErrors:
                 "duplicate budget fractions in grid",
             ),
             (
+                ["cluster", "--total-budgets-gb", "inf"],
+                "total_budget_fraction must be finite and positive: inf",
+            ),
+            (
+                ["cluster", "--tenants", "2", "--tenant-quotas", "0.5,nan"],
+                "tenant_quotas must be finite and positive: nan",
+            ),
+            (
                 ["crashfind", "--crash-points", "abc"],
                 "--crash-points must be 'all' or a stride: 'abc'",
             ),
@@ -122,6 +130,8 @@ class TestSpecValidationErrors:
             "sweep-unknown-workload",
             "sweep-grid-mistyped",
             "ycsb-duplicate-budgets",
+            "cluster-budget-inf",
+            "cluster-quota-nan",
             "crashfind-crash-points-abc",
             "crashfind-crash-points-0",
         ],

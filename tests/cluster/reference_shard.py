@@ -201,6 +201,5 @@ def execute_shard(job: ShardJob) -> Dict[str, object]:
         if job.budget_schedule is not None
         else None
     )
-    if job.membership:
-        payload["migrated_in_keys"] = counters["migrated_in_keys"]
+    payload["migrated_in_keys"] = counters["migrated_in_keys"]
     return payload

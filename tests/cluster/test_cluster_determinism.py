@@ -29,7 +29,7 @@ GRID = ClusterGrid(
     epochs=3,
 )
 
-#: Every planner feature the legacy fixtures leave out, on one grid:
+#: Every planner feature the default-knob fixtures leave out, on one grid:
 #: the configuration family the repo benchmark's grid belongs to.
 NONLEGACY_GRID = ClusterGrid(
     shard_counts=(3,),

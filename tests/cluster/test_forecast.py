@@ -196,7 +196,6 @@ def test_last_epoch_undamped_matches_reactive_replay(shards, seed):
         epochs=3,
         seed=seed,
     )
-    assert spec.is_legacy()
     plan = plan_cluster(spec)
     # Hand-rolled reactive replay: epoch 0 even split, epoch e from the
     # demand observed during epoch e-1 (the pre-forecasting protocol).
@@ -220,7 +219,10 @@ def test_last_epoch_undamped_matches_reactive_replay(shards, seed):
         [lease.pages for lease in epoch_leases]
         for epoch_leases in plan.leases
     ] == replayed
-    assert plan.misallocation is None  # legacy plans report no new keys
+    # The default plan is its own counterfactual baseline.
+    block = plan.misallocation
+    assert block["predictor"] == "last-epoch"
+    assert block["total"] == block["baseline_last_epoch"]["total"]
 
 
 # -- the acceptance experiment ---------------------------------------------
@@ -271,7 +273,7 @@ def test_misallocation_block_is_complete(skew_shift_reports):
 
 
 def test_rotation_alone_emits_churn_block(skew_shift_reports):
-    """Modern runs report grown and shed separately (the churn bugfix)."""
+    """Pool runs report grown and shed separately (the churn bugfix)."""
     pool = skew_shift_reports["last-epoch"]["runs"][0]["summary"]["pool"]
     churn = pool["churn"]
     epochs = SKEW_SHIFT["epochs"]
@@ -297,7 +299,6 @@ def test_degradation_shed_exceeds_grown():
         operation_count=900,
         epochs=3,
         pool_degrade=((1, 0.5),),
-        predictor="ewma",  # any non-legacy knob turns the block on
     )
     report = run_cluster_grid(grid, jobs=1)
     summary = report["runs"][0]["summary"]
@@ -310,11 +311,6 @@ def test_degradation_shed_exceeds_grown():
     # Entering the degradation epoch: shed = grown + capacity lost.
     assert churn["shed_per_epoch"][1] == churn["grown_per_epoch"][1] + drop
     assert churn["total_shed_pages"] >= churn["total_grown_pages"] + drop
-    # The legacy one-number view still reports the grown side.
-    assert (
-        summary["pool"]["moved_per_epoch"][1]
-        == churn["grown_per_epoch"][1]
-    )
 
 
 def test_damped_run_reports_capped_churn():

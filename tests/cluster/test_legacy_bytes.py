@@ -1,11 +1,10 @@
-"""Golden-fixture pin: legacy specs keep their pre-forecasting bytes.
+"""Golden-fixture pin: default-knob grids keep their CLUSTER.json bytes.
 
-The forecasting/hysteresis/migration planner must be invisible to specs
-that use none of it: ``predictor="last-epoch"``, no churn cap, no
-membership changes, no hotspot rotation.  The two fixtures under
-``fixtures/`` were generated by the pre-forecasting planner (PR 8's
-code, verbatim); these tests regenerate the same grids through the
-current planner and compare CLUSTER.json byte for byte.
+These grids use none of the planner's forecasting, damping, migration
+or rotation knobs.  The two fixtures under ``fixtures/`` hold their
+schema-2 CLUSTER.json (every knob written, every budgeted run carrying
+its churn and misallocation blocks); these tests regenerate the same
+grids through the current planner and compare byte for byte.
 """
 
 from __future__ import annotations
@@ -53,28 +52,17 @@ def test_legacy_grid_reproduces_pr8_bytes(grid, fixture):
     assert dumps(report, strip_wall=True) == want
 
 
-def test_legacy_spec_dict_has_no_planner_keys():
-    """Legacy specs serialize without any forecasting/migration keys."""
-    spec = BASE_GRID.specs()[0]
-    assert spec.is_legacy()
-    data = spec.as_dict()
-    for key in (
-        "predictor",
-        "ewma_alpha",
-        "churn_cap_pages",
-        "membership",
-        "hotspot_rotate_keys",
-    ):
-        assert key not in data
-    grid_data = BASE_GRID.as_dict()
-    for key in (
-        "predictor",
-        "ewma_alpha",
-        "churn_cap_pages",
-        "membership",
-        "hotspot_rotate_keys",
-    ):
-        assert key not in grid_data
+def test_default_grid_dict_round_trips():
+    """Default knobs are written out like any other value."""
+    data = BASE_GRID.as_dict()
+    assert data["predictor"] == "last-epoch"
+    assert data["churn_cap_pages"] is None
+    assert data["membership"] == []
+    assert data["hotspot_rotate_keys"] == 0
+    assert ClusterGrid.from_dict(data) == BASE_GRID
+    spec_data = BASE_GRID.specs()[0].as_dict()
+    for key in ("predictor", "churn_cap_pages", "membership"):
+        assert spec_data[key] == data[key]
 
 
 def test_modern_spec_dict_round_trips_through_grid():
@@ -98,5 +86,4 @@ def test_modern_spec_dict_round_trips_through_grid():
     assert data["hotspot_rotate_keys"] == 50
     assert ClusterGrid.from_dict(data) == grid
     spec = grid.specs()[0]
-    assert not spec.is_legacy()
     assert spec.as_dict()["membership"] == [[1, "add", 2]]

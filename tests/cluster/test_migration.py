@@ -98,7 +98,7 @@ def test_shard_job_accepts_added_shard_ids_only_with_membership():
     job = ShardJob(shard=2, membership=((1, "add", 2),), **kwargs)
     assert job.as_dict()["membership"] == [[1, "add", 2]]
     legacy = ShardJob(shard=1, **kwargs)
-    assert "membership" not in legacy.as_dict()
+    assert legacy.as_dict()["membership"] == []
 
 
 # -- ring membership deltas ------------------------------------------------

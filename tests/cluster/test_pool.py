@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cluster import BatteryPool, PoolError, apportion, plan_epoch
-from repro.cluster.rebalancer import lease_churn, moved_pages
+from repro.cluster.rebalancer import lease_churn
 from repro.power.battery import Battery
 from repro.power.power_model import PowerModel
 
@@ -133,6 +133,11 @@ def test_pool_validation():
         BatteryPool(capacity_pages=100, shards=2, tenant_quotas=(1.5, -0.5))
     with pytest.raises(PoolError):
         BatteryPool(capacity_pages=100, shards=2).degrade(1.0)
+    # NaN passes both ``quota <= 0`` and the sum-to-1 tolerance check.
+    with pytest.raises(PoolError, match="tenant_quotas must be finite"):
+        BatteryPool(100, 2, tenant_quotas=(0.5, float("nan")))
+    with pytest.raises(PoolError, match="capacity_pages must be finite"):
+        BatteryPool(float("inf"), 2)
 
 
 def test_from_battery_matches_single_machine_sizing():
@@ -154,15 +159,15 @@ def test_schedules_and_moved_pages():
     assert len(schedules) == 2
     assert schedules[0][0] == 50 and schedules[1][0] == 50
     assert schedules[0][1] > schedules[1][1]
-    assert pool.moved_pages(0) == 0
-    assert pool.moved_pages(1) == schedules[0][1] - 50
+    assert pool.churn(0).grown == 0
+    assert pool.churn(1).grown == schedules[0][1] - 50
 
 
 def test_moved_pages_helper():
-    assert moved_pages([5, 5], [7, 3]) == 2
-    assert moved_pages([5, 5], [5, 5]) == 0
+    assert lease_churn([5, 5], [7, 3]).grown == 2
+    assert lease_churn([5, 5], [5, 5]).grown == 0
     with pytest.raises(ValueError):
-        moved_pages([1], [1, 2])
+        lease_churn([1], [1, 2])
 
 
 def test_plan_epoch_leases_sum_to_capacity():
@@ -197,8 +202,6 @@ def test_lease_churn_separates_grown_from_shed():
     assert churn.shed == 10  # degradation epoch: 6 pages left the pool
     assert churn.moved == 4
     assert churn.as_dict() == {"grown": 4, "shed": 10, "moved": 4}
-    # The one-number helper keeps its historical grown-side meaning.
-    assert moved_pages([10, 10, 10], [14, 6, 4]) == 4
 
 
 def test_pool_churn_accounting_across_degradation():

@@ -2,9 +2,8 @@
 
 Covers the parts between the ring and the report: every global op is
 served by exactly one shard, leased budgets actually land on the shard
-instances (including through ``SweepJob.budget_pages``), reactive
-rebalancing follows observed demand, and the ``repro cluster`` CLI
-produces the same bytes at any ``--jobs`` count.
+instances, reactive rebalancing follows observed demand, and the
+``repro cluster`` CLI produces the same bytes at any ``--jobs`` count.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from repro.cluster import (
     run_shard_job,
     shard_jobs,
 )
-from repro.parallel.grid import SweepGrid, SweepJob
-from repro.parallel.worker import run_sweep_job
 
 SPEC = ClusterSpec(
     shards=3,
@@ -92,50 +89,6 @@ def test_reactive_rebalancing_follows_observed_demand():
         leases = [lease.pages for lease in plan.leases[epoch]]
         # The most-demanding shard gets the largest lease.
         assert leases.index(max(leases)) == observed.index(max(observed))
-
-
-def test_sweep_job_budget_pages_threads_through():
-    """Satellite fix: SweepJob carries an exact leased page budget."""
-    grid = SweepGrid(
-        workloads=("YCSB-A",),
-        budget_fractions=(0.5,),
-        record_count=200,
-        operation_count=400,
-    )
-    base = grid.jobs()[0]
-    import dataclasses
-
-    leased = dataclasses.replace(base, budget_pages=37)
-    payload = run_sweep_job(leased)
-    assert payload["result"]["budget_pages"] == 37
-    assert payload["job"]["budget_pages"] == 37
-    # Absent the override, as_dict keeps the old SWEEP.json surface.
-    assert "budget_pages" not in run_sweep_job(base)["job"]
-
-
-def test_sweep_job_budget_pages_validation():
-    with pytest.raises(ValueError):
-        SweepJob(
-            index=0,
-            workload="YCSB-A",
-            budget_fraction=None,
-            theta=0.99,
-            seed=42,
-            record_count=100,
-            operation_count=100,
-            budget_pages=10,
-        )
-    with pytest.raises(ValueError):
-        SweepJob(
-            index=0,
-            workload="YCSB-A",
-            budget_fraction=0.5,
-            theta=0.99,
-            seed=42,
-            record_count=100,
-            operation_count=100,
-            budget_pages=0,
-        )
 
 
 def test_degraded_pool_run_passes_sanitized():
@@ -304,7 +257,7 @@ class TestClusterCommand:
         assert main(argv) == 0
         report = json.loads(out.read_text())
         assert "wall" not in report
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
 
     def test_pool_degrade_flag(self, capsys, tmp_path):
         out = tmp_path / "cluster.json"

@@ -13,6 +13,7 @@ corruption detection.
 from __future__ import annotations
 
 import os
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -94,9 +95,12 @@ def test_compiled_batches_equal_iter_op_batches(workload, batch_size):
         )
     )
     assert backed == plain
-    # Flattening reproduces the per-op stream at ANY batch size.
-    flattened = [op for batch in backed for op in batch.operations()]
-    assert flattened == list(stream.operations())
+    # Plain and backed batches share one producer, so hold them to the
+    # per-op generator: each batch is the next ``batch_size`` chunk.
+    ops = generate_operations(spec, **params)
+    for batch in plain:
+        assert list(batch.operations()) == list(islice(ops, batch_size))
+    assert next(ops, None) is None
 
 
 @given(
