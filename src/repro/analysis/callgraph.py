@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.framework import ModuleUnderLint, iter_python_files
+from repro.analysis.framework import ModuleUnderLint, parse_files
 
 #: Pseudo function name for a module's top-level statements.
 MODULE_BODY = "<module>"
@@ -176,15 +176,8 @@ class ProjectIndex:
     def from_paths(
         cls, paths: Sequence[Union[str, Path]]
     ) -> "ProjectIndex":
-        """Parse every ``.py`` file under ``paths`` (skipping syntax errors)."""
-        modules: List[ModuleUnderLint] = []
-        for file_path in iter_python_files(paths):
-            source = file_path.read_text(encoding="utf-8")
-            try:
-                modules.append(ModuleUnderLint(file_path, source))
-            except SyntaxError:
-                continue
-        return cls(modules)
+        """Parse every ``.py`` file under ``paths`` (skipping ``E999`` files)."""
+        return cls(parse_files(paths)[1])
 
     # -- indexing ----------------------------------------------------------
 
@@ -368,6 +361,9 @@ class CallGraph:
         #: caller qualname -> callee target -> first call-site line.
         #: Targets are project qualnames or external dotted names.
         self.edges: Dict[str, Dict[str, int]] = {}
+        #: caller qualname -> (line, col, external target) of every call
+        #: site that leaves the project: the wall-clock sources W1 reports.
+        self.external_calls: Dict[str, List[Tuple[int, int, str]]] = {}
         for module in index.modules.values():
             self._build_module(module)
 
@@ -449,6 +445,10 @@ class CallGraph:
     ) -> None:
         for target in self.resolve_call(node.func, cls, scope):
             self._add_edge(caller, target, node.lineno)
+            if not self.index.is_project_target(target):
+                self.external_calls.setdefault(caller, []).append(
+                    (node.lineno, node.col_offset, target)
+                )
         # Higher-order over-approximation: a project function whose
         # reference is handed to any call may be invoked by the receiver.
         for arg in list(node.args) + [kw.value for kw in node.keywords]:

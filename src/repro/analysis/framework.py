@@ -1,10 +1,10 @@
-"""AST lint framework: rules, registry, suppression, and the runner.
+"""AST lint framework: findings, suppression, rule bases and the walker.
 
 The framework is deliberately small and dependency-free (stdlib ``ast``
-only).  A :class:`Rule` inspects one parsed module and yields
-:class:`Violation` records; the registry maps stable rule IDs (``D1``,
-``V1``, ...) to rule classes so the CLI and the test suite can select
-rules by name.  Suppression is per-line and per-rule::
+only).  A :class:`Rule` inspects one parsed module and a
+:class:`ProgramRule` the whole project at once; both yield
+:class:`Violation` records under a stable rule ID (``D1``, ``W1``, ...).
+Suppression is per-line and per-rule::
 
     value = page_table.dirty[pfn]  # lint: ignore[L1]
     anything_goes()                # lint: ignore
@@ -14,9 +14,10 @@ bracketed form silences only the listed rule IDs.  Suppressions attach
 to the line the violation is *reported* on (a multi-line expression
 reports on its first line).
 
-The concrete project rules live in :mod:`repro.analysis.rules`; the
-runtime invariant checker (a different kind of enforcement, same
-mission) lives in :mod:`repro.core.sanitizer`.
+The concrete rules live in :mod:`repro.analysis.rules` and
+:mod:`repro.analysis.program_rules`, the runner in
+:mod:`repro.analysis.cli`; the runtime invariant checker (a different
+kind of enforcement, same mission) lives in :mod:`repro.core.sanitizer`.
 """
 
 from __future__ import annotations
@@ -25,23 +26,25 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Type, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.callgraph import ProjectIndex
 
-#: Pseudo-rule ID attached to files that fail to parse at all.
+#: Pseudo-rule ID attached to files that cannot be decoded or parsed.
 PARSE_ERROR_RULE_ID = "E999"
 
-#: Finding severities, mildest first.  Exit-code policy compares against
-#: this order (``--fail-on warning`` fails on anything, ``--fail-on
-#: error`` tolerates warnings).
-SEVERITIES = ("note", "warning", "error")
-
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Za-z0-9_,\s]*)\])?")
-
-#: First-lines markers of machine-written files the walker skips.
-GENERATED_MARKERS = ("@generated", "DO NOT EDIT", "AUTOGENERATED")
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,6 @@ class Violation:
     line: int
     col: int
     message: str
-    severity: str = "error"
 
     def sort_key(self):
         return (self.path, self.line, self.col, self.rule_id)
@@ -61,16 +63,6 @@ class Violation:
     def render(self) -> str:
         """``path:line:col: RULE message`` — the one-line text form."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule_id,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity,
-        }
 
 
 class ModuleUnderLint:
@@ -132,12 +124,6 @@ class Rule:
 
     rule_id: str = ""
     title: str = ""
-    #: Default severity; per-run overrides land on the instance via
-    #: :func:`make_rules`' ``severities`` mapping.
-    default_severity: str = "error"
-
-    def __init__(self) -> None:
-        self.severity = self.default_severity
 
     def check(self, module: ModuleUnderLint) -> Iterable[Violation]:
         raise NotImplementedError
@@ -152,7 +138,6 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-            severity=self.severity,
         )
 
 
@@ -167,10 +152,6 @@ class ProgramRule:
 
     rule_id: str = ""
     title: str = ""
-    default_severity: str = "error"
-
-    def __init__(self) -> None:
-        self.severity = self.default_severity
 
     def check_program(self, project: "ProjectIndex") -> Iterable[Violation]:
         raise NotImplementedError
@@ -179,108 +160,8 @@ class ProgramRule:
         self, path: str, line: int, col: int, message: str
     ) -> Violation:
         return Violation(
-            rule_id=self.rule_id,
-            path=path,
-            line=line,
-            col=col,
-            message=message,
-            severity=self.severity,
+            rule_id=self.rule_id, path=path, line=line, col=col, message=message
         )
-
-
-_REGISTRY: Dict[str, Type[Rule]] = {}
-_PROGRAM_REGISTRY: Dict[str, Type[ProgramRule]] = {}
-
-
-def register_rule(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator: add ``cls`` to the rule registry by its ID."""
-    if not cls.rule_id:
-        raise ValueError(f"rule {cls.__name__} has no rule_id")
-    if cls.rule_id in _REGISTRY or cls.rule_id in _PROGRAM_REGISTRY:
-        raise ValueError(f"duplicate rule id {cls.rule_id!r}")
-    _REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def register_program_rule(cls: Type[ProgramRule]) -> Type[ProgramRule]:
-    """Class decorator: add a whole-program rule to the registry."""
-    if not cls.rule_id:
-        raise ValueError(f"rule {cls.__name__} has no rule_id")
-    if cls.rule_id in _REGISTRY or cls.rule_id in _PROGRAM_REGISTRY:
-        raise ValueError(f"duplicate rule id {cls.rule_id!r}")
-    _PROGRAM_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def registered_rules() -> Dict[str, Type[Rule]]:
-    """Copy of the per-module registry (importing the built-ins first)."""
-    _ensure_builtin_rules()
-    return dict(_REGISTRY)
-
-
-def registered_program_rules() -> Dict[str, Type[ProgramRule]]:
-    """Copy of the whole-program registry (importing the built-ins first)."""
-    _ensure_builtin_rules()
-    return dict(_PROGRAM_REGISTRY)
-
-
-def _ensure_builtin_rules() -> None:
-    # Imported for the registration side effect; local to avoid a cycle
-    # (rules.py imports this module for the Rule base class).
-    from repro.analysis import program_rules, rules  # noqa: F401
-
-
-def _apply_severities(
-    instances: Sequence[Union[Rule, ProgramRule]],
-    severities: Optional[Dict[str, str]],
-) -> None:
-    if not severities:
-        return
-    for rule_id, level in severities.items():
-        if level not in SEVERITIES:
-            raise KeyError(
-                f"unknown severity {level!r} for rule {rule_id}; "
-                f"choose from {SEVERITIES}"
-            )
-    for rule in instances:
-        override = severities.get(rule.rule_id)
-        if override is not None:
-            rule.severity = override
-
-
-def make_rules(
-    select: Optional[Sequence[str]] = None,
-    severities: Optional[Dict[str, str]] = None,
-) -> List[Rule]:
-    """Instantiate rules — the whole registry, or just the IDs in ``select``."""
-    _ensure_builtin_rules()
-    if select is None:
-        ids = sorted(_REGISTRY)
-    else:
-        ids = list(select)
-        unknown = [rule_id for rule_id in ids if rule_id not in _REGISTRY]
-        if unknown:
-            raise KeyError(
-                f"unknown rule id(s) {unknown}; registered: {sorted(_REGISTRY)}"
-            )
-    instances = [_REGISTRY[rule_id]() for rule_id in ids]
-    _apply_severities(instances, severities)
-    return instances
-
-
-def make_program_rules(
-    select: Optional[Sequence[str]] = None,
-    severities: Optional[Dict[str, str]] = None,
-) -> List[ProgramRule]:
-    """Instantiate whole-program rules, optionally filtered to ``select``."""
-    _ensure_builtin_rules()
-    if select is None:
-        ids = sorted(_PROGRAM_REGISTRY)
-    else:
-        ids = [rule_id for rule_id in select if rule_id in _PROGRAM_REGISTRY]
-    instances = [_PROGRAM_REGISTRY[rule_id]() for rule_id in ids]
-    _apply_severities(instances, severities)
-    return instances
 
 
 @dataclass
@@ -294,141 +175,104 @@ class LintReport:
     def clean(self) -> bool:
         return not self.violations
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "files_checked": self.files_checked,
-            "clean": self.clean,
-            "violations": [v.as_dict() for v in self.violations],
-        }
+
+def render_text(report: LintReport) -> str:
+    """One ``path:line:col: RULE message`` line per finding plus a summary."""
+    lines = [violation.render() for violation in report.violations]
+    noun = "file" if report.files_checked == 1 else "files"
+    if report.clean:
+        lines.append(f"clean: {report.files_checked} {noun}, 0 violations")
+    else:
+        count = len(report.violations)
+        vnoun = "violation" if count == 1 else "violations"
+        lines.append(f"{count} {vnoun} in {report.files_checked} {noun}")
+    return "\n".join(lines)
 
 
-def lint_source(
-    source: str,
-    path: Union[str, Path] = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Violation]:
-    """Lint one source string; returns suppression-filtered violations."""
-    if rules is None:
-        rules = make_rules()
-    try:
-        module = ModuleUnderLint(path, source)
-    except SyntaxError as exc:
-        return [
-            Violation(
+def parse_module(
+    path: Union[str, Path], source: Union[str, bytes]
+) -> Union[ModuleUnderLint, Violation]:
+    """Parse one file, or the ``E999`` finding for why it cannot be.
+
+    Bytes must be UTF-8 (the encoding of every file in the tree); an
+    undecodable byte is reported at its line and column instead of
+    ending the run with a traceback.
+    """
+    if isinstance(source, bytes):
+        try:
+            text = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_start = source.rfind(b"\n", 0, exc.start) + 1
+            return Violation(
                 rule_id=PARSE_ERROR_RULE_ID,
                 path=str(path),
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                message=f"syntax error: {exc.msg}",
+                line=source.count(b"\n", 0, exc.start) + 1,
+                col=exc.start - line_start,
+                message=f"not valid UTF-8: {exc.reason}",
             )
-        ]
-    found: List[Violation] = []
-    for rule in rules:
-        for violation in rule.check(module):
-            if not module.is_suppressed(violation):
-                found.append(violation)
-    found.sort(key=Violation.sort_key)
-    return found
-
-
-def _looks_generated(path: Path) -> bool:
-    """Does the file's head carry a machine-written marker?"""
+    else:
+        text = source
     try:
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            head = [handle.readline() for _ in range(3)]
-    except OSError:
-        return False
-    return any(marker in line for line in head for marker in GENERATED_MARKERS)
+        return ModuleUnderLint(path, text)
+    except SyntaxError as exc:
+        return Violation(
+            rule_id=PARSE_ERROR_RULE_ID,
+            path=str(path),
+            line=exc.lineno or 1,
+            col=(exc.offset or 1) - 1,
+            message=f"syntax error: {exc.msg}",
+        )
 
 
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files.
+    """Expand files/directories into a list of distinct ``.py`` files.
 
-    This is the one discovery walker shared by the per-module pass and
-    the whole-program pass, so both agree on what "the tree" means:
-    ``__pycache__``, hidden directories, packaging output
-    (``*.egg-info``, ``build``, ``dist``), and machine-written files
-    (``@generated`` / ``DO NOT EDIT`` markers in the first three lines)
-    are excluded from directory walks.  Explicitly named files are never
-    filtered — naming a file is an instruction to lint it.
+    This is the one discovery walker, behind :func:`parse_files`:
+    ``__pycache__``, hidden directories and packaging output
+    (``*.egg-info``, ``build``, ``dist``) are excluded from directory
+    walks.  Explicitly named files are never filtered — naming a file is
+    an instruction to lint it.  A file reached twice (``src src``, or a
+    directory and a file inside it) is listed once, at its first
+    position.
     """
     skip_dirs = {"__pycache__", "build", "dist"}
     out: List[Path] = []
+    seen: Set[Path] = set()
+
+    def add(candidate: Path) -> None:
+        resolved = candidate.resolve()
+        if resolved not in seen:
+            seen.add(resolved)
+            out.append(candidate)
+
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
             for candidate in sorted(path.rglob("*.py")):
                 parts = candidate.relative_to(path).parts
-                if any(
+                if not any(
                     p in skip_dirs or p.startswith(".") or p.endswith(".egg-info")
                     for p in parts
                 ):
-                    continue
-                if _looks_generated(candidate):
-                    continue
-                out.append(candidate)
+                    add(candidate)
         elif path.is_file():
-            out.append(path)
+            add(path)
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
     return out
 
 
-def lint_paths(
+def parse_files(
     paths: Sequence[Union[str, Path]],
-    rules: Optional[Sequence[Rule]] = None,
-) -> LintReport:
-    """Lint every ``.py`` file under ``paths`` and aggregate the findings."""
-    return lint_project(paths, rules=rules, program_rules=())
-
-
-def lint_project(
-    paths: Sequence[Union[str, Path]],
-    rules: Optional[Sequence[Rule]] = None,
-    program_rules: Optional[Sequence[ProgramRule]] = None,
-) -> LintReport:
-    """Run the per-module rules *and* the whole-program pass over ``paths``.
-
-    The same file list feeds both passes.  Program-rule findings honour
-    the per-line suppression comments of the file they anchor to, exactly
-    like per-module findings.
-    """
-    if rules is None:
-        rules = make_rules()
-    if program_rules is None:
-        program_rules = make_program_rules()
+) -> Tuple[List[Path], List[ModuleUnderLint], List[Violation]]:
+    """Walk ``paths``: the files found, those that parse, and ``E999`` findings."""
     files = iter_python_files(paths)
-    violations: List[Violation] = []
     modules: List[ModuleUnderLint] = []
+    errors: List[Violation] = []
     for file_path in files:
-        source = file_path.read_text(encoding="utf-8")
-        try:
-            module = ModuleUnderLint(file_path, source)
-        except SyntaxError as exc:
-            violations.append(
-                Violation(
-                    rule_id=PARSE_ERROR_RULE_ID,
-                    path=str(file_path),
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    message=f"syntax error: {exc.msg}",
-                )
-            )
-            continue
-        modules.append(module)
-        for rule in rules:
-            for violation in rule.check(module):
-                if not module.is_suppressed(violation):
-                    violations.append(violation)
-    if program_rules:
-        from repro.analysis.callgraph import ProjectIndex
-
-        project = ProjectIndex(modules)
-        by_path = {module.path: module for module in modules}
-        for prule in program_rules:
-            for violation in prule.check_program(project):
-                module = by_path.get(violation.path)
-                if module is None or not module.is_suppressed(violation):
-                    violations.append(violation)
-    violations.sort(key=Violation.sort_key)
-    return LintReport(files_checked=len(files), violations=violations)
+        parsed = parse_module(file_path, file_path.read_bytes())
+        if isinstance(parsed, Violation):
+            errors.append(parsed)
+        else:
+            modules.append(parsed)
+    return files, modules, errors

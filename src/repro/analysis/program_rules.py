@@ -8,9 +8,11 @@ enforce the conventions that rot *between* modules:
 ID   convention enforced
 ==== =================================================================
 W1   interprocedural wall-clock taint: no function outside
-     ``repro.perf.timer`` may transitively reach a wall-clock read.
-     Subsumes the intra-module D1 ban — a helper three calls deep
-     reaching ``time.monotonic`` taints every caller up the graph.
+     ``repro.perf.timer`` may read a wall clock or transitively reach
+     one.  Every direct read is reported (through any import alias:
+     ``from time import perf_counter``, ``import time as t``), and a
+     helper three calls deep reaching ``time.monotonic`` taints every
+     caller up the graph.
 R1   RNG-stream discipline: every ``random.Random(...)`` /
      ``np.random.default_rng(...)`` construction must be seeded by
      dataflow from a function parameter, a config field, or a
@@ -43,12 +45,7 @@ from repro.analysis.callgraph import (
     ProjectIndex,
     _dotted,
 )
-from repro.analysis.framework import (
-    ModuleUnderLint,
-    ProgramRule,
-    Violation,
-    register_program_rule,
-)
+from repro.analysis.framework import ModuleUnderLint, ProgramRule, Violation
 from repro.analysis.rules import _matches_wall_clock
 
 # -- W1: interprocedural wall-clock taint ------------------------------------
@@ -66,7 +63,6 @@ def _short(qualname: str) -> str:
     return ".".join(parts[-2:]) if len(parts) > 2 else qualname
 
 
-@register_program_rule
 class WallClockTaintRule(ProgramRule):
     """W1: nothing outside ``repro.perf.timer`` reaches a wall clock."""
 
@@ -78,16 +74,11 @@ class WallClockTaintRule(ProgramRule):
         exempt = self._exempt_callers(project)
         # Direct sources: call sites whose resolved target is a
         # wall-clock external (``time.perf_counter``, ``datetime.now``).
-        direct: Dict[str, Tuple[int, str]] = {}
-        for caller, targets in graph.edges.items():
-            if caller in exempt:
-                continue
-            for target, lineno in sorted(targets.items()):
-                if project.is_project_target(target):
-                    continue
-                if _matches_wall_clock(target):
-                    if caller not in direct or lineno < direct[caller][0]:
-                        direct[caller] = (lineno, target)
+        direct: Dict[str, List[Tuple[int, int, str]]] = {}
+        for caller, sites in graph.external_calls.items():
+            hits = sorted(site for site in sites if _matches_wall_clock(site[2]))
+            if hits and caller not in exempt:
+                direct[caller] = hits
         # Propagate taint along reverse edges; remember one witness
         # callee per tainted caller so reports carry a concrete path.
         tainted: Dict[str, str] = {}  # caller -> tainted callee (next hop)
@@ -108,18 +99,19 @@ class WallClockTaintRule(ProgramRule):
                     next_frontier.append(caller)
             frontier = next_frontier
 
-        for caller, (lineno, source) in sorted(direct.items()):
+        for caller, hits in sorted(direct.items()):
             path = self._caller_path(project, caller)
             if path is None:
                 continue
-            yield self.violation(
-                path,
-                lineno,
-                0,
-                f"`{_short(caller)}` reads the wall clock directly "
-                f"(`{source}()`); host time is confined to "
-                "`repro.perf.timer`",
-            )
+            for lineno, col, source in hits:
+                yield self.violation(
+                    path,
+                    lineno,
+                    col,
+                    f"`{_short(caller)}` reads the wall clock directly "
+                    f"(`{source}()`); host time is confined to "
+                    "`repro.perf.timer`",
+                )
         for caller, next_hop in sorted(tainted.items()):
             path = self._caller_path(project, caller)
             if path is None:
@@ -159,7 +151,9 @@ class WallClockTaintRule(ProgramRule):
 
     @staticmethod
     def _chain(
-        start: str, tainted: Dict[str, str], direct: Dict[str, Tuple[int, str]]
+        start: str,
+        tainted: Dict[str, str],
+        direct: Dict[str, List[Tuple[int, int, str]]],
     ) -> str:
         hops = [start]
         current = start
@@ -170,7 +164,7 @@ class WallClockTaintRule(ProgramRule):
                 break
         rendered = " -> ".join(_short(hop) for hop in hops)
         if current in direct:
-            rendered += f" -> {direct[current][1]}()"
+            rendered += f" -> {direct[current][0][2]}()"
         return rendered
 
 
@@ -196,7 +190,6 @@ _OK = "ok"
 _NEUTRAL = "neutral"  # literals: fine inside arithmetic, not alone
 
 
-@register_program_rule
 class RNGStreamRule(ProgramRule):
     """R1: every RNG stream is seeded from plumbed-in state."""
 
@@ -427,7 +420,6 @@ SUBMIT_METHODS = frozenset(
 )
 
 
-@register_program_rule
 class ForkSafetyRule(ProgramRule):
     """P1: pool entry points are picklable; worker trees are side-effect free."""
 

@@ -10,7 +10,10 @@ into a failing build instead of a corrupted fixture.
 ==== =================================================================
 ID   convention enforced
 ==== =================================================================
-D1   determinism: no wall-clock reads, no unseeded / global-state RNG
+D1   determinism: no global-state RNG (``random.randint``,
+     ``np.random.rand``), no inherently nondeterministic source
+     (``uuid``, ``os.urandom``, ``secrets``).  Wall clocks are W1's and
+     RNG construction is R1's (:mod:`repro.analysis.program_rules`)
 V1   virtual-time discipline: ``*_ns`` values never derive from a
      wall clock — nanosecond timestamps flow from ``sim.clock``
 T1   tracer guard: trace-event objects are only constructed under an
@@ -28,14 +31,9 @@ E1   no bare ``assert`` for invariant enforcement in shipped code —
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.framework import (
-    ModuleUnderLint,
-    Rule,
-    Violation,
-    register_rule,
-)
+from repro.analysis.framework import ModuleUnderLint, Rule, Violation
 
 # -- shared helpers ----------------------------------------------------------
 
@@ -142,39 +140,32 @@ def _nondeterministic_call(node: ast.Call) -> Optional[str]:
     dotted = _dotted_name(node.func)
     if dotted is None:
         return None
-    if _matches_wall_clock(dotted):
-        return (
-            f"wall-clock read `{dotted}()` — simulated time must come from "
-            "`sim.clock` (virtual nanoseconds)"
-        )
     if dotted in NONDETERMINISTIC_CALLS:
         return f"nondeterministic source `{dotted}()` breaks seeded reproducibility"
     parts = dotted.split(".")
-    if len(parts) == 2 and parts[0] == "random":
-        if parts[1] in GLOBAL_RANDOM_FUNCS:
-            return (
-                f"`{dotted}()` uses the global RNG; construct a seeded "
-                "`random.Random(seed)` instance instead"
-            )
-        if parts[1] == "Random" and not node.args and not node.keywords:
-            return "`random.Random()` without a seed is nondeterministic"
-    if len(parts) == 3 and parts[0] in ("np", "numpy") and parts[1] == "random":
-        if parts[2] in NP_GLOBAL_RANDOM_FUNCS:
-            return (
-                f"`{dotted}()` uses numpy's global RNG state; use a seeded "
-                "`np.random.default_rng(seed)` generator"
-            )
-        if parts[2] == "default_rng" and not node.args and not node.keywords:
-            return "`default_rng()` without a seed is nondeterministic"
+    if len(parts) == 2 and parts[0] == "random" and parts[1] in GLOBAL_RANDOM_FUNCS:
+        return (
+            f"`{dotted}()` uses the global RNG; construct a seeded "
+            "`random.Random(seed)` instance instead"
+        )
+    if (
+        len(parts) == 3
+        and parts[0] in ("np", "numpy")
+        and parts[1] == "random"
+        and parts[2] in NP_GLOBAL_RANDOM_FUNCS
+    ):
+        return (
+            f"`{dotted}()` uses numpy's global RNG state; use a seeded "
+            "`np.random.default_rng(seed)` generator"
+        )
     return None
 
 
-@register_rule
 class DeterminismRule(Rule):
-    """D1: no wall clocks, no unseeded or global-state RNG."""
+    """D1: no global-state RNG, no inherently nondeterministic source."""
 
     rule_id = "D1"
-    title = "determinism: no wall-clock reads or unseeded RNG"
+    title = "determinism: no global-state RNG or nondeterministic sources"
 
     def check(self, module: ModuleUnderLint) -> Iterable[Violation]:
         for node in ast.walk(module.tree):
@@ -184,7 +175,6 @@ class DeterminismRule(Rule):
                     yield self.violation(module, node, message)
 
 
-@register_rule
 class VirtualTimeRule(Rule):
     """V1: ``*_ns`` quantities must never be derived from a wall clock."""
 
@@ -300,7 +290,6 @@ def _terminates(body: List[ast.stmt]) -> bool:
     return isinstance(body[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break))
 
 
-@register_rule
 class TracerGuardRule(Rule):
     """T1: event objects are built only under an ``enabled`` guard.
 
@@ -452,7 +441,6 @@ PTE_BIT_ARRAYS = frozenset(
 )
 
 
-@register_rule
 class LayeringRule(Rule):
     """L1: PTE bit arrays are ``repro.mem``-private."""
 
@@ -476,7 +464,6 @@ class LayeringRule(Rule):
                     )
 
 
-@register_rule
 class BareAssertRule(Rule):
     """E1: shipped invariants must survive ``python -O``."""
 

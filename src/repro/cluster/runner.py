@@ -720,8 +720,8 @@ def plan_cluster(
     Degradation steps shrink the pool's health before their epoch's
     rebalance; membership changes re-ring routing and hand budget
     between shards; per-epoch L1 misallocation against the clairvoyant
-    plan is measured for every pool run.  Baseline clusters
-    (no pool) plan no leases.
+    plan is measured for every pool run.  A baseline cluster
+    (no pool) plans no leases.
 
     ``stream`` is the spec's compiled op stream when the caller already
     holds one (checked against the spec; otherwise the probe compiles
@@ -751,7 +751,7 @@ def plan_cluster(
     migrations: List[Dict[str, object]] = []
 
     if capacity is None:
-        # Baseline cluster: no pool to lease, but membership changes
+        # A baseline cluster has no pool to lease, but membership changes
         # still move keys, so the migration records are still planned.
         ring = rings[0]
         for epoch in range(1, spec.epochs):

@@ -193,7 +193,7 @@ class CrashSimulator:
             if pfn not in lost:
                 durable[pfn] = region.page_bytes(pfn)
         if backing is None:
-            # Baseline: the full-battery flush covers every touched page.
+            # The baseline's full-battery flush covers every touched page.
             for pfn, _version in region.touched_pages():
                 if pfn not in lost:
                     durable[pfn] = region.page_bytes(pfn)

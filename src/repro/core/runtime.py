@@ -481,7 +481,7 @@ class DataPath:
 
 
 class FullBatteryNVDRAM(NVDRAMSystem):
-    """Baseline: conventional NV-DRAM with a battery for the whole region.
+    """The baseline: conventional NV-DRAM with a battery for the whole region.
 
     No write protection, no tracking, no flushing — every page may be
     dirty because the battery can flush them all.  Pays only raw DRAM/TLB

@@ -1,9 +1,10 @@
 """The package's only wall-clock sites, isolated for auditability.
 
-The D1 lint rule bans wall-clock reads in ``src`` because simulation
-logic must never depend on host time.  Measuring how fast the simulator
-*runs* is the sanctioned exception, and it is confined to this module so
-the suppressions below are the complete inventory of wall-time reads.
+Lint rule W1 bans wall-clock reads in ``src`` because simulation logic
+must never depend on host time.  Measuring how fast the simulator
+*runs* is the sanctioned exception, and it is confined to this module,
+the one W1 exempts, so the reads below are the complete inventory of
+wall-time reads.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ def best_of(repeats: int, one_pass: Callable[[], object]) -> float:
         raise ValueError(f"repeats must be positive: {repeats}")
     best = float("inf")
     for _ in range(repeats):
-        start = time.perf_counter()  # lint: ignore[D1]
+        start = time.perf_counter()
         one_pass()
-        elapsed = time.perf_counter() - start  # lint: ignore[D1]
+        elapsed = time.perf_counter() - start
         if elapsed < best:
             best = elapsed
     return best
@@ -33,4 +34,4 @@ def best_of(repeats: int, one_pass: Callable[[], object]) -> float:
 
 def timestamp() -> float:
     """Unix timestamp for the report's ``wall.generated_at_unix`` field."""
-    return time.time()  # lint: ignore[D1]
+    return time.time()

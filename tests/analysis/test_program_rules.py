@@ -5,14 +5,19 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.analysis import lint_project, make_program_rules
+from repro.analysis import lint_project
+from repro.analysis.program_rules import (
+    ForkSafetyRule,
+    RNGStreamRule,
+    WallClockTaintRule,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "program"
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def strict_lint(paths, select=None):
-    return lint_project(paths, rules=[], program_rules=make_program_rules(select))
+def lint_with(paths, rule):
+    return lint_project(paths, rules=[rule()])
 
 
 def findings(report, rule_id):
@@ -21,7 +26,7 @@ def findings(report, rule_id):
 
 class TestW1WallClockTaint:
     def test_two_hop_taint_is_flagged(self):
-        report = strict_lint([FIXTURES / "bad_w1.py"], ["W1"])
+        report = lint_with([FIXTURES / "bad_w1.py"], WallClockTaintRule)
         w1 = findings(report, "W1")
         by_line = {v.line: v for v in w1}
         # leaf (direct), middle (one hop), top (two hops) — not innocent.
@@ -35,8 +40,32 @@ class TestW1WallClockTaint:
         )
 
     def test_timer_module_is_exempt(self):
-        report = strict_lint([SRC / "repro" / "perf" / "timer.py"], ["W1"])
-        assert findings(report, "W1") == []
+        # No rule needs a suppression comment in the sanctioned module.
+        report = lint_project([SRC / "repro" / "perf" / "timer.py"])
+        assert report.violations == []
+
+    def test_every_direct_read_is_flagged_through_any_alias(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            textwrap.dedent(
+                """
+                import time as t
+                from time import perf_counter
+
+                def f():
+                    start = perf_counter()
+                    stamp = t.time()
+                    return perf_counter() - start, stamp
+                """
+            ),
+            encoding="utf-8",
+        )
+        report = lint_with([path], WallClockTaintRule)
+        assert [(v.line, v.col) for v in findings(report, "W1")] == [
+            (6, 12),
+            (7, 12),
+            (8, 11),
+        ]
 
     def test_callers_of_the_timer_barrier_stay_clean(self, tmp_path):
         # A function that uses wall time *through* best_of is sanctioned.
@@ -57,7 +86,7 @@ class TestW1WallClockTaint:
             ),
             encoding="utf-8",
         )
-        report = strict_lint([tree], ["W1"])
+        report = lint_with([tree], WallClockTaintRule)
         assert findings(report, "W1") == []
 
     def test_suppression_comment_silences_w1(self, tmp_path):
@@ -67,13 +96,13 @@ class TestW1WallClockTaint:
             "    return time.monotonic()  # lint: ignore[W1]\n",
             encoding="utf-8",
         )
-        report = strict_lint([path], ["W1"])
+        report = lint_with([path], WallClockTaintRule)
         assert findings(report, "W1") == []
 
 
 class TestR1RNGStreams:
     def test_bad_constructions_are_flagged(self):
-        report = strict_lint([FIXTURES / "bad_r1.py"], ["R1"])
+        report = lint_with([FIXTURES / "bad_r1.py"], RNGStreamRule)
         r1 = findings(report, "R1")
         messages = {v.line: v.message for v in r1}
         assert len(r1) == 4
@@ -83,7 +112,7 @@ class TestR1RNGStreams:
         assert "opaque call `fetch_entropy(...)`" in messages[30]
 
     def test_good_constructions_pass(self):
-        report = strict_lint([FIXTURES / "bad_r1.py"], ["R1"])
+        report = lint_with([FIXTURES / "bad_r1.py"], RNGStreamRule)
         flagged_lines = {v.line for v in findings(report, "R1")}
         # param_seed / config_seed / helper_seed / wrapped_seed bodies.
         assert flagged_lines.isdisjoint({38, 42, 46, 54})
@@ -102,7 +131,7 @@ class TestR1RNGStreams:
             ),
             encoding="utf-8",
         )
-        report = strict_lint([path], ["R1"])
+        report = lint_with([path], RNGStreamRule)
         assert len(findings(report, "R1")) == 1
 
     def test_derived_local_keeps_seededness(self, tmp_path):
@@ -119,7 +148,7 @@ class TestR1RNGStreams:
             ),
             encoding="utf-8",
         )
-        report = strict_lint([path], ["R1"])
+        report = lint_with([path], RNGStreamRule)
         assert findings(report, "R1") == []
 
 
@@ -144,7 +173,7 @@ class TestP1ForkSafety:
                 return pool.submit(lambda: 1)
             """,
         )
-        report = strict_lint([tree], ["P1"])
+        report = lint_with([tree], ForkSafetyRule)
         assert any(
             "lambda" in v.message for v in findings(report, "P1")
         )
@@ -160,7 +189,7 @@ class TestP1ForkSafety:
                 return pool.submit(job)
             """,
         )
-        report = strict_lint([tree], ["P1"])
+        report = lint_with([tree], ForkSafetyRule)
         assert any("closure" in v.message for v in findings(report, "P1"))
 
     def test_worker_tree_global_write_is_flagged(self, tmp_path):
@@ -183,7 +212,7 @@ class TestP1ForkSafety:
                 return pool.submit(job, 3)
             """,
         )
-        report = strict_lint([tree], ["P1"])
+        report = lint_with([tree], ForkSafetyRule)
         p1 = findings(report, "P1")
         assert any(
             "`CACHE`" in v.message and "worker.helper" in v.message for v in p1
@@ -206,7 +235,7 @@ class TestP1ForkSafety:
                 return pool.submit(job)
             """,
         )
-        report = strict_lint([tree], ["P1"])
+        report = lint_with([tree], ForkSafetyRule)
         assert any(
             "global COUNT" in v.message for v in findings(report, "P1")
         )
@@ -227,7 +256,7 @@ class TestP1ForkSafety:
                 return pool.submit(job, 3)
             """,
         )
-        report = strict_lint([tree], ["P1"])
+        report = lint_with([tree], ForkSafetyRule)
         assert findings(report, "P1") == []
 
     def test_writable_memmap_in_worker_tree_is_flagged(self, tmp_path):
@@ -246,7 +275,7 @@ class TestP1ForkSafety:
                 return pool.submit(job, "x.ops")
             """,
         )
-        report = strict_lint([tree], ["P1"])
+        report = lint_with([tree], ForkSafetyRule)
         assert any(
             "writable np.memmap" in v.message
             for v in findings(report, "P1")
@@ -269,7 +298,7 @@ class TestP1ForkSafety:
                 return pool.submit(job, "x.ops")
             """,
         )
-        report = strict_lint([tree], ["P1"])
+        report = lint_with([tree], ForkSafetyRule)
         assert any(
             "writable np.memmap" in v.message
             for v in findings(report, "P1")
@@ -291,23 +320,10 @@ class TestP1ForkSafety:
                 return pool.submit(job, "x.ops")
             """,
         )
-        report = strict_lint([tree], ["P1"])
+        report = lint_with([tree], ForkSafetyRule)
         assert findings(report, "P1") == []
 
     def test_shipped_parallel_package_is_fork_safe(self):
-        report = strict_lint([SRC / "repro"], ["P1"])
+        report = lint_with([SRC / "repro"], ForkSafetyRule)
         assert findings(report, "P1") == []
 
-
-class TestSelection:
-    def test_make_program_rules_filters_silently(self):
-        # Mixed selections (module + program IDs) must not raise here.
-        rules = make_program_rules(["D1", "W1"])
-        assert [r.rule_id for r in rules] == ["W1"]
-
-    def test_all_rules_register(self):
-        assert [r.rule_id for r in make_program_rules()] == [
-            "P1",
-            "R1",
-            "W1",
-        ]
