@@ -1068,10 +1068,12 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
     )
     session = BatchedSession(runner)
     # One vectorized routing pass decides record ownership (put order
-    # stays the sequential key-index order of the load phase).
+    # stays the sequential key-index order of the load phase).  Loaded
+    # keys are the stream's key table entries, so the load and every
+    # later op on a key share one bytes object.
     record_indices = np.arange(job.record_count, dtype=np.int64)
     owned = rings[0].shard_for_rows(key_rows(record_indices)) == job.shard
-    own_record_keys = key_array(record_indices[owned]).tolist()
+    own_record_keys = stream.key_table[owned].tolist()
     session.put(own_record_keys)
 
     bounds = stream.segment_bounds
@@ -1083,7 +1085,7 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
         insert_keys = key_array(
             np.asarray(stream.key_indices)[insert_positions]
         ).tolist()
-        record_keys = key_array(record_indices).tolist()
+        record_keys = stream.key_table.tolist()
     tenant_ops = np.zeros(job.tenants, dtype=np.int64)
     routed = 0
     migrated_in = 0
@@ -1134,7 +1136,7 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
                 KIND_NAMES[code]
                 for code in np.asarray(stream.codes[lo:hi])[own].tolist()
             ],
-            key_array(own_indices).tolist(),
+            stream.keys_at(own_indices),
             np.asarray(stream.scan_lengths[lo:hi])[own].tolist()
             if stream.has_scans
             else (),

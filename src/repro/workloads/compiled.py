@@ -56,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -104,8 +104,6 @@ _SECTIONS: Tuple[Tuple[str, str], ...] = (
 #: stream (the draws are consumed in stream order regardless of
 #: chunking).
 _COMPILE_BLOCK = 8192
-#: Streams at or below this op count memoize their decoded batches.
-_BATCH_CACHE_MAX_OPS = 1_000_000
 
 _KEY_WIDTH = 24
 
@@ -156,12 +154,6 @@ class CompiledStream:
     value_sizes: np.ndarray
     scan_lengths: np.ndarray
     segment_bounds: np.ndarray
-    #: batch_size -> materialized OpBatch tuple; at most one entry, and
-    #: only for streams small enough that the decoded batches are cheap
-    #: to hold (see _BATCH_CACHE_MAX_OPS).
-    _batch_cache: Dict[int, Tuple[OpBatch, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -239,10 +231,38 @@ class CompiledStream:
 
     # -- consumption -------------------------------------------------------
 
+    @cached_property
+    def key_table(self) -> np.ndarray:
+        """The loaded keys: ``key_table[i] == make_key(i)`` for ``i <
+        record_count``, as one object array built once per stream.
+
+        Every op on a loaded key hands out the same ``bytes`` object,
+        so its hash is computed once per run, and replay holds
+        ``record_count`` keys however many ops it decodes.
+        """
+        return np.array(
+            key_array(np.arange(self.record_count, dtype=np.int64)).tolist(),
+            dtype=object,
+        )
+
+    def keys_at(self, indices: np.ndarray) -> List[bytes]:
+        """The keys of a key-index array as Python bytes.
+
+        Loaded keys come from :attr:`key_table`; inserted keys (index
+        ``>= record_count``) are formatted per op.
+        """
+        table = self.key_table
+        inserted = indices >= self.record_count
+        if not inserted.any():
+            return table[indices].tolist()
+        keys = table[np.where(inserted, 0, indices)]
+        keys[inserted] = key_array(indices[inserted]).tolist()
+        return keys.tolist()
+
     def keys(self, lo: int = 0, hi: Optional[int] = None) -> List[bytes]:
         """The encoded keys of ``[lo, hi)`` as Python bytes."""
         stop = len(self) if hi is None else hi
-        return key_array(np.asarray(self.key_indices[lo:stop])).tolist()
+        return self.keys_at(np.asarray(self.key_indices[lo:stop]))
 
     def segment_slice(self, epoch: int) -> Tuple[int, int]:
         """The op positions ``[lo, hi)`` belonging to epoch ``epoch``."""
@@ -276,28 +296,13 @@ class CompiledStream:
         """The stream as :class:`OpBatch` chunks (array-slice reads).
 
         Chunks are ``batch_size`` ops long (the last may be shorter),
-        whatever backs the stream.
-
-        Replays are memoized: a stream is immutable, so once the
-        batches for a ``batch_size`` have been decoded they are cached
-        on the stream and later replays (repeat benchmark passes, the
-        budget points of a sweep sharing one stream) skip the decode
-        entirely.  Streams above ``_BATCH_CACHE_MAX_OPS`` stay lazy —
-        holding millions of decoded key tuples would defeat the memmap.
+        whatever backs the stream.  Each batch is decoded when it is
+        asked for and nothing keeps it afterwards, so a replay holds
+        the key table plus one batch: O(``record_count`` + batch) host
+        memory for any op count.  A second replay decodes again.
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive: {batch_size}")
-        if len(self) > _BATCH_CACHE_MAX_OPS:
-            yield from self._decode_batches(batch_size)
-            return
-        cached = self._batch_cache.get(batch_size)
-        if cached is None:
-            cached = tuple(self._decode_batches(batch_size))
-            self._batch_cache.clear()  # at most one batch_size resident
-            self._batch_cache[batch_size] = cached
-        yield from cached
-
-    def _decode_batches(self, batch_size: int) -> Iterator[OpBatch]:
         n = len(self)
         scans = self.has_scans
         for lo in range(0, n, batch_size):
@@ -547,9 +552,14 @@ def open_ops(path: str, verify: bool = True) -> CompiledStream:
 
     ``verify`` streams the file once through sha256 and raises
     :class:`OpsChecksumError` on any corruption before a single array
-    element is served.  The mappings are ``mode="r"``: safe to open in
-    any number of pool workers at once (the page cache shares the
-    physical bytes).
+    element is served, then checks every section's values in one
+    vectorized pass (:func:`_check_sections`), so a well-checksummed
+    file with contents no compiler writes raises :class:`OpsFormatError`
+    instead of crashing or replaying wrong keys.  ``verify=False``
+    reads only the header and meta: section lengths are still checked,
+    their contents are trusted.  The mappings are ``mode="r"``: safe to
+    open in any number of pool workers at once (the page cache shares
+    the physical bytes).
     """
     with open(path, "rb") as handle:
         header = handle.read(_HEADER_LEN)
@@ -605,33 +615,96 @@ def open_ops(path: str, verify: bool = True) -> CompiledStream:
         section = table.get(name)
         if section is None or section["dtype"] != dtype:
             raise OpsFormatError(f"missing .ops section {name!r}: {path}")
-        count = int(section["count"])
-        arrays[name] = (
-            np.memmap(
-                path,
-                dtype=np.dtype(dtype),
-                mode="r",
-                offset=data_start + int(section["offset"]),
-                shape=(count,),
+        try:
+            count = int(section["count"])
+            arrays[name] = (
+                np.memmap(
+                    path,
+                    dtype=np.dtype(dtype),
+                    mode="r",
+                    offset=data_start + int(section["offset"]),
+                    shape=(count,),
+                )
+                if count
+                else np.empty(0, dtype=np.dtype(dtype))
             )
-            if count
-            else np.empty(0, dtype=np.dtype(dtype))
+        except (TypeError, ValueError) as exc:
+            raise OpsFormatError(
+                f"unreadable .ops section {name!r}: {path}: {exc}"
+            ) from exc
+    try:
+        stream = CompiledStream(
+            workload=str(meta["workload"]),
+            record_count=int(meta["record_count"]),
+            operation_count=int(meta["operation_count"]),
+            value_size=int(meta["value_size"]),
+            theta=float(meta["theta"]),
+            seed=int(meta["seed"]),
+            epochs=int(meta["epochs"]),
+            hotspot_rotate_keys=int(meta["hotspot_rotate_keys"]),
+            codes=arrays["codes"],
+            key_indices=arrays["key_indices"],
+            value_sizes=arrays["value_sizes"],
+            scan_lengths=arrays["scan_lengths"],
+            segment_bounds=arrays["segment_bounds"],
         )
-    return CompiledStream(
-        workload=str(meta["workload"]),
-        record_count=int(meta["record_count"]),
-        operation_count=int(meta["operation_count"]),
-        value_size=int(meta["value_size"]),
-        theta=float(meta["theta"]),
-        seed=int(meta["seed"]),
-        epochs=int(meta["epochs"]),
-        hotspot_rotate_keys=int(meta["hotspot_rotate_keys"]),
-        codes=arrays["codes"],
-        key_indices=arrays["key_indices"],
-        value_sizes=arrays["value_sizes"],
-        scan_lengths=arrays["scan_lengths"],
-        segment_bounds=arrays["segment_bounds"],
-    )
+    except (TypeError, ValueError) as exc:
+        raise OpsFormatError(f"unreadable .ops meta: {path}: {exc}") from exc
+    problems = _check_sections(stream, values=verify)
+    if problems:
+        raise OpsFormatError(
+            f"invalid .ops sections: {path}: {'; '.join(problems)}"
+        )
+    return stream
+
+
+def _check_sections(stream: CompiledStream, values: bool) -> List[str]:
+    """What makes ``stream`` unreplayable; empty when it is sound.
+
+    Lengths come from the meta alone.  ``values`` also reads every
+    element, one numpy reduction per section: codes inside
+    :data:`KIND_NAMES`, key indices, value sizes and scan lengths
+    non-negative, and ``segment_bounds`` non-decreasing from 0 to
+    ``operation_count``.
+    """
+    n = stream.operation_count
+    if stream.record_count < 1 or stream.epochs < 1 or n < 0:
+        return [
+            "record_count and epochs must be positive and "
+            f"operation_count non-negative: {stream.record_count}, "
+            f"{stream.epochs}, {n}"
+        ]
+    problems = [
+        f"{name} has {len(getattr(stream, name))} entries, "
+        f"operation_count is {n}"
+        for name in ("codes", "key_indices", "value_sizes", "scan_lengths")
+        if len(getattr(stream, name)) != n
+    ]
+    bounds = stream.segment_bounds
+    if len(bounds) != stream.epochs + 1:
+        problems.append(
+            f"segment_bounds has {len(bounds)} entries, "
+            f"epochs + 1 is {stream.epochs + 1}"
+        )
+    if problems or not values:
+        return problems
+    if n and int(stream.codes.max()) >= len(KIND_NAMES):
+        problems.append(
+            f"op code {int(stream.codes.max())} outside "
+            f"[0, {len(KIND_NAMES)})"
+        )
+    for name in ("key_indices", "value_sizes", "scan_lengths"):
+        array = getattr(stream, name)
+        if n and int(array.min()) < 0:
+            problems.append(f"{name} holds {int(array.min())}, below 0")
+    first, last = int(bounds[0]), int(bounds[-1])
+    falls = (np.diff(bounds.astype(np.int64)) < 0).any()
+    if first != 0 or last != n or falls:
+        problems.append(
+            f"segment_bounds must not decrease from 0 to {n}: "
+            f"runs {first} .. {last}"
+        )
+    return problems
 
 
 __all__ = [

@@ -287,16 +287,15 @@ def iter_op_batches(
 
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive: {batch_size}")
-    if compiled is not None:
+    if compiled is None:
+        compiled = compile_workload(
+            spec, record_count, operation_count, value_size, theta, seed
+        )
+    else:
         compiled.require(
             spec, record_count, operation_count, value_size, theta, seed
         )
-        yield from compiled.batches(batch_size)
-        return
-    stream = compile_workload(
-        spec, record_count, operation_count, value_size, theta, seed
-    )
-    yield from stream._decode_batches(batch_size)
+    yield from compiled.batches(batch_size)
 
 
 def load_operations(

@@ -12,7 +12,11 @@ corruption detection.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import os
+import sys
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -153,6 +157,68 @@ def test_kind_vocabulary_is_pinned():
 
 
 # --------------------------------------------------------------------------
+# Replay memory: one key table per stream, no decoded-batch memo.
+
+
+def test_replay_memory_is_the_key_table_plus_one_batch():
+    # The CI scale-smoke stream's shape: a memo of its decoded batches
+    # would hold 500k keys (~35 MB); the key table is 5,000.
+    stream = compile_workload(
+        YCSB_WORKLOADS["YCSB-A"], 5_000, 500_000, epochs=4
+    )
+    # Decode a tiny stream first so numpy's lazy imports are not traced.
+    list(compile_workload(YCSB_WORKLOADS["YCSB-A"], 5, 5).batches())
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            for batch in stream.batches():
+                pass
+        del batch
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"decode peaked at {peak} traced bytes"
+    table = stream.key_table
+    table_bytes = table.nbytes + sum(map(sys.getsizeof, table.tolist()))
+    assert current <= table_bytes + 32 * 2**10, (current, table_bytes)
+
+
+@pytest.mark.parametrize("workload", ["YCSB-A", "YCSB-D"])
+def test_keys_batches_and_operations_match_make_key(workload):
+    stream = compile_workload(YCSB_WORKLOADS[workload], **_params())
+    indices = stream.key_indices.tolist()
+    if workload == "YCSB-D":
+        assert max(indices) >= stream.record_count  # inserts extend it
+    expected = key_array(stream.key_indices).tolist()
+    assert expected == [make_key(index) for index in indices]
+    assert stream.keys() == expected
+    assert stream.keys(100, 333) == expected[100:333]
+    assert [key for batch in stream.batches(97) for key in batch.keys] == (
+        expected
+    )
+    assert [op.key for op in stream.operations()] == expected
+    assert stream.key_table.tolist() == [
+        make_key(index) for index in range(stream.record_count)
+    ]
+
+
+def test_loaded_key_occurrences_are_one_object():
+    stream = compile_workload(YCSB_WORKLOADS["YCSB-A"], **_params())
+    seen = {}
+    for two, index in enumerate(stream.key_indices.tolist()):
+        if index in seen:
+            one = seen[index]
+            break
+        seen[index] = two
+    keys = stream.keys()
+    assert keys[one] is keys[two]
+    # Across batch boundaries too: batch size 1 puts them in different
+    # batches.
+    batched = [batch.keys[0] for batch in stream.batches(1)]
+    assert batched[one] is batched[two] is keys[one]
+
+
+# --------------------------------------------------------------------------
 # The .ops binary envelope.
 
 
@@ -238,6 +304,98 @@ class TestOpsFormat:
             open_ops(path)
         with pytest.raises(OpsFormatError):
             ops_checksum(path)
+
+
+def _doctored(stream: CompiledStream, case: str) -> CompiledStream:
+    if case == "op code 9":
+        codes = np.array(stream.codes)
+        codes[5] = 9
+        return dataclasses.replace(stream, codes=codes)
+    if case == "short key_indices":
+        return dataclasses.replace(
+            stream, key_indices=np.array(stream.key_indices[:-1])
+        )
+    if case == "key index -3":
+        indices = np.array(stream.key_indices)
+        indices[7] = -3
+        return dataclasses.replace(stream, key_indices=indices)
+    if case == "bounds past the end":
+        return dataclasses.replace(
+            stream,
+            segment_bounds=np.array([0, 2 * len(stream)], dtype=np.int32),
+        )
+    assert case == "value size -1"
+    sizes = np.array(stream.value_sizes)
+    sizes[3] = -1
+    return dataclasses.replace(stream, value_sizes=sizes)
+
+
+class TestOpsContents:
+    """A well-checksummed ``.ops`` file with contents no compiler writes
+    raises :class:`OpsFormatError` at open, not an ``IndexError`` or a
+    silently wrong replay later."""
+
+    CASES = [
+        "op code 9",
+        "short key_indices",
+        "key index -3",
+        "bounds past the end",
+        "value size -1",
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_doctored_section_is_rejected(self, tmp_path, case):
+        stream = compile_workload(
+            YCSB_WORKLOADS["YCSB-A"], 100, 1_000, epochs=1
+        )
+        path = str(tmp_path / "doctored.ops")
+        save_ops(_doctored(stream, case), path)
+        with pytest.raises(OpsFormatError, match="invalid .ops sections"):
+            open_ops(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b'"count":2,', b'"count":9,'),  # segment_bounds overruns EOF
+            (b'"seed":11', b'"seed":""'),
+        ],
+    )
+    def test_doctored_meta_is_rejected(self, tmp_path, old, new):
+        path = str(tmp_path / "meta.ops")
+        save_ops(
+            compile_workload(YCSB_WORKLOADS["YCSB-A"], 100, 1_000, seed=11),
+            path,
+        )
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        at = data.index(old)
+        data[at : at + len(old)] = new
+        data[16:48] = hashlib.sha256(bytes(data[48:])).digest()
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with pytest.raises(OpsFormatError, match="unreadable .ops"):
+            open_ops(path)
+
+    def test_verify_false_still_checks_section_lengths(self, tmp_path):
+        stream = compile_workload(YCSB_WORKLOADS["YCSB-A"], 100, 1_000)
+        path = str(tmp_path / "short.ops")
+        save_ops(_doctored(stream, "short key_indices"), path)
+        with pytest.raises(OpsFormatError, match="key_indices has 999"):
+            open_ops(path, verify=False)
+        save_ops(_doctored(stream, "op code 9"), path)
+        open_ops(path, verify=False)  # values are the caller's to trust
+
+    def test_compiled_streams_pass(self, tmp_path):
+        for workload in WORKLOADS:
+            stream = compile_workload(
+                YCSB_WORKLOADS[workload], 50, 300, epochs=3
+            )
+            path = str(tmp_path / f"{workload}.ops")
+            save_ops(stream, path)
+            assert open_ops(path).meta() == stream.meta()
+        empty = compile_workload(YCSB_WORKLOADS["YCSB-A"], 50, 0, epochs=3)
+        save_ops(empty, path)
+        assert len(open_ops(path)) == 0
 
 
 # --------------------------------------------------------------------------
