@@ -209,7 +209,7 @@ class CrashSimulator:
                 corrupt.append(pfn)
         return RecoveryReport(
             pages_checked=checked,
-            pages_recovered=checked - len(corrupt) - len(lost & set(durable)),
+            pages_recovered=checked - len(corrupt) - len(lost),
             pages_corrupt=corrupt,
             pages_lost=sorted(lost),
         )

@@ -125,7 +125,7 @@ class Flusher:
         # Section 5.4's MMU counts dirty pages in hardware and must hear
         # about every completed flush; the software MMU has no such hook.
         self._page_cleaned = getattr(mmu, "page_cleaned", None)
-        self._page_bytes = region.page_bytes
+        self._freeze = region.freeze
         self._page_version = region.page_version
         self._page_size = region.page_size
         self._submit_write = ssd.submit_write
@@ -156,6 +156,9 @@ class Flusher:
         writes trap instead of racing the IO), snapshot its contents and
         version, submit the SSD write, and schedule the completion that
         will persist the snapshot and drop the page from the dirty set.
+        The snapshot is ``NVDRAMRegion.freeze``: one ``bytes`` object that
+        is the region's image until the next store and the backing
+        store's once persisted.
 
         ``nbytes`` sizes the SSD IO (defaults to ``flush_bytes_of(pfn)``
         when that hook is set, else the whole page); the durable snapshot
@@ -181,7 +184,7 @@ class Flusher:
         cost = self._protect_page(pfn)
         stats = self.stats
         stats.pte_update_time_ns += cost
-        data = self._page_bytes(pfn)
+        data = self._freeze(pfn)
         version = self._page_version[pfn]
         physical = nbytes
         if self.reducer is not None:

@@ -429,9 +429,13 @@ class NVDRAMSystem:
                     cost = resolve_fault(pfn, cost)
                 clock._now += cost
             # The bytes land before any event may run (see _touch_write).
+            # An absent page is allocated and a frozen (flushed) one thawed
+            # with one copy (see NVDRAMRegion._page).
             page = pages.get(pfn)
-            if page is None:
-                page = pages[pfn] = bytearray(page_size)
+            if page.__class__ is not bytearray:
+                page = pages[pfn] = (
+                    bytearray(page_size) if page is None else bytearray(page)
+                )
             page[offset : offset + size] = data
             page_version[pfn] += 1
             if clock._now >= events.next_due_at:

@@ -4,6 +4,15 @@ The region stores actual bytes (lazily-allocated 4 KiB pages) so the crash
 simulator can verify *data* durability — that recovery reproduces the last
 written contents — rather than merely checking bookkeeping counters.
 
+A page's image is a ``bytearray`` while it may take stores and an
+immutable ``bytes`` once flushed.  :meth:`NVDRAMRegion.freeze` is the
+flush's snapshot (section 5.1: protect, then copy): it installs the copy
+as the region's image and the flusher hands that same object to the
+backing store, so a clean page is one object shared by the region and the
+store, not two copies.  The next store thaws the page with one copy.  The
+type enforces the split: a store that skips the thaw raises ``TypeError``
+rather than changing a durable image.
+
 A monotonically increasing per-page version number accompanies the bytes;
 the backing store records which version of each page it holds, which is
 how tests prove the write-protect-before-flush ordering of section 5.1
@@ -28,7 +37,8 @@ class NVDRAMRegion:
         self.num_pages = int(num_pages)
         self.page_size = int(page_size)
         self.size = self.num_pages * self.page_size
-        self._pages: Dict[int, bytearray] = {}
+        # pfn -> image: ``bytearray`` while writable, ``bytes`` once frozen.
+        self._pages: Dict[int, bytearray | bytes] = {}
         self.page_version: List[int] = [0] * self.num_pages
 
     # -- address helpers ---------------------------------------------------
@@ -48,12 +58,18 @@ class NVDRAMRegion:
         last = addr + length - 1
         return range(self.page_of(addr), self.page_of(last) + 1)
 
+    def _check_pfn(self, pfn: int) -> None:
+        if not 0 <= pfn < self.num_pages:
+            raise IndexError(f"page frame {pfn} out of range [0, {self.num_pages})")
+
     def _page(self, pfn: int) -> bytearray:
+        """The writable image of ``pfn``: allocated if absent, thawed if frozen."""
         page = self._pages.get(pfn)
-        if page is None:
-            page = bytearray(self.page_size)
-            self._pages[pfn] = page
-        return page
+        if isinstance(page, bytearray):
+            return page
+        thawed = bytearray(self.page_size) if page is None else bytearray(page)
+        self._pages[pfn] = thawed
+        return thawed
 
     # -- data access (bookkeeping only; MMU charges happen elsewhere) ------
 
@@ -101,8 +117,7 @@ class NVDRAMRegion:
         Equivalent to :meth:`read` for a range already known not to cross
         a page boundary: one bounds check, one copy out.
         """
-        if not 0 <= pfn < self.num_pages:
-            raise IndexError(f"page frame {pfn} out of range [0, {self.num_pages})")
+        self._check_pfn(pfn)
         if offset < 0 or length < 0 or offset + length > self.page_size:
             raise IndexError(
                 f"slice [{offset}, {offset + length}) out of page of size {self.page_size}"
@@ -120,8 +135,7 @@ class NVDRAMRegion:
         address re-derivation per call.
         """
         length = len(data)
-        if not 0 <= pfn < self.num_pages:
-            raise IndexError(f"page frame {pfn} out of range [0, {self.num_pages})")
+        self._check_pfn(pfn)
         if offset < 0 or offset + length > self.page_size:
             raise IndexError(
                 f"slice [{offset}, {offset + length}) out of page of size {self.page_size}"
@@ -130,17 +144,37 @@ class NVDRAMRegion:
         self.page_version[pfn] += 1
 
     def page_bytes(self, pfn: int) -> bytes:
-        """Snapshot the current contents of one page (for flushing)."""
-        if not 0 <= pfn < self.num_pages:
-            raise IndexError(f"page frame {pfn} out of range [0, {self.num_pages})")
+        """The current contents of one page; the region is left as it was."""
+        self._check_pfn(pfn)
         page = self._pages.get(pfn)
         return bytes(page) if page is not None else bytes(self.page_size)
 
+    def freeze(self, pfn: int) -> bytes:
+        """Snapshot one page for a flush and make the snapshot its image.
+
+        Copies a writable page once, as :meth:`page_bytes` would, and
+        installs the ``bytes`` in its place; a frozen page is returned as
+        is.  A never-written page stays absent and reads as zeros.
+        """
+        self._check_pfn(pfn)
+        page = self._pages.get(pfn)
+        if page is None:
+            return bytes(self.page_size)
+        frozen = self._pages[pfn] = bytes(page)
+        return frozen
+
     def load_page(self, pfn: int, data: bytes, version: int) -> None:
-        """Install page contents during recovery (crash simulator)."""
+        """Install page contents during recovery (crash simulator).
+
+        The page is installed frozen: a recovered page is clean, so it
+        shares its durable image like any flushed page.
+        """
+        self._check_pfn(pfn)
         if len(data) != self.page_size:
             raise ValueError(f"expected {self.page_size} bytes, got {len(data)}")
-        self._pages[pfn] = bytearray(data)
+        if version < 0:
+            raise ValueError(f"version must be non-negative: {version}")
+        self._pages[pfn] = bytes(data)
         self.page_version[pfn] = int(version)
 
     def touched_pages(self) -> Iterator[Tuple[int, int]]:

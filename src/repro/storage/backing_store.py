@@ -5,6 +5,13 @@ A page is *clean* when the backing store holds its latest version and
 set of pages whose latest version is missing here never exceeds the dirty
 budget — so every durability proof in the test suite is a comparison
 between :class:`repro.mem.NVDRAMRegion` versions and this store.
+
+A clean page is one immutable ``bytes`` object shared by the region and
+this store: the flusher persists the snapshot that
+``NVDRAMRegion.freeze`` installed as the region's image, and
+:meth:`BackingStore.persist`'s ``bytes(data)`` keeps that same object.
+Host memory therefore holds one image per touched page plus one per
+dirty page, not two per flushed page.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ class BackingStore:
         existing = self._pages.get(pfn)
         if existing is not None and existing[1] > version:
             return
-        self._pages[pfn] = (bytes(data), version)
+        self._pages[pfn] = (bytes(data), version)  # no copy of a frozen page
 
     def read(self, pfn: int) -> Optional[bytes]:
         """Durable contents of ``pfn``, or ``None`` if never persisted."""
@@ -59,6 +66,7 @@ class BackingStore:
 
     def holds_version(self, pfn: int, version: int) -> bool:
         """Does durable media hold at least ``version`` of ``pfn``?"""
+        self._check(pfn)
         if version == 0:
             # Version 0 means the page was never written; an all-zero page
             # is implicitly durable (it can be reconstructed for free).

@@ -102,6 +102,19 @@ class TestRecovery:
         assert not report.intact
         assert report.pages_lost
 
+    def test_lost_pages_without_a_durable_copy_are_not_recovered(self, sim):
+        system = make_viyojit(sim, num_pages=256, budget=16, proactive=False)
+        model = PowerModel()
+        crash = CrashSimulator(system, model, viyojit_battery(model, 3 * PAGE))
+        mapping = system.mmap(8 * PAGE)
+        for page in range(8):
+            system.write(mapping.base_addr + page * PAGE, b"never flushed")
+        report = crash.crash_and_recover()
+        assert report.pages_checked == 8
+        assert report.pages_lost == [mapping.base_page + p for p in range(3, 8)]
+        assert report.pages_corrupt == []
+        assert report.pages_recovered == 3
+
     def test_baseline_needs_full_battery(self, sim):
         system = make_baseline(sim, num_pages=256)
         model = PowerModel()

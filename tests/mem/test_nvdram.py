@@ -129,6 +129,63 @@ class TestPageSnapshots:
         with pytest.raises(ValueError):
             region.load_page(0, b"short", 1)
 
+    def test_load_page_rejects_bad_pfn_and_version(self):
+        region = NVDRAMRegion(4)
+        with pytest.raises(IndexError):
+            region.load_page(-1, bytes(4096), 5)
+        with pytest.raises(IndexError):
+            region.load_page(4, bytes(4096), 5)
+        with pytest.raises(ValueError):
+            region.load_page(0, bytes(4096), -1)
+        assert list(region.touched_pages()) == []
+        assert region.page_version == [0, 0, 0, 0]
+
+    def test_load_page_installs_a_frozen_image(self):
+        region = NVDRAMRegion(2)
+        data = bytearray(b"r" * 4096)
+        region.load_page(1, data, version=3)
+        data[0] = 0
+        assert region._pages[1] == b"r" * 4096
+        assert type(region._pages[1]) is bytes
+
+    def test_page_bytes_has_no_side_effects(self):
+        region = NVDRAMRegion(2)
+        region.write(0, b"live")
+        region.page_bytes(0)
+        region.page_bytes(1)
+        assert type(region._pages[0]) is bytearray
+        assert list(region.touched_pages()) == [(0, 1)]
+
+    def test_freeze_installs_the_snapshot_as_the_image(self):
+        region = NVDRAMRegion(2)
+        region.write(0, b"flush me")
+        frozen = region.freeze(0)
+        assert frozen[:8] == b"flush me"
+        assert region._pages[0] is frozen
+        assert region.freeze(0) is frozen  # already frozen: no copy
+        with pytest.raises(TypeError):
+            region._pages[0][0:1] = b"x"  # type: ignore[index]
+
+    def test_freeze_of_untouched_page_reads_zeros_and_stays_absent(self):
+        region = NVDRAMRegion(2)
+        assert region.freeze(1) == bytes(4096)
+        assert list(region.touched_pages()) == []
+        with pytest.raises(IndexError):
+            region.freeze(2)
+
+    def test_stores_thaw_a_frozen_page(self):
+        region = NVDRAMRegion(2)
+        region.write(0, b"aaaa")
+        frozen = region.freeze(0)
+        region.write(1, b"b")
+        assert region.read(0, 4) == b"abaa"
+        assert frozen[:4] == b"aaaa"
+        frozen = region.freeze(0)
+        region.write_page_slice(0, 2, b"c")
+        assert region.read(0, 4) == b"abca"
+        assert frozen[:4] == b"abaa"
+        assert region.page_version[0] == 3
+
     def test_page_bytes_out_of_range(self):
         region = NVDRAMRegion(2)
         with pytest.raises(IndexError):

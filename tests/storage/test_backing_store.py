@@ -69,6 +69,13 @@ class TestHoldsVersion:
         store = BackingStore(4)
         assert store.holds_version(0, 0) is True
 
+    def test_out_of_range_page_rejected_even_at_version_zero(self):
+        store = BackingStore(4)
+        with pytest.raises(IndexError):
+            store.holds_version(99, 0)
+        with pytest.raises(IndexError):
+            store.holds_version(-1, 1)
+
     def test_missing_page_not_durable(self):
         store = BackingStore(4)
         assert store.holds_version(0, 1) is False
