@@ -36,7 +36,6 @@ from repro.kvstore.heap import size_class
 from repro.mem.machine import MachineModel
 from repro.sim.clock import NS_PER_SEC
 from repro.sim.events import Simulation
-from repro.storage.ssd import SSD
 from repro.workloads.ycsb import WorkloadSpec, iter_op_batches, make_key
 
 PAPER_HEAP_GB = 17.5  # the paper's initial dataset, used to label budgets
@@ -82,14 +81,9 @@ class ExperimentScale:
         if self.tlb_entries <= 0:
             raise ValueError(f"tlb_entries must be positive: {self.tlb_entries}")
 
-    def machine(self, base: Optional[MachineModel] = None) -> MachineModel:
+    def machine(self) -> MachineModel:
         """The machine model at this scale (TLB sized to the region)."""
-        from dataclasses import replace
-
-        return replace(
-            base if base is not None else MachineModel(),
-            tlb_entries=self.tlb_entries,
-        )
+        return MachineModel(tlb_entries=self.tlb_entries)
 
     @property
     def record_block_bytes(self) -> int:
@@ -187,11 +181,9 @@ class RunResult:
 def build_viyojit(
     scale: ExperimentScale,
     budget_fraction: float,
-    machine: Optional[MachineModel] = None,
-    ssd: Optional[SSD] = None,
     flush_tlb_on_scan: bool = True,
-    proactive: bool = True,
     budget_pages: Optional[int] = None,
+    victim_policy: str = ViyojitConfig.victim_policy,
 ) -> Tuple[Simulation, Viyojit]:
     """A started Viyojit system at a budget fraction of the initial heap.
 
@@ -208,27 +200,20 @@ def build_viyojit(
             else scale.budget_pages_for_fraction(budget_fraction)
         ),
         flush_tlb_on_scan=flush_tlb_on_scan,
-        proactive=proactive,
+        victim_policy=victim_policy,
     )
     system = Viyojit(
-        sim=sim,
-        num_pages=scale.region_pages,
-        config=config,
-        ssd=ssd if ssd is not None else SSD(),
-        machine=scale.machine(machine),
+        sim=sim, num_pages=scale.region_pages, config=config, machine=scale.machine()
     )
     system.start()
     return sim, system
 
 
-def build_baseline(
-    scale: ExperimentScale,
-    machine: Optional[MachineModel] = None,
-) -> Tuple[Simulation, FullBatteryNVDRAM]:
+def build_baseline(scale: ExperimentScale) -> Tuple[Simulation, FullBatteryNVDRAM]:
     """The full-battery NV-DRAM baseline at the same scale."""
     sim = Simulation()
     system = FullBatteryNVDRAM(
-        sim=sim, num_pages=scale.region_pages, machine=scale.machine(machine)
+        sim=sim, num_pages=scale.region_pages, machine=scale.machine()
     )
     system.start()
     return sim, system
@@ -490,8 +475,8 @@ def run_workload(
     scale: ExperimentScale,
     budget_fraction: Optional[float],
     flush_tlb_on_scan: bool = True,
-    proactive: bool = True,
     compiled=None,
+    victim_policy: str = ViyojitConfig.victim_policy,
 ) -> RunResult:
     """Convenience: build, load, run.  ``budget_fraction=None`` = baseline.
 
@@ -516,7 +501,7 @@ def run_workload(
             scale,
             budget_fraction,
             flush_tlb_on_scan=flush_tlb_on_scan,
-            proactive=proactive,
+            victim_policy=victim_policy,
         )
     runner = YCSBRunner(sim, system, scale, ordered=spec.scan_proportion > 0)
     runner.load_batched()

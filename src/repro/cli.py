@@ -361,30 +361,14 @@ def cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def cmd_policies(args: argparse.Namespace) -> int:
-    from repro.bench.runner import YCSBRunner
-    from repro.core.config import ViyojitConfig
+    from repro.bench.runner import run_workload
     from repro.core.policies import POLICY_NAMES
-    from repro.core.runtime import Viyojit
-    from repro.sim.events import Simulation
     from repro.workloads.ycsb import YCSB_A
 
     scale = _scale_from(args)
     rows = []
     for policy in POLICY_NAMES:
-        sim = Simulation()
-        system = Viyojit(
-            sim,
-            num_pages=scale.region_pages,
-            config=ViyojitConfig(
-                dirty_budget_pages=scale.budget_pages_for_fraction(2 / 17.5),
-                victim_policy=policy,
-            ),
-            machine=scale.machine(),
-        )
-        system.start()
-        runner = YCSBRunner(sim, system, scale)
-        runner.load_batched()
-        result = runner.run_batched(YCSB_A)
+        result = run_workload(YCSB_A, scale, 2 / 17.5, victim_policy=policy)
         rows.append(
             {
                 "policy": policy,

@@ -14,11 +14,13 @@ This package turns those adversities into seeded, replayable inputs:
     :class:`FaultInjector` — arms a plan against a live simulation:
     installs the SSD fault hook, schedules battery degradation (with the
     runtime's graceful budget shrink), and cuts power at a virtual-time
-    instant or at the Nth occurrence of any trace event.
+    instant or at the Nth occurrence of any trace event, the latter as a
+    watch on the run's :class:`BoundaryTracer`.
 :mod:`repro.faults.harness`
     Builds a full system + battery + crash-simulator bundle around the
-    shared :class:`repro.obs.harness.TraceWorkload` op stream and runs it
-    under a plan, verifying recovery when the power is cut.
+    shared :class:`repro.obs.harness.TraceWorkload` op stream and replays
+    it under a plan until the stream ends or the power is cut
+    (:func:`replay_until_cut`), verifying recovery either way.
 :mod:`repro.faults.explorer`
     Exhaustive crash-point exploration: every flush/eviction/fault
     boundary of a seeded run is a candidate crash instant; each one is
@@ -35,8 +37,13 @@ from repro.faults.explorer import (
     ExplorationReport,
     explore_crash_points,
 )
-from repro.faults.harness import FaultRunResult, build_faulted_run, run_faulted_workload
-from repro.faults.injector import FaultInjector, PowerCut, TriggerTracer
+from repro.faults.harness import (
+    FaultRunResult,
+    build_faulted_run,
+    replay_until_cut,
+    run_faulted_workload,
+)
+from repro.faults.injector import BoundaryTracer, FaultInjector, PowerCut
 from repro.faults.plan import (
     BatteryDegradationStep,
     FaultPlan,
@@ -48,6 +55,7 @@ from repro.faults.plan import (
 
 __all__ = [
     "BatteryDegradationStep",
+    "BoundaryTracer",
     "CANDIDATE_EVENTS",
     "CrashPoint",
     "ExplorationReport",
@@ -58,9 +66,9 @@ __all__ = [
     "PowerCut",
     "PowerCutPoint",
     "SSDFaultRule",
-    "TriggerTracer",
     "build_faulted_run",
     "explore_crash_points",
     "load_fault_plan",
+    "replay_until_cut",
     "run_faulted_workload",
 ]

@@ -17,13 +17,17 @@ Two verification modes, cross-validated against each other:
 
 **Inline probing** exploits the fact that
 :meth:`repro.core.crash.CrashSimulator.crash_and_recover` is a pure read
-of simulation state: a probing tracer checks recovery *at emission time*
-of every candidate, so one pass over the workload explores thousands of
-crash points.  **Replay** re-runs the whole workload and raises a real
-:class:`~repro.faults.injector.PowerCut` at the Nth candidate — the
-exception unwinds out of the application exactly like a power failure —
-then verifies recovery from the interrupted state.  Determinism makes
-the two agree boundary-for-boundary; the report records any mismatch.
+of simulation state: a watch on the run's
+:class:`~repro.faults.injector.BoundaryTracer` checks recovery *at
+emission time* of every candidate, so one pass over the workload
+explores thousands of crash points.  **Replay** re-runs the whole
+workload and raises a real :class:`~repro.faults.injector.PowerCut` at
+the Nth candidate — the exception unwinds out of the application exactly
+like a power failure — then verifies recovery from the interrupted
+state.  Determinism makes the two agree boundary-for-boundary; the
+report records any mismatch.  Both passes replay through
+:func:`~repro.faults.harness.replay_until_cut` with the plan armed, so a
+plan's own power cut ends each of them at the same instant.
 """
 
 from __future__ import annotations
@@ -31,21 +35,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.runtime import Viyojit
-from repro.faults.harness import FaultRunBundle, build_faulted_run
-from repro.faults.injector import PowerCut
+from repro.faults.harness import FaultRunBundle, build_faulted_run, replay_until_cut
+from repro.faults.injector import BoundaryCallback, BoundaryTracer, PowerCut
 from repro.faults.plan import FaultPlan
 from repro.obs.events import TraceEvent
-from repro.obs.harness import TraceWorkload, apply_op, iter_workload_ops
-from repro.obs.tracer import RecordingTracer
+from repro.obs.harness import TraceWorkload
 from repro.power.power_model import PowerModel
 
 #: Trace-event boundaries treated as candidate crash instants, in the
 #: fixed order used to number candidates.
 CANDIDATE_EVENTS = ("WriteFault", "SyncEviction", "ProactiveFlush", "FlushComplete")
-_CANDIDATE_SET = frozenset(CANDIDATE_EVENTS)
 
 
 @dataclass(frozen=True)
@@ -146,57 +148,6 @@ class ExplorationReport:
         }
 
 
-class CrashProbeTracer(RecordingTracer):
-    """Counts candidate boundaries and probes recovery inline.
-
-    ``probe`` is late-bound (the crash simulator does not exist yet when
-    the tracer must be handed to the system builder); until it is set,
-    candidates are still counted so numbering is stable.
-    """
-
-    def __init__(self, stride: int, clock=None, max_events: int = 1_000_000) -> None:
-        super().__init__(clock=clock, max_events=max_events)
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1: {stride}")
-        self.stride = int(stride)
-        self.candidate_count = 0
-        # Set by explore_crash_points once the crash simulator exists.
-        self.probe: Optional[Callable[[int, TraceEvent], None]] = None
-
-    def emit(self, event: TraceEvent) -> None:
-        super().emit(event)
-        if event.type_name not in _CANDIDATE_SET:
-            return
-        index = self.candidate_count
-        self.candidate_count += 1
-        if self.probe is not None and index % self.stride == 0:
-            self.probe(index, event)
-
-
-class CandidateTriggerTracer(RecordingTracer):
-    """Raises a real :class:`PowerCut` at the Nth candidate boundary."""
-
-    def __init__(
-        self, target_index: int, clock=None, max_events: int = 1_000_000
-    ) -> None:
-        super().__init__(clock=clock, max_events=max_events)
-        if target_index < 0:
-            raise ValueError(f"target_index must be >= 0: {target_index}")
-        self.target_index = int(target_index)
-        self.candidate_count = 0
-        self.fired = False
-
-    def emit(self, event: TraceEvent) -> None:
-        super().emit(event)
-        if self.fired or event.type_name not in _CANDIDATE_SET:
-            return
-        index = self.candidate_count
-        self.candidate_count += 1
-        if index == self.target_index:
-            self.fired = True
-            raise PowerCut(event.t, f"candidate#{index}")
-
-
 def _event_detail(event: TraceEvent) -> int:
     pfn = getattr(event, "pfn", None)
     return int(pfn) if pfn is not None else 0
@@ -224,32 +175,6 @@ def _probe_now(
         pages_lost=len(recovery.pages_lost),
         pages_corrupt=len(recovery.pages_corrupt),
     )
-
-
-def _run_stream(bundle: FaultRunBundle, report: ExplorationReport,
-                op_stride: int) -> Optional[PowerCut]:
-    """Apply the op stream (and drain); returns the PowerCut if one fired."""
-    system = bundle.system
-    page_size = system.region.page_size
-    try:
-        for wop in iter_workload_ops(bundle.spec, page_size):
-            apply_op(system, bundle.mapping, page_size, wop)
-            report.ops_applied += 1
-            if isinstance(system, Viyojit):
-                report.max_dirty_pages = max(
-                    report.max_dirty_pages, system.dirty_count
-                )
-            if op_stride and report.ops_applied % op_stride == 0:
-                point = _probe_now(bundle, "op", wop.op, -1)
-                report.probed += 1
-                report.points.append(point)
-                if not point.ok:
-                    report.failures.append(point)
-        if isinstance(system, Viyojit):
-            system.drain()
-    except PowerCut as cut:
-        return cut
-    return None
 
 
 def explore_crash_points(
@@ -281,65 +206,79 @@ def explore_crash_points(
     """
     if plan is None:
         plan = FaultPlan()
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1: {stride}")
     if replay < 0:
         raise ValueError(f"replay must be non-negative: {replay}")
     if op_stride < 0:
         raise ValueError(f"op_stride must be non-negative: {op_stride}")
-    tracer = CrashProbeTracer(stride)
+    tracer = BoundaryTracer()
     bundle = build_faulted_run(spec, plan, tracer, power_model)
+    system = bundle.system
     report = ExplorationReport(
         spec=spec, plan=bundle.plan, candidates_total=0, probed=0
     )
 
-    def probe(index: int, event: TraceEvent) -> None:
-        point = _probe_now(
-            bundle, event.type_name, _event_detail(event), index, t_ns=event.t
-        )
+    def record(point: CrashPoint) -> None:
         report.probed += 1
         report.points.append(point)
         if not point.ok:
             report.failures.append(point)
 
-    tracer.probe = probe
-    cut = _run_stream(bundle, report, op_stride)
+    def probe(index: int, event: TraceEvent) -> None:
+        if index % stride == 0:
+            record(
+                _probe_now(
+                    bundle, event.type_name, _event_detail(event), index, event.t
+                )
+            )
+
+    def after_op(done: int) -> None:
+        if isinstance(system, Viyojit):
+            report.max_dirty_pages = max(report.max_dirty_pages, system.dirty_count)
+        if op_stride and done % op_stride == 0:
+            record(_probe_now(bundle, "op", done - 1, -1))
+
+    candidates = tracer.watch(CANDIDATE_EVENTS, probe)
+    report.ops_applied, cut = replay_until_cut(bundle, after_op)
     if cut is not None:
         report.power_cut_at_ns = cut.at_ns
     # The terminal boundary: post-drain (or post-cut) state must recover.
-    final = _probe_now(bundle, "final", 0, -1)
-    report.probed += 1
-    report.points.append(final)
-    if not final.ok:
-        report.failures.append(final)
-    report.candidates_total = tracer.candidate_count
+    record(_probe_now(bundle, "final", 0, -1))
+    report.candidates_total = candidates.count
     report.injected_failures = bundle.injector.injected_failures
     report.injected_delays = bundle.injector.injected_delays
-    if isinstance(bundle.system, Viyojit):
-        report.flush_retries = bundle.system.flusher.retries
+    if isinstance(system, Viyojit):
+        report.flush_retries = system.flusher.retries
     if replay:
-        _replay_validate(report, replay)
+        _replay_validate(report, replay, power_model)
     return report
 
 
-def _replay_validate(report: ExplorationReport, replay: int) -> None:
+def _cut_at_candidate(target: int) -> BoundaryCallback:
+    """A watch callback that cuts power at the ``target``-th candidate."""
+
+    def cut(index: int, event: TraceEvent) -> None:
+        if index == target:
+            raise PowerCut(event.t, f"candidate#{index}")
+
+    return cut
+
+
+def _replay_validate(
+    report: ExplorationReport, replay: int, power_model: Optional[PowerModel]
+) -> None:
     """Re-run the workload with real power cuts at sampled boundaries."""
-    event_points = [p for p in report.points if p.kind in _CANDIDATE_SET]
+    event_points = [p for p in report.points if p.kind in CANDIDATE_EVENTS]
     if not event_points:
         return
     step = max(1, len(event_points) // replay)
     targets = event_points[::step][:replay]
     for inline in targets:
-        tracer = CandidateTriggerTracer(inline.index)
-        bundle = build_faulted_run(report.spec, report.plan, tracer)
-        system = bundle.system
-        page_size = system.region.page_size
-        cut: Optional[PowerCut] = None
-        try:
-            for wop in iter_workload_ops(report.spec, page_size):
-                apply_op(system, bundle.mapping, page_size, wop)
-            if isinstance(system, Viyojit):
-                system.drain()
-        except PowerCut as exc:
-            cut = exc
+        tracer = BoundaryTracer()
+        bundle = build_faulted_run(report.spec, report.plan, tracer, power_model)
+        tracer.watch(CANDIDATE_EVENTS, _cut_at_candidate(inline.index))
+        _, cut = replay_until_cut(bundle)
         if cut is None:
             report.replays.append(
                 ReplayCheck(index=inline.index, cut_t_ns=-1, matches=False)

@@ -9,17 +9,21 @@ baseline for the whole region (:func:`repro.core.crash.
 full_backup_battery`), so the durability invariant is exactly as tight
 as the paper claims — no slack hiding injected damage.
 
-:func:`run_faulted_workload` replays the op stream with the plan armed.
-If the plan cuts power, the :class:`~repro.faults.injector.PowerCut`
-is caught mid-op and the crash simulator verifies that recovery
-reconstructs every page from durable state; otherwise the run drains and
-the final state is verified the same way.
+:func:`replay_until_cut` is the one replay of a faulted run: the op
+stream one op at a time through :func:`repro.obs.harness.replay_ops`
+until it ends or the plan cuts power, then a drain if it was not cut.
+:func:`run_faulted_workload` and both passes of the crash-point explorer
+run it.  If the plan cuts power, the
+:class:`~repro.faults.injector.PowerCut` is caught mid-op and the crash
+simulator verifies that recovery reconstructs every page from durable
+state; otherwise the run drains and the final state is verified the
+same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.crash import (
     CrashReport,
@@ -29,9 +33,9 @@ from repro.core.crash import (
     viyojit_battery,
 )
 from repro.core.runtime import Mapping, NVDRAMSystem, Viyojit
-from repro.faults.injector import FaultInjector, PowerCut, TriggerTracer
+from repro.faults.injector import BoundaryTracer, FaultInjector, PowerCut
 from repro.faults.plan import FaultPlan
-from repro.obs.harness import TraceWorkload, apply_op, build_system, iter_workload_ops
+from repro.obs.harness import TraceWorkload, build_system, replay_ops
 from repro.obs.tracer import RecordingTracer, Tracer
 from repro.power.battery import Battery
 from repro.power.power_model import PowerModel
@@ -51,12 +55,12 @@ class FaultRunBundle:
     power_model: PowerModel
     crash_sim: CrashSimulator
     injector: FaultInjector
-    tracer: RecordingTracer
+    tracer: Tracer
 
 
 @dataclass
 class FaultRunResult:
-    """Outcome of one faulted run (``repro crashfind --fault-plan`` core)."""
+    """Outcome of one :func:`run_faulted_workload`: what fired, what survived."""
 
     spec: TraceWorkload
     plan: FaultPlan
@@ -119,26 +123,22 @@ def _battery_for(
 def build_faulted_run(
     spec: TraceWorkload,
     plan: Optional[FaultPlan] = None,
-    tracer: Optional[RecordingTracer] = None,
+    tracer: Optional[Tracer] = None,
     power_model: Optional[PowerModel] = None,
 ) -> FaultRunBundle:
     """Construct (started) system + battery + crash sim + armed injector.
 
-    ``tracer`` defaults to a fresh :class:`RecordingTracer`; pass a
-    :class:`~repro.faults.injector.TriggerTracer` to cut power on an
-    event occurrence.  The plan's event-based power cut is honoured by
-    building that trigger automatically.
+    ``tracer`` defaults to a fresh :class:`BoundaryTracer`.  The plan's
+    power cut is armed by the injector; an event cut is a watch on the
+    run's tracer, so a tracer that is not a :class:`BoundaryTracer`
+    (``NULL_TRACER`` included) makes such a plan raise ``ValueError``.
     """
     if plan is None:
         plan = FaultPlan()
     if power_model is None:
         power_model = PowerModel()
     if tracer is None:
-        cut = plan.power_cut
-        if cut is not None and cut.on_event is not None:
-            tracer = TriggerTracer(cut.on_event, cut.occurrence)
-        else:
-            tracer = RecordingTracer()
+        tracer = BoundaryTracer()
     sim = Simulation()
     system = build_system(sim, spec, tracer)
     mapping = system.mmap(spec.hot_pages * system.region.page_size)
@@ -165,6 +165,32 @@ def build_faulted_run(
     )
 
 
+def replay_until_cut(
+    bundle: FaultRunBundle, after_op: Optional[Callable[[int], None]] = None
+) -> Tuple[int, Optional[PowerCut]]:
+    """Replay the bundle's op stream until it ends or power is cut.
+
+    Ops go one at a time through :func:`replay_ops`, and ``after_op``
+    (if given) runs after each with the number completed so far.  A
+    stream that ends uncut is drained (controlled shutdown), so residual
+    dirty pages don't depend on where it stopped.  Returns the ops
+    completed and the :class:`PowerCut`, if one fired.
+    """
+    system = bundle.system
+    done = 0
+    try:
+        for done in replay_ops(
+            system, bundle.mapping.base_addr, bundle.spec, per_op=True
+        ):
+            if after_op is not None:
+                after_op(done)
+        if isinstance(system, Viyojit):
+            system.drain()
+    except PowerCut as cut:
+        return done, cut
+    return done, None
+
+
 def run_faulted_workload(
     spec: TraceWorkload,
     plan: Optional[FaultPlan] = None,
@@ -173,27 +199,15 @@ def run_faulted_workload(
 ) -> FaultRunResult:
     """Replay ``spec`` with ``plan`` armed and verify durability.
 
-    The op stream is applied until it ends or the plan cuts power.  In
-    both cases the crash simulator then assesses the instant: the
-    battery must cover the dirty set and recovery must rebuild every
-    page.  A run without a cut is drained first (controlled shutdown),
-    so residual dirty pages don't depend on where the stream stopped.
+    :func:`replay_until_cut` runs the stream; then the crash simulator
+    assesses the instant it stopped at: the battery must cover the dirty
+    set and recovery must rebuild every page.
     """
     if tracer is not None and not isinstance(tracer, RecordingTracer):
         raise TypeError("run_faulted_workload requires a RecordingTracer")
     bundle = build_faulted_run(spec, plan, tracer, power_model)
     system = bundle.system
-    page_size = system.region.page_size
-    ops_applied = 0
-    cut: Optional[PowerCut] = None
-    try:
-        for wop in iter_workload_ops(bundle.spec, page_size):
-            apply_op(system, bundle.mapping, page_size, wop)
-            ops_applied += 1
-        if isinstance(system, Viyojit):
-            system.drain()
-    except PowerCut as exc:
-        cut = exc
+    ops_applied, cut = replay_until_cut(bundle)
     crash = bundle.crash_sim.power_failure()
     recovery = bundle.crash_sim.crash_and_recover()
     flusher = system.flusher if isinstance(system, Viyojit) else None

@@ -14,17 +14,23 @@ channels:
   budget shrinks gracefully (section 8) instead of silently running with
   a budget the battery can no longer honour.
 * **Power cut** — a scheduled :class:`PowerCut` raise at a virtual
-  instant, or a :class:`TriggerTracer` that raises at the Nth emission
-  of a named trace event.  Either way the exception unwinds out of the
+  instant, or a watch on the run's :class:`BoundaryTracer` that raises
+  at the Nth emission of a named trace event (a run whose tracer records
+  no events cannot honour that cut, so :meth:`FaultInjector.attach`
+  refuses it).  Either way the exception unwinds out of the
   application's write/read call exactly as a real power failure would
   interrupt it, leaving the system state frozen for the crash simulator
   to inspect.
+
+:class:`BoundaryTracer` is the one tracer that acts on what it records:
+the plan's event cut here, and the crash-point explorer's inline probe
+and replay cut (:mod:`repro.faults.explorer`), are callbacks on it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from repro.faults.plan import FaultPlan, PowerCutPoint
 from repro.obs.events import BatteryDegraded, SSDFault, TraceEvent
@@ -51,39 +57,53 @@ class PowerCut(RuntimeError):
         self.source = source
 
 
-class TriggerTracer(RecordingTracer):
-    """A recording tracer that cuts power at the Nth emission of an event.
+#: ``callback(index, event)``: ``index`` is the 0-based ordinal of
+#: ``event`` among the emissions its watch counts.
+BoundaryCallback = Callable[[int, TraceEvent], None]
 
-    Used both by plan-driven event cuts and by the crash-point explorer's
-    replay mode: the event stream of a seeded run is deterministic, so
-    "the 37th SyncEviction" names a reproducible instant.
+
+class BoundaryWatch:
+    """One :meth:`BoundaryTracer.watch`: its event types and emission count."""
+
+    __slots__ = ("types", "callback", "count")
+
+    def __init__(self, types: Iterable[str], callback: BoundaryCallback) -> None:
+        self.types = frozenset(types)
+        self.callback = callback
+        self.count = 0
+
+
+class BoundaryTracer(RecordingTracer):
+    """A recording tracer that calls back on emissions of watched event types.
+
+    Each watch counts the emissions of its own event types, in emission
+    order, and calls its callback on every one after the event is
+    recorded.  A callback may raise :class:`PowerCut`, which unwinds out
+    of the emitting component as a power failure would.  The event
+    stream of a seeded run is deterministic, so "the 37th SyncEviction"
+    names a reproducible instant.
     """
 
-    def __init__(
-        self,
-        watch_event: str,
-        occurrence: int,
-        clock=None,
-        max_events: int = 1_000_000,
-    ) -> None:
+    def __init__(self, clock=None, max_events: int = 1_000_000) -> None:
         super().__init__(clock=clock, max_events=max_events)
-        if occurrence < 1:
-            raise ValueError(f"occurrence is 1-based: {occurrence}")
-        self.watch_event = watch_event
-        self.occurrence = int(occurrence)
-        self.seen = 0
-        self.fired = False
+        self._watches: List[BoundaryWatch] = []
+
+    def watch(
+        self, types: Iterable[str], callback: BoundaryCallback
+    ) -> BoundaryWatch:
+        """Call ``callback`` on every later emission of one of ``types``."""
+        watch = BoundaryWatch(types, callback)
+        self._watches.append(watch)
+        return watch
 
     def emit(self, event: TraceEvent) -> None:
         super().emit(event)
-        if self.fired or event.type_name != self.watch_event:
-            return
-        self.seen += 1
-        if self.seen >= self.occurrence:
-            self.fired = True
-            raise PowerCut(
-                event.t, f"event:{self.watch_event}#{self.occurrence}"
-            )
+        name = event.type_name
+        for watch in self._watches:
+            if name in watch.types:
+                index = watch.count
+                watch.count = index + 1
+                watch.callback(index, event)
 
 
 class FaultInjector:
@@ -128,10 +148,12 @@ class FaultInjector:
 
         ``ssd`` gets the submission hook (when the plan has SSD rules).
         ``battery``/``power_model`` enable degradation steps; ``system``
-        additionally enables the graceful budget shrink on each step.  A
-        plan with battery steps but no battery to degrade is a
-        configuration error and raises ``ValueError`` — fault plans must
-        never be silently inert.
+        additionally enables the graceful budget shrink on each step.  An
+        event power cut is armed on the injector's tracer, which must be
+        a :class:`BoundaryTracer`.  A plan with battery steps but no
+        battery to degrade, or with an event cut but no tracer to watch
+        for the event, is a configuration error and raises
+        ``ValueError`` — fault plans must never be silently inert.
         """
         if self.plan.ssd_rules:
             if ssd is None:
@@ -152,8 +174,17 @@ class FaultInjector:
                     step.at_ns, self._battery_step_action(step.fraction)
                 )
         cut = self.plan.power_cut
-        if cut is not None and cut.at_ns is not None:
-            self.sim.schedule_at(cut.at_ns, self._power_cut_action(cut))
+        if cut is None:
+            return
+        if cut.at_ns is not None:
+            self.sim.schedule_at(cut.at_ns, self._power_cut_action(cut.at_ns))
+        elif isinstance(self.tracer, BoundaryTracer):
+            self.tracer.watch((cut.on_event,), self._event_cut_action(cut))
+        else:
+            raise ValueError(
+                f"plan cuts power on a {cut.on_event} event but the run's "
+                "tracer cannot watch for it (pass a BoundaryTracer)"
+            )
 
     def detach(self) -> None:
         """Remove the SSD hook (scheduled events simply stop mattering)."""
@@ -237,9 +268,20 @@ class FaultInjector:
 
     # -- power-cut channel -------------------------------------------------
 
-    def _power_cut_action(self, cut: PowerCutPoint):
+    @staticmethod
+    def _power_cut_action(at_ns: int):
         def fire() -> None:
-            at_ns = cut.at_ns if cut.at_ns is not None else self.sim.now
             raise PowerCut(at_ns, "at_ns")
+
+        return fire
+
+    @staticmethod
+    def _event_cut_action(cut: PowerCutPoint) -> BoundaryCallback:
+        target = cut.occurrence - 1
+        source = f"event:{cut.on_event}#{cut.occurrence}"
+
+        def fire(index: int, event: TraceEvent) -> None:
+            if index == target:
+                raise PowerCut(event.t, source)
 
         return fire

@@ -15,9 +15,10 @@ op 0 has written), and a read's target and expected bytes follow from
 two facts per page — the op of its first write and the op of its latest
 write — so the running "what has been written" fold is a handful of
 array searches per chunk rather than a Python loop per op (see
-:func:`_fold`).  :func:`iter_op_batches` and :func:`iter_workload_ops`
-are two views of that one implementation; the per-op fold it replaced is
-the test oracle ``tests/obs/reference_trace.py``.
+:func:`_fold`).  The per-op fold it replaced is the test oracle
+``tests/obs/reference_trace.py``.  :func:`replay_ops` is the one loop
+that drives the stream through a system, for ``repro trace`` and for
+every faulted run of :mod:`repro.faults`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from repro.core.config import ViyojitConfig
 from repro.core.runtime import (
     FullBatteryNVDRAM,
     HardwareViyojit,
-    Mapping,
     NVDRAMSystem,
     Viyojit,
 )
@@ -118,29 +118,13 @@ def build_system(
 
 
 @dataclass(frozen=True)
-class WorkloadOp:
-    """One operation of the deterministic op stream.
-
-    ``payload`` is the bytes to write for a ``"write"`` op, and the
-    expected read-back bytes (the durability oracle) for a ``"read"`` op.
-    """
-
-    kind: str  # "write" | "read"
-    op: int
-    page: int
-    offset: int
-    payload: bytes
-
-
-@dataclass(frozen=True)
 class WorkloadOpBatch:
     """A chunk of the trace op stream in structure-of-arrays form.
 
-    Parallel tuples; ``writes[i]`` is True for a write, and ``payloads``
-    carries the write bytes / read oracle exactly as
-    :attr:`WorkloadOp.payload` does.  The batches of
-    :func:`iter_op_batches` and the ops of :func:`iter_workload_ops` are
-    one stream; the per-op oracle it must equal is
+    Parallel tuples; ``writes[i]`` is True for a write, and
+    ``payloads[i]`` is the bytes to write for a write op and the expected
+    read-back bytes (the durability oracle) for a read op.  Flattened,
+    the batches of :func:`iter_op_batches` equal the per-op oracle
     ``tests/obs/reference_trace.py``.
     """
 
@@ -152,16 +136,6 @@ class WorkloadOpBatch:
 
     def __len__(self) -> int:
         return len(self.writes)
-
-    def workload_ops(self) -> Iterator[WorkloadOp]:
-        for index, is_write in enumerate(self.writes):
-            yield WorkloadOp(
-                "write" if is_write else "read",
-                self.start_op + index,
-                self.pages[index],
-                self.offsets[index],
-                self.payloads[index],
-            )
 
 
 def _fold(
@@ -332,32 +306,34 @@ def _batches(
             )
 
 
-def iter_workload_ops(
-    spec: TraceWorkload, page_size: int
-) -> Iterator[WorkloadOp]:
-    """The :func:`iter_op_batches` stream one :class:`WorkloadOp` at a time."""
-    batches = iter_op_batches(spec, page_size)
-    return (wop for batch in batches for wop in batch.workload_ops())
+def replay_ops(
+    system: NVDRAMSystem, base_addr: int, spec: TraceWorkload, per_op: bool = False
+) -> Iterator[int]:
+    """Replay ``spec``'s op stream on a started system, mapped at ``base_addr``.
 
-
-def apply_op(
-    system: NVDRAMSystem, mapping: Mapping, page_size: int, wop: WorkloadOp
-) -> None:
-    """Apply one :class:`WorkloadOp` to a started system.
-
-    Read ops verify the oracle and raise ``AssertionError`` on mismatch —
-    in-memory contents surviving the budget machinery is part of what the
-    trace harness checks.
+    Each :func:`iter_op_batches` batch goes through
+    :meth:`~repro.core.runtime.NVDRAMSystem.run_ops` (reads verify their
+    oracle), and the generator yields the number of ops completed after
+    each call.  With ``per_op`` every call is a one-op slice of the same
+    batches, so a caller that stops on an exception raised mid-op (an
+    injected power cut) knows exactly how many ops finished before it.
     """
-    addr = mapping.addr(wop.page * page_size + wop.offset)
-    if wop.kind == "read":
-        data = system.read(addr, len(wop.payload))
-        if data != wop.payload:
-            raise AssertionError(
-                f"read-back mismatch on page {wop.page} at op {wop.op}"
-            )
-    else:
-        system.write(addr, wop.payload)
+    page_size = system.region.page_size
+    run_ops = system.run_ops
+    for batch in iter_op_batches(spec, page_size):
+        addresses = [
+            base_addr + page * page_size + offset
+            for page, offset in zip(batch.pages, batch.offsets)
+        ]
+        if not per_op:
+            run_ops(batch.writes, addresses, batch.payloads)
+            yield batch.start_op + len(batch)
+            continue
+        done = batch.start_op
+        for is_write, addr, payload in zip(batch.writes, addresses, batch.payloads):
+            run_ops((is_write,), (addr,), (payload,))
+            done += 1
+            yield done
 
 
 def run_traced_workload(
@@ -365,24 +341,17 @@ def run_traced_workload(
 ) -> Dict[str, object]:
     """Replay the spec'd workload and return the full observable dump.
 
-    The stream goes through :meth:`~repro.core.runtime.NVDRAMSystem.run_ops`
-    in :func:`iter_op_batches` chunks (each op is exactly one
-    :func:`apply_op`, and the reads verify their oracle), then the system
-    drains.  The returned dict is the ``repro trace`` JSON document: see
-    :func:`_trace_dump`.
+    The stream goes through :func:`replay_ops` in whole batches, then
+    the system drains.  The returned dict is the ``repro trace`` JSON
+    document: see :func:`_trace_dump`.
     """
     if tracer is None:
         tracer = RecordingTracer()
     sim = Simulation()
     system = build_system(sim, spec, tracer)
-    page_size = system.region.page_size
-    base_addr = system.mmap(spec.hot_pages * page_size).base_addr
-    for batch in iter_op_batches(spec, page_size):
-        addresses = [
-            base_addr + page * page_size + offset
-            for page, offset in zip(batch.pages, batch.offsets)
-        ]
-        system.run_ops(batch.writes, addresses, batch.payloads)
+    mapping = system.mmap(spec.hot_pages * system.region.page_size)
+    for _ in replay_ops(system, mapping.base_addr, spec):
+        pass
     drain = getattr(system, "drain", None)
     if drain is not None:
         drain()

@@ -53,21 +53,14 @@ from repro.core.policies import POLICY_NAMES
 from repro.core.runtime import (
     FullBatteryNVDRAM,
     HardwareViyojit,
-    Mapping,
     NVDRAMSystem,
     Viyojit,
 )
-from repro.faults.harness import build_faulted_run
+from repro.faults.harness import build_faulted_run, replay_until_cut
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import BatteryDegradationStep, FaultPlan, SSDFaultRule
 from repro.obs.export import events_to_rows
-from repro.obs.harness import (
-    TraceWorkload,
-    apply_op,
-    build_system,
-    iter_op_batches,
-    iter_workload_ops,
-)
+from repro.obs.harness import TraceWorkload, build_system, replay_ops
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.events import Simulation
 from repro.storage.ssd import SSD
@@ -213,23 +206,8 @@ def _run_kv(workload: str, cls) -> Dict[str, object]:
     return out
 
 
-def _replay(system: NVDRAMSystem, mapping: Mapping, batched: bool) -> None:
-    """Apply :data:`SPEC`'s op stream (batched executor or per op), drain."""
-    page_size = system.region.page_size
-    if batched:
-        for batch in iter_op_batches(SPEC, page_size):
-            addresses = [
-                mapping.base_addr + page * page_size + offset
-                for page, offset in zip(batch.pages, batch.offsets)
-            ]
-            system.run_ops(batch.writes, addresses, batch.payloads)
-    else:
-        for wop in iter_workload_ops(SPEC, page_size):
-            apply_op(system, mapping, page_size, wop)
-    system.drain()
-
-
 def _run_system(cls, **config) -> Dict[str, object]:
+    """:data:`SPEC`'s op stream in whole batches, then a drain."""
     sim = Simulation()
     system = cls(
         sim,
@@ -237,7 +215,10 @@ def _run_system(cls, **config) -> Dict[str, object]:
         config=ViyojitConfig(dirty_budget_pages=SPEC.dirty_budget_pages, **config),
     )
     system.start()
-    _replay(system, system.mmap(SPEC.hot_pages * system.region.page_size), True)
+    mapping = system.mmap(SPEC.hot_pages * system.region.page_size)
+    for _ in replay_ops(system, mapping.base_addr, SPEC):
+        pass
+    system.drain()
     return _observe(sim, system)
 
 
@@ -253,7 +234,7 @@ def _injected(injector: FaultInjector, system: Viyojit) -> Dict[str, object]:
 
 def _run_plan(plan: FaultPlan, traced: bool = True) -> Dict[str, object]:
     bundle = build_faulted_run(SPEC, plan, None if traced else NULL_TRACER)
-    _replay(bundle.system, bundle.mapping, batched=False)
+    replay_until_cut(bundle)
     out = _observe(bundle.sim, bundle.system, bundle.tracer if traced else None)
     out["injected"] = _injected(bundle.injector, bundle.system)
     return out
@@ -272,13 +253,11 @@ def _run_hook_window(
     system = build_system(sim, SPEC)
     mapping = system.mmap(SPEC.hot_pages * system.region.page_size)
     injector = FaultInjector(plan, sim)
-    page_size = system.region.page_size
-    for wop in iter_workload_ops(SPEC, page_size):
-        if wop.op == attach_after:
+    for done in replay_ops(system, mapping.base_addr, SPEC, per_op=True):
+        if done == attach_after:
             injector.attach(ssd=system.ssd)
-        elif wop.op == detach_after:
+        elif done == detach_after:
             injector.detach()
-        apply_op(system, mapping, page_size, wop)
     system.drain()
     out = _observe(sim, system)
     out["injected"] = _injected(injector, system)

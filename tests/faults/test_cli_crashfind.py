@@ -1,9 +1,14 @@
 """The ``repro crashfind`` subcommand."""
 
 import json
+import pathlib
 
 from repro.cli import main
 from repro.faults.plan import FaultPlan, SSDFaultRule
+
+#: A plan that cuts power at the third SyncEviction (the CI crash matrix
+#: runs it too).
+EVENT_CUT_PLAN = pathlib.Path(__file__).parent / "fixtures" / "event_cut_plan.json"
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +71,18 @@ class TestCrashfind:
         assert code == 0
         doc = json.loads(out)
         assert doc["fault_plan"]["seed"] == 7
+        assert doc["all_ok"] is True
+
+    def test_fault_plan_event_cut_is_honoured(self, capsys):
+        code, out = run_cli(
+            capsys, "crashfind", "--fault-plan", str(EVENT_CUT_PLAN),
+            "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["fault_plan"]["power_cut"]["on_event"] == "SyncEviction"
+        assert doc["power_cut_at_ns"] is not None
+        assert doc["ops_applied"] < 400  # the default --ops
         assert doc["all_ok"] is True
 
     def test_baseline_with_op_stride(self, capsys):

@@ -4,12 +4,17 @@ import pytest
 
 from repro.faults.explorer import (
     CANDIDATE_EVENTS,
-    CandidateTriggerTracer,
     CrashPoint,
-    CrashProbeTracer,
     explore_crash_points,
 )
-from repro.faults.plan import BatteryDegradationStep, FaultPlan, SSDFaultRule
+from repro.faults.harness import build_faulted_run, replay_until_cut
+from repro.faults.plan import (
+    BatteryDegradationStep,
+    FaultPlan,
+    PowerCutPoint,
+    SSDFaultRule,
+)
+from repro.obs.events import SyncEviction
 from repro.obs.harness import TraceWorkload
 
 SPEC = TraceWorkload(system="viyojit", ops=400)
@@ -127,6 +132,26 @@ class TestFaultyExploration:
         report = explore_crash_points(SPEC, plan)
         assert report.all_ok
 
+    def test_plan_event_cut_ends_the_exploration(self):
+        """A plan's ``on_event`` cut fires in the explored run too.
+
+        The cut lands on the third SyncEviction of an uncut run of the
+        same spec, the stream stops short, and every boundary probed up
+        to the cut (and the cut instant itself) recovers.
+        """
+        reference = build_faulted_run(SPEC)
+        replay_until_cut(reference)
+        evictions = reference.tracer.events_of(SyncEviction)
+        plan = FaultPlan(
+            power_cut=PowerCutPoint(on_event="SyncEviction", occurrence=3)
+        )
+        report = explore_crash_points(SPEC, plan, replay=2)
+        assert report.power_cut_at_ns == evictions[2].t
+        assert report.ops_applied < SPEC.ops
+        assert report.points[-1].kind == "final"
+        assert len(report.replays) == 2
+        assert report.all_ok
+
     def test_faulty_run_is_deterministic(self):
         plan = FaultPlan(
             seed=9,
@@ -168,13 +193,10 @@ class TestReportShape:
 
 
 class TestTracerValidation:
-    def test_probe_tracer_rejects_bad_stride(self):
-        with pytest.raises(ValueError):
-            CrashProbeTracer(0)
-
-    def test_trigger_tracer_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            CandidateTriggerTracer(-1)
+    def test_explorer_rejects_bad_stride(self):
+        for stride in (0, -1):
+            with pytest.raises(ValueError, match="stride"):
+                explore_crash_points(SPEC, stride=stride)
 
     def test_explorer_rejects_bad_args(self):
         with pytest.raises(ValueError):

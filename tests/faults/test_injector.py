@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.faults.harness import build_faulted_run, run_faulted_workload
-from repro.faults.injector import FaultInjector, PowerCut, TriggerTracer
+from repro.faults.harness import (
+    build_faulted_run,
+    replay_until_cut,
+    run_faulted_workload,
+)
+from repro.faults.injector import BoundaryTracer, FaultInjector
 from repro.faults.plan import (
     BatteryDegradationStep,
     FaultPlan,
@@ -12,6 +16,7 @@ from repro.faults.plan import (
 )
 from repro.obs.events import BatteryDegraded, SSDFault, SyncEviction
 from repro.obs.harness import TraceWorkload
+from repro.obs.tracer import NULL_TRACER
 from repro.sim.events import Simulation
 from repro.storage.ssd import SSD, SSDFaultError
 
@@ -108,11 +113,7 @@ class TestSSDChannel:
         assert result.injected_failures > 0
         # SSDFault events landed in the trace with kind="fail".
         bundle = build_faulted_run(SPEC, plan)
-        from repro.obs.harness import apply_op, iter_workload_ops
-
-        page_size = bundle.system.region.page_size
-        for wop in iter_workload_ops(SPEC, page_size):
-            apply_op(bundle.system, bundle.mapping, page_size, wop)
+        replay_until_cut(bundle)
         faults = bundle.tracer.events_of(SSDFault)
         assert faults
         assert all(f.kind in ("fail", "delay") for f in faults)
@@ -134,11 +135,7 @@ class TestBatteryChannel:
             battery_steps=(BatteryDegradationStep(at_ns=1_000_000, fraction=0.25),)
         )
         bundle = build_faulted_run(SPEC, plan)
-        from repro.obs.harness import apply_op, iter_workload_ops
-
-        page_size = bundle.system.region.page_size
-        for wop in iter_workload_ops(SPEC, page_size):
-            apply_op(bundle.system, bundle.mapping, page_size, wop)
+        replay_until_cut(bundle)
         events = bundle.tracer.events_of(BatteryDegraded)
         assert len(events) == 1
         assert events[0].fraction == 0.25
@@ -190,7 +187,7 @@ class TestPowerCutChannel:
             power_cut=PowerCutPoint(on_event="SyncEviction", occurrence=5)
         )
         bundle = build_faulted_run(SPEC, plan)
-        assert isinstance(bundle.tracer, TriggerTracer)
+        assert isinstance(bundle.tracer, BoundaryTracer)
         result = run_faulted_workload(SPEC, plan)
         assert result.power_cut is not None
         assert result.power_cut.source == "event:SyncEviction#5"
@@ -200,11 +197,7 @@ class TestPowerCutChannel:
         # The cut time equals the 5th SyncEviction's timestamp from an
         # uncut reference run: seeded determinism across fault modes.
         reference = build_faulted_run(SPEC)
-        from repro.obs.harness import apply_op, iter_workload_ops
-
-        page_size = reference.system.region.page_size
-        for wop in iter_workload_ops(SPEC, page_size):
-            apply_op(reference.system, reference.mapping, page_size, wop)
+        replay_until_cut(reference)
         evictions = reference.tracer.events_of(SyncEviction)
         assert len(evictions) >= 5
         plan = FaultPlan(
@@ -214,9 +207,13 @@ class TestPowerCutChannel:
         assert result.power_cut is not None
         assert result.power_cut.at_ns == evictions[4].t
 
-    def test_trigger_tracer_validates_occurrence(self):
-        with pytest.raises(ValueError):
-            TriggerTracer("SyncEviction", 0)
+    def test_event_cut_without_a_boundary_tracer_is_loud(self):
+        # NULL_TRACER emits nothing, so the cut could never fire.
+        plan = FaultPlan(
+            power_cut=PowerCutPoint(on_event="SyncEviction", occurrence=3)
+        )
+        with pytest.raises(ValueError, match="SyncEviction"):
+            build_faulted_run(SPEC, plan, NULL_TRACER)
 
     def test_cut_recovery_reconstructs_every_page(self):
         plan = FaultPlan(power_cut=PowerCutPoint(at_ns=2_000_000))

@@ -1,9 +1,9 @@
 """The per-op trace fold, kept as the oracle for the compiled stream.
 
-This is :func:`repro.obs.harness.iter_workload_ops` as it ran before the
-trace stream was compiled: one zipfian draw per op and a running
-``written`` dict (insertion order = first write) that decides every
-read's target and expected bytes.  ``repro.obs.harness`` now resolves
+This is the trace op stream as it was generated before it was
+compiled: one zipfian draw per op and a running ``written`` dict
+(insertion order = first write) that decides every read's target and
+expected bytes.  ``repro.obs.harness`` now resolves
 the same reads with array searches over whole chunks; the tests in
 ``tests/obs/test_trace_stream.py`` hold its flattened batches equal to
 this generator element for element.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Tuple
 
-from repro.obs.harness import TraceWorkload, WorkloadOp
+from repro.obs.harness import TraceWorkload
 from repro.workloads.distributions import ZipfianGenerator
 
 
@@ -23,9 +23,12 @@ def reference_payload(op: int, page: int, value_bytes: int) -> bytes:
     return (stamp * repeats)[:value_bytes]
 
 
-def reference_workload_ops(
-    spec: TraceWorkload, page_size: int
-) -> Iterator[WorkloadOp]:
+#: One op: ``(is_write, page, offset, payload)``.  ``payload`` is the
+#: bytes to write for a write and the expected read-back for a read.
+RefOp = Tuple[bool, int, int, bytes]
+
+
+def reference_workload_ops(spec: TraceWorkload, page_size: int) -> Iterator[RefOp]:
     """The op stream of ``spec``, one op at a time."""
     zipf = ZipfianGenerator(spec.hot_pages, theta=spec.theta, seed=spec.seed)
     # page -> (offset, payload) of its latest write, the read-back oracle.
@@ -38,9 +41,9 @@ def reference_workload_ops(
             # (re-writes keep their dict position).
             target = page if page in written else next(reversed(written))
             offset, expect = written[target]
-            yield WorkloadOp("read", op, target, offset, expect)
+            yield False, target, offset, expect
             continue
         payload = reference_payload(op, page, spec.value_bytes)
         offset = (op * 131) % (page_size - spec.value_bytes)
         written[page] = (offset, payload)
-        yield WorkloadOp("write", op, page, offset, payload)
+        yield True, page, offset, payload

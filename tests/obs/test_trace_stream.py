@@ -18,12 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import harness
-from repro.obs.harness import (
-    TraceWorkload,
-    iter_op_batches,
-    iter_workload_ops,
-    run_traced_workload,
-)
+from repro.obs.harness import TraceWorkload, iter_op_batches, run_traced_workload
 from tests.obs.reference_trace import reference_payload, reference_workload_ops
 
 PAGE_SIZE = 4096
@@ -40,13 +35,8 @@ def _flat_batches(spec, page_size, batch_size=512):
 
 
 def _flat_reference(spec, page_size):
-    writes, pages, offsets, payloads = [], [], [], []
-    for wop in reference_workload_ops(spec, page_size):
-        writes.append(wop.kind == "write")
-        pages.append(wop.page)
-        offsets.append(wop.offset)
-        payloads.append(wop.payload)
-    return writes, pages, offsets, payloads
+    columns = zip(*reference_workload_ops(spec, page_size))
+    return tuple(list(column) for column in columns)
 
 
 @st.composite
@@ -111,7 +101,5 @@ def test_value_that_cannot_fit_a_page_is_refused_by_both_views(value_bytes):
     message = rf"value_bytes \({value_bytes}\).*page_size \({PAGE_SIZE}\)"
     with pytest.raises(ValueError, match=message):
         iter_op_batches(spec, PAGE_SIZE)
-    with pytest.raises(ValueError, match=message):
-        iter_workload_ops(spec, PAGE_SIZE)
     with pytest.raises(ValueError, match=message):
         run_traced_workload(spec)
