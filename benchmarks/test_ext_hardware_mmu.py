@@ -96,7 +96,8 @@ def test_hardware_eliminates_traps_at_ample_budget(rows):
     reason="section 5.4 tail narrowing does not reproduce: hardware p99 gap "
     "0.0120 ms vs 0.0104 ms for software; green at 4203ed5, red from "
     "c5bde95 (allocator/victim-ranking fixes) on; open in the ROADMAP's "
-    "reproduction-ledger item",
+    "windowing item (window the stats to the timed phase, then fix the "
+    "section 5.4 experiment)",
 )
 def test_hardware_narrows_tail_at_ample_budget(rows):
     """The paper hopes hardware counting 'eradicates' the tail overhead;

@@ -39,10 +39,13 @@ byte-identical.
 
 Section offsets in the table are relative to the (aligned) end of the
 meta block, so the header never needs a fixpoint pass.  The checksum
-covers meta *and* data: :func:`open_ops` verifies it before handing out
-arrays, and :meth:`CompiledStream.checksum` computes the identical
-digest in memory, so a saved file's integrity can be asserted without
-reopening it.
+covers meta *and* data: :func:`open_ops` verifies it in 1 MiB chunks
+before handing out arrays, and :meth:`CompiledStream.checksum` hashes
+the chunks :func:`save_ops` writes (views of the section arrays, never
+a ``bytes`` copy), so a saved file's integrity can be asserted without
+reopening it.  The compiler fills each section in its dtype one
+``_COMPILE_BLOCK`` at a time and rotates keys in place one segment at a
+time: compile and save cost the stream plus one block.
 
 :func:`open_ops` maps each section with ``np.memmap(..., mode="r")``:
 zero-copy, page-cache shared, and safely distributable to process-pool
@@ -329,8 +332,10 @@ class CompiledStream:
         Identical to the digest stored in (and verified against) a
         ``.ops`` file written by :func:`save_ops`.
         """
-        _, _, digest = _payload(self)
-        return digest.hex()
+        digest = hashlib.sha256()
+        for chunk in _body(self):
+            digest.update(chunk)
+        return digest.hexdigest()
 
 
 def _keygen(spec: WorkloadSpec, record_count: int, theta: float, seed: int):
@@ -345,10 +350,11 @@ def _compile_indices(
     spec: WorkloadSpec,
     record_count: int,
     operation_count: int,
+    value_size: int,
     theta: float,
     seed: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(codes, key_indices, scan_lengths)`` for the un-rotated stream.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The un-rotated stream's four per-op sections, in table order.
 
     The one vectorized producer of YCSB operations (every batch of
     :func:`iter_op_batches` is a slice of its output): the chooser
@@ -362,17 +368,19 @@ def _compile_indices(
     """
     codes_out = np.empty(operation_count, dtype=np.uint8)
     index_out = np.empty(operation_count, dtype=np.int64)
+    sizes_out = np.zeros(operation_count, dtype=np.int32)
     scans_out = np.zeros(operation_count, dtype=np.int32)
 
     if spec.scan_proportion > 0:
         ops = generate_operations(
-            spec, record_count, operation_count, 1, theta, seed
+            spec, record_count, operation_count, value_size, theta, seed
         )
         for at, op in enumerate(ops):
             codes_out[at] = CODE_OF[op.kind]
             index_out[at] = key_index(op.key)
+            sizes_out[at] = op.value_size
             scans_out[at] = op.scan_length
-        return codes_out, index_out, scans_out
+        return codes_out, index_out, sizes_out, scans_out
 
     chooser = random.Random(seed)
     keygen = _keygen(spec, record_count, theta, seed)
@@ -390,6 +398,7 @@ def _compile_indices(
         codes[draws < update_bound] = CODE_UPDATE
         codes[draws < read_bound] = CODE_READ
         codes_out[done : done + n] = codes
+        sizes_out[done : done + n][codes != CODE_READ] = value_size
         inserts_at = np.flatnonzero(codes == CODE_INSERT)
         if len(inserts_at) == 0:
             index_out[done : done + n] = keygen.sample(n)
@@ -408,7 +417,7 @@ def _compile_indices(
                 index_out[done + insert_at] = new_index
             position = insert_at + 1
         done += n
-    return codes_out, index_out, scans_out
+    return codes_out, index_out, sizes_out, scans_out
 
 
 def compile_workload(
@@ -447,32 +456,24 @@ def compile_workload(
             f"hotspot_rotate_keys must be non-negative: {hotspot_rotate_keys}"
         )
 
-    codes, indices, scan_lengths = _compile_indices(
-        spec, record_count, operation_count, theta, seed
+    codes, indices, value_sizes, scan_lengths = _compile_indices(
+        spec, record_count, operation_count, value_size, theta, seed
     )
-    mutating = (
-        (codes == CODE_UPDATE)
-        | (codes == CODE_INSERT)
-        | (codes == CODE_RMW)
+    # Segment e starts at the first position p with p * epochs //
+    # operation_count >= e, which is ceil(e * operation_count / epochs).
+    segment_bounds = np.array(
+        [-(-epoch * operation_count // epochs) for epoch in range(epochs + 1)],
+        dtype=np.int32,
     )
-    value_sizes = np.where(mutating, value_size, 0).astype(np.int32)
-
-    if operation_count:
-        positions = np.arange(operation_count, dtype=np.int64)
-        segments = np.minimum(
-            epochs - 1, positions * epochs // operation_count
-        )
-        bounds = np.searchsorted(segments, np.arange(epochs))
-    else:
-        segments = np.empty(0, dtype=np.int64)
-        bounds = np.zeros(epochs, dtype=np.int64)
-    segment_bounds = np.append(bounds, operation_count).astype(np.int32)
-
-    if hotspot_rotate_keys:
-        rotate = (codes != CODE_INSERT) & (indices < record_count)
-        indices[rotate] = (
-            indices[rotate] + segments[rotate] * hotspot_rotate_keys
-        ) % record_count
+    for epoch in range(1, epochs):
+        shift = epoch * hotspot_rotate_keys % record_count
+        if shift:
+            lo, hi = segment_bounds[epoch], segment_bounds[epoch + 1]
+            segment = indices[lo:hi]
+            # Inserts mint indices >= record_count, so they stay put.
+            loaded = segment < record_count
+            np.add(segment, shift, out=segment, where=loaded)
+            np.remainder(segment, record_count, out=segment, where=loaded)
 
     return CompiledStream(
         workload=spec.name,
@@ -494,48 +495,53 @@ def compile_workload(
 # -- .ops binary format ----------------------------------------------------
 
 
-def _payload(stream: CompiledStream) -> Tuple[int, bytes, bytes]:
-    """``(meta_len, payload, sha256)``: every byte past the fixed header."""
+def _body(stream: CompiledStream) -> Iterator[memoryview]:
+    """Every byte past the fixed header, one chunk at a time: the meta
+    JSON, then each section's array viewed in place (copied only if not
+    contiguous in its dtype), each zero-padded to an 8-byte boundary."""
     table: List[Dict[str, object]] = []
-    blobs: List[bytes] = []
+    arrays: List[np.ndarray] = []
     at = 0
     for name, dtype in _SECTIONS:
-        array = np.ascontiguousarray(
-            np.asarray(getattr(stream, name)), dtype=np.dtype(dtype)
-        )
-        blob = array.tobytes()
+        array = np.ascontiguousarray(getattr(stream, name), dtype=dtype)
         table.append(
             {"name": name, "dtype": dtype, "count": len(array), "offset": at}
         )
-        blobs.append(blob)
-        at += len(blob)
-        pad = -at % 8
-        if pad:
-            blobs.append(b"\x00" * pad)
-            at += pad
+        arrays.append(array)
+        at += array.nbytes + -array.nbytes % 8
     meta = dict(stream.meta())
     meta["sections"] = table
     meta_blob = json.dumps(
         meta, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    head_pad = -(_HEADER_LEN + len(meta_blob)) % 8
-    payload = meta_blob + b"\x00" * head_pad + b"".join(blobs)
-    return len(meta_blob), payload, hashlib.sha256(payload).digest()
+    yield memoryview(meta_blob)
+    yield memoryview(bytes(-(_HEADER_LEN + len(meta_blob)) % 8))
+    for array in arrays:
+        yield memoryview(array).cast("B")
+        yield memoryview(bytes(-array.nbytes % 8))
 
 
 def save_ops(stream: CompiledStream, path: str) -> str:
-    """Write ``stream`` as a ``.ops`` file; returns the sha256 hex."""
-    meta_len, payload, digest = _payload(stream)
-    header = (
-        OPS_MAGIC
-        + OPS_VERSION.to_bytes(4, "little")
-        + meta_len.to_bytes(4, "little")
-        + digest
-    )
+    """Write ``stream`` as a ``.ops`` file, hashing each chunk as it is
+    written; returns the sha256 hex.  ``path`` must not be the file
+    ``stream`` is mapped from."""
+    chunks = _body(stream)
+    meta_blob = next(chunks)
+    digest = hashlib.sha256(meta_blob)
     with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(payload)
-    return digest.hex()
+        handle.write(
+            OPS_MAGIC
+            + OPS_VERSION.to_bytes(4, "little")
+            + len(meta_blob).to_bytes(4, "little")
+            + bytes(32)
+            + meta_blob
+        )
+        for chunk in chunks:
+            digest.update(chunk)
+            handle.write(chunk)
+        handle.seek(16)
+        handle.write(digest.digest())
+    return digest.hexdigest()
 
 
 def ops_checksum(path: str) -> str:
@@ -575,10 +581,7 @@ def open_ops(path: str, verify: bool = True) -> CompiledStream:
         stored = header[16:48]
         if verify:
             digest = hashlib.sha256()
-            while True:
-                chunk = handle.read(_CHECKSUM_CHUNK)
-                if not chunk:
-                    break
+            for chunk in iter(lambda: handle.read(_CHECKSUM_CHUNK), b""):
                 digest.update(chunk)
             if digest.digest() != stored:
                 raise OpsChecksumError(

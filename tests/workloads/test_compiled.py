@@ -183,6 +183,52 @@ def test_replay_memory_is_the_key_table_plus_one_batch():
     assert current <= table_bytes + 32 * 2**10, (current, table_bytes)
 
 
+@pytest.mark.parametrize("rotate", [0, 13])
+def test_compile_and_save_memory_is_the_stream_plus_one_block(
+    tmp_path, rotate
+):
+    # One whole-stream int64 temporary adds 0.47x the section bytes and
+    # a bytes copy of the file 1.0x; building the file as bytes peaked
+    # at 4.0x.
+    spec = YCSB_WORKLOADS["YCSB-A"]
+    # Save a tiny stream first so lazy imports are not traced.
+    save_ops(compile_workload(spec, 5, 5), str(tmp_path / "warm.ops"))
+    tracemalloc.start()
+    try:
+        stream = compile_workload(
+            spec, 5_000, 200_000, epochs=4, hotspot_rotate_keys=rotate
+        )
+        save_ops(stream, str(tmp_path / "a.ops"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sections = sum(
+        getattr(stream, name).nbytes
+        for name in (
+            "codes",
+            "key_indices",
+            "value_sizes",
+            "scan_lengths",
+            "segment_bounds",
+        )
+    )
+    assert peak < 1.25 * sections, (peak, sections)
+
+
+def test_segment_bounds_match_the_searchsorted_definition():
+    spec = YCSB_WORKLOADS["YCSB-A"]
+    for n in range(201):
+        for epochs in range(1, 17):
+            segments = np.minimum(epochs - 1, np.arange(n) * epochs // n)
+            expected = np.searchsorted(segments, np.arange(epochs)).tolist()
+            stream = compile_workload(spec, 10, n, epochs=epochs)
+            assert stream.segment_bounds.dtype == np.int32
+            assert stream.segment_bounds.tolist() == expected + [n], (
+                n,
+                epochs,
+            )
+
+
 @pytest.mark.parametrize("workload", ["YCSB-A", "YCSB-D"])
 def test_keys_batches_and_operations_match_make_key(workload):
     stream = compile_workload(YCSB_WORKLOADS[workload], **_params())
@@ -243,6 +289,15 @@ class TestOpsFormat:
         assert list(reopened.operations()) == list(stream.operations())
         assert written == stream.checksum() == ops_checksum(path)
         assert reopened.checksum() == stream.checksum()
+
+    def test_resaving_an_opened_stream_writes_the_same_bytes(self, tmp_path):
+        one, two = str(tmp_path / "1.ops"), str(tmp_path / "2.ops")
+        save_ops(self._stream(epochs=3, hotspot_rotate_keys=7), one)
+        opened = open_ops(one)  # read-only memmapped sections
+        assert save_ops(opened, two) == ops_checksum(one)
+        assert opened.checksum() == ops_checksum(one)
+        with open(one, "rb") as f1, open(two, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_serialization_is_deterministic(self, tmp_path):
         one, two = str(tmp_path / "1.ops"), str(tmp_path / "2.ops")
