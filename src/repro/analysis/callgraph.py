@@ -532,7 +532,7 @@ class CallGraph:
                 return self._resolve_dotted_target(f"{imported}.{rest}")
             top_level = f"{module}.{head}"
             if top_level in self.index.classes:
-                # Unbound method access: ``TLB.lookup``.
+                # Unbound method access: ``TLB.flush_all``.
                 candidate = f"{top_level}.{rest}"
                 if candidate in self.index.functions:
                     return [candidate]

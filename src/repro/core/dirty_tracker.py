@@ -28,8 +28,9 @@ class DirtyTracker:
             raise ValueError(f"budget_pages must be positive: {budget_pages}")
         self.budget_pages = budget_pages
         # The membership truth.  ``add``/``remove`` are the canonical
-        # updates; the runtime's fault path and the flusher's completion
-        # open-code them (same budget check, same counters).
+        # updates; the runtime's dirtying step (``Viyojit._admit_dirty``)
+        # and the flusher's completion open-code them (same budget check,
+        # same counters).
         self._dirty: Set[int] = set()
         self.epoch_new_dirty = 0  # new dirty pages this epoch (pressure input)
         self.total_dirtied = 0

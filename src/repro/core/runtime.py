@@ -20,8 +20,8 @@ MMU costs, but no protection, tracking, or flushing — it assumes a battery
 sized for the whole region.
 
 :class:`HardwareViyojit` is the section 5.4 variant: a hardware dirty-page
-counter removes per-first-write traps; budget enforcement happens via the
-threshold interrupt.
+counter removes per-first-write traps; budget enforcement happens in the
+budget interrupt the MMU raises on each new dirty page.
 """
 
 from __future__ import annotations
@@ -264,25 +264,17 @@ class NVDRAMSystem:
     def _resolve_fault(self, pfn: int, cost: int) -> int:
         """Handle a store to ``pfn`` whose probe faulted (``cost < 0``).
 
-        The faulted probe is charged as :meth:`_advance` would, then the
-        handler runs and the store retries (the instruction restart),
-        until a probe succeeds.  Returns that probe's cost, not yet
-        charged: the caller charges it and applies the store before any
-        event may run (see :meth:`_touch_write`).  :class:`Viyojit`
-        replaces this loop with one that holds the handler body.
+        A runtime that write-protects pages charges the faulted probe (as
+        :meth:`_advance` would), runs its handler and retries the store
+        (the instruction restart) until a probe succeeds, and returns
+        that probe's cost, not yet charged: the caller charges it and
+        applies the store before any event may run (see
+        :meth:`_touch_write`).  Without a battery-backed dirty budget no
+        page is ever protected, so here a fault is a bug.
         """
-        clock = self._clock
-        while cost < 0:
-            now = clock._now - cost - 1
-            clock._now = now
-            if now >= self._events.next_due_at:
-                self._drain()
-            self._handle_fault(pfn)
-            cost = self._write_probe(pfn)
-        return cost
-
-    def _handle_fault(self, pfn: int) -> None:
-        raise NotImplementedError
+        raise AssertionError(
+            f"baseline NV-DRAM should never fault (page {pfn})"
+        )
 
     def read(self, addr: int, size: int) -> bytes:
         """Load ``size`` bytes, charging MMU costs for each page touched.
@@ -503,11 +495,6 @@ class FullBatteryNVDRAM(NVDRAMSystem):
         self.mmu.unprotect_all()
         super().start()
 
-    def _handle_fault(self, pfn: int) -> None:
-        raise AssertionError(
-            f"baseline NV-DRAM should never fault (page {pfn})"
-        )
-
     def dirty_pages(self):
         """Every ever-written page is potentially dirty in the baseline."""
         return {pfn for pfn, _version in self.region.touched_pages()}
@@ -664,11 +651,9 @@ class Viyojit(NVDRAMSystem):
         Each pass charges the faulted probe (as :meth:`_advance` would),
         takes the trap, waits out an in-flight flush of the page, makes
         room at the budget, unprotects the page and adds it to the dirty
-        set, then retries the store.  ``DirtyTracker.add`` (with its
-        budget check) and the peak/sampling part of
-        ``ViyojitStats.record_dirty_level`` are open-coded, so a fault is
-        one frame plus the PTE toggle.  Returns the successful probe's
-        cost, not yet charged (see :meth:`_touch_write`).
+        set (:meth:`_admit_dirty`), then retries the store.  Returns the
+        successful probe's cost, not yet charged (see
+        :meth:`_touch_write`).
         """
         clock = self._clock
         events = self._events
@@ -710,42 +695,55 @@ class Viyojit(NVDRAMSystem):
             clock._now = now
             if now >= events.next_due_at:
                 drain()
-            # The PTE-update advance drains due simulation events; a
-            # scheduled battery-degradation step may have just shrunk the
-            # budget (and drained down to it), so the room made above can
-            # be gone again.
-            count = len(dirty)
-            if count >= tracker.budget_pages:
-                self._make_room()
-                count = len(dirty)
-            if pfn not in dirty:
-                # The tracker's budget check is the durability guarantee;
-                # it must never fire in a correct runtime.
-                if count >= tracker.budget_pages:
-                    raise RuntimeError(
-                        f"dirty budget violated: adding page {pfn} would "
-                        f"make {count + 1} dirty pages against a budget of "
-                        f"{tracker.budget_pages}"
-                    )
-                dirty.add(pfn)
-                count += 1
-                tracker.epoch_new_dirty += 1
-                tracker.total_dirtied += 1
-            if self.sanitizer is not None:
-                self.sanitizer.after_dirtied(pfn)
-            if self._note_dirtied is not None:
-                self._note_dirtied(pfn)
-            stats.pages_dirtied += 1
-            if count > stats.peak_dirty_pages:
-                stats.peak_dirty_pages = count
-            ticks = stats._sample_ticks
-            stats._sample_ticks = ticks + 1
-            if ticks % stats._sample_stride == 0:
-                stats._keep_sample(count)
+            self._admit_dirty(pfn)
             if self._h_fault is not None:
                 self._h_fault.observe(clock._now - entered_at)
             cost = self._write_probe(pfn)
         return cost
+
+    def _admit_dirty(self, pfn: int) -> None:
+        """Fig 6 steps 4-8: make room at the budget, then dirty ``pfn``.
+
+        The one dirtying step, shared by both fault handlers and the
+        hardware budget interrupt.  Its callers have just advanced the
+        clock, and the events that drained may have shrunk the budget (a
+        battery-degradation step) since any room they made, so the
+        budget is checked here, right before the insert.  Then come the
+        sanitizer's and the victim policy's hooks, ``pages_dirtied``, and
+        the dirty level's peak and sample.  ``DirtyTracker.add`` (with
+        its budget check, the durability guarantee: it must never fire
+        in a correct runtime) and ``ViyojitStats.record_dirty_level`` are
+        open-coded, so dirtying a page is one frame.
+        """
+        dirty = self._dirty
+        tracker = self.tracker
+        count = len(dirty)
+        if count >= tracker.budget_pages:
+            self._make_room()
+            count = len(dirty)
+        if pfn not in dirty:
+            if count >= tracker.budget_pages:
+                raise RuntimeError(
+                    f"dirty budget violated: adding page {pfn} would "
+                    f"make {count + 1} dirty pages against a budget of "
+                    f"{tracker.budget_pages}"
+                )
+            dirty.add(pfn)
+            count += 1
+            tracker.epoch_new_dirty += 1
+            tracker.total_dirtied += 1
+        if self.sanitizer is not None:
+            self.sanitizer.after_dirtied(pfn)
+        if self._note_dirtied is not None:
+            self._note_dirtied(pfn)
+        stats = self.stats
+        stats.pages_dirtied += 1
+        if count > stats.peak_dirty_pages:
+            stats.peak_dirty_pages = count
+        ticks = stats._sample_ticks
+        stats._sample_ticks = ticks + 1
+        if ticks % stats._sample_stride == 0:
+            stats._keep_sample(count)
 
     def _make_room(self) -> None:
         """Evict synchronously until the dirty set is under budget.
@@ -1088,31 +1086,34 @@ class HardwareViyojit(Viyojit):
         for pfn in range(mapping.base_page, mapping.base_page + mapping.num_pages):
             self.mmu.release_protection(pfn)
 
-    # The generic retry loop over this class's own handler, not the
-    # software path's fused one.
-    _resolve_fault = NVDRAMSystem._resolve_fault
+    def _resolve_fault(self, pfn: int, cost: int) -> int:
+        """The fault handler, inside the retry loop.
 
-    def _handle_fault(self, pfn: int) -> None:
-        # Stores can still fault on pages the flusher protected mid-IO.
-        entered_at = self.sim.now
-        self.stats.write_faults += 1
-        self.stats.trap_time_ns += self.machine.trap_cost_ns
-        self._advance(self.machine.trap_cost_ns)
-        if self.flusher.is_inflight(pfn):
-            self.stats.inflight_waits += 1
-            self._wait_until(self.flusher.completion_time(pfn))
-        cost = self.mmu.unprotect_page(pfn)
-        self.stats.pte_update_time_ns += cost
-        self._advance(cost)
-        self._make_room()
-        self.tracker.add(pfn)
-        if self.sanitizer is not None:
-            self.sanitizer.after_dirtied(pfn)
-        self.policy.note_dirtied(pfn)
-        self.stats.pages_dirtied += 1
-        self.stats.record_dirty_level(self.tracker.count)
-        if self._h_fault is not None:
-            self._h_fault.observe(self.sim.now - entered_at)
+        Stores fault here only on pages the flusher protected mid-IO.
+        Each pass charges the faulted probe, takes the trap, waits out
+        the in-flight flush, unprotects the page, makes room and dirties
+        it, then retries the store.  Returns the successful probe's cost,
+        not yet charged (see :meth:`_touch_write`).
+        """
+        trap_cost = self._trap_cost_ns
+        stats = self.stats
+        while cost < 0:
+            self._advance(-cost - 1)
+            entered_at = self.sim.now
+            stats.write_faults += 1
+            stats.trap_time_ns += trap_cost
+            self._advance(trap_cost)
+            if pfn in self._inflight:
+                stats.inflight_waits += 1
+                self._wait_until(self._inflight[pfn])
+            cost = self._unprotect_page(pfn)
+            stats.pte_update_time_ns += cost
+            self._advance(cost)
+            self._admit_dirty(pfn)
+            if self._h_fault is not None:
+                self._h_fault.observe(self.sim.now - entered_at)
+            cost = self._write_probe(pfn)
+        return cost
 
     def _on_hardware_new_dirty(self, pfn: int) -> None:
         """Hardware counted a 0->1 dirty transition: sync the OS dirty set.
@@ -1123,13 +1124,8 @@ class HardwareViyojit(Viyojit):
         if pfn in self.tracker:
             return
         if self.tracker.at_budget:
-            # The budget interrupt is the only trap this mode ever pays.
+            # The budget interrupt is the only trap this mode ever pays;
+            # the room is made by the dirtying step.
             self.stats.trap_time_ns += self.machine.trap_cost_ns
             self._advance(self.machine.trap_cost_ns)
-            self._make_room()
-        self.tracker.add(pfn)
-        if self.sanitizer is not None:
-            self.sanitizer.after_dirtied(pfn)
-        self.policy.note_dirtied(pfn)
-        self.stats.pages_dirtied += 1
-        self.stats.record_dirty_level(self.tracker.count)
+        self._admit_dirty(pfn)

@@ -60,8 +60,9 @@ class ViyojitStats:
     def _keep_sample(self, count: int) -> None:
         """Retain one sampled observation, decimating at the cap.
 
-        The write-fault path open-codes :meth:`record_dirty_level`'s peak
-        and tick bookkeeping and calls this only on a sampled tick.
+        The runtime's dirtying step (``Viyojit._admit_dirty``) open-codes
+        :meth:`record_dirty_level`'s peak and tick bookkeeping and calls
+        this only on a sampled tick.
         """
         self.dirty_page_samples.append(count)
         if len(self.dirty_page_samples) >= MAX_DIRTY_SAMPLES:

@@ -18,24 +18,20 @@ machinery Viyojit consumes:
     that skipping TLB flushes yields stale dirty bits and halves
     throughput.
 :class:`MMU`
-    Ties the two together; write accesses produce a
-    :class:`WriteProtectionFault` outcome plus a nanosecond cost, mirroring
-    the trap/TLB-miss overheads the paper measures.
+    Ties the two together: an int write probe returns a store's
+    nanosecond cost, or encodes a write-protection fault as a negative
+    cost, mirroring the trap/TLB-miss overheads the paper measures.
 :class:`HardwareAssistedMMU`
     The section 5.4 alternative: the MMU itself counts dirty pages and
-    raises a budget interrupt, removing per-first-write traps.
+    hands each new one to the OS's budget interrupt, removing
+    per-first-write traps.
 :class:`NVDRAMRegion`
     Byte-addressable region of real page contents (so crash/recovery tests
     can verify data, not just bookkeeping).
 """
 
 from repro.mem.machine import MachineModel
-from repro.mem.mmu import (
-    AccessOutcome,
-    HardwareAssistedMMU,
-    MMU,
-    WriteProtectionFault,
-)
+from repro.mem.mmu import HardwareAssistedMMU, MMU
 from repro.mem.nvdram import NVDRAMRegion
 from repro.mem.page_table import PageTable
 from repro.mem.tlb import TLB
@@ -46,7 +42,5 @@ __all__ = [
     "TLB",
     "MMU",
     "HardwareAssistedMMU",
-    "AccessOutcome",
-    "WriteProtectionFault",
     "NVDRAMRegion",
 ]

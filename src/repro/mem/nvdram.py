@@ -111,38 +111,6 @@ class NVDRAMRegion:
             cursor += take
             view = view[take:]
 
-    def read_page_slice(self, pfn: int, offset: int, length: int) -> bytes:
-        """Read bytes that lie within a single page (hot-path form).
-
-        Equivalent to :meth:`read` for a range already known not to cross
-        a page boundary: one bounds check, one copy out.
-        """
-        self._check_pfn(pfn)
-        if offset < 0 or length < 0 or offset + length > self.page_size:
-            raise IndexError(
-                f"slice [{offset}, {offset + length}) out of page of size {self.page_size}"
-            )
-        page = self._pages.get(pfn)
-        if page is None:
-            return bytes(length)
-        return bytes(memoryview(page)[offset : offset + length])
-
-    def write_page_slice(self, pfn: int, offset: int, data: "bytes | memoryview") -> None:
-        """Write bytes that lie within a single page (hot-path form).
-
-        Equivalent to :meth:`write` for a range already known not to cross
-        a page boundary: one bounds check and one version bump, no
-        address re-derivation per call.
-        """
-        length = len(data)
-        self._check_pfn(pfn)
-        if offset < 0 or offset + length > self.page_size:
-            raise IndexError(
-                f"slice [{offset}, {offset + length}) out of page of size {self.page_size}"
-            )
-        self._page(pfn)[offset : offset + length] = data
-        self.page_version[pfn] += 1
-
     def page_bytes(self, pfn: int) -> bytes:
         """The current contents of one page; the region is left as it was."""
         self._check_pfn(pfn)

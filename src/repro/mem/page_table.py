@@ -22,6 +22,11 @@ class PageTable:
     Cost accounting lives in :class:`repro.mem.mmu.MMU` and the Viyojit
     runtime, not here — the page table is pure state.
 
+    Per-page bit writes on the access path (a store's dirty and
+    shadow-dirty bits, a protection toggle) are made by the MMU on the
+    byte columns directly; the methods here are the bulk operations, the
+    OS-side clears and the read-only accessors.
+
     ``write_protected``/``dirty``/``shadow_dirty`` are bool views over
     ``_wp_bits``/``_dirty_bits``/``_shadow_bits``: a write through either
     name is visible through the other.  Both are ``repro.mem``-private
@@ -59,11 +64,6 @@ class PageTable:
         self._check(pfn)
         return bool(self._wp_bits[pfn])
 
-    def protect(self, pfn: int) -> None:
-        """Set the write-protect bit (step 1 / step 6 of the paper's Fig 6)."""
-        self._check(pfn)
-        self._wp_bits[pfn] = 1
-
     def unprotect(self, pfn: int) -> None:
         """Clear the write-protect bit (step 8 of the paper's Fig 6)."""
         self._check(pfn)
@@ -81,16 +81,6 @@ class PageTable:
         return int(self.write_protected.sum())
 
     # -- dirty bits ------------------------------------------------------
-
-    def set_dirty(self, pfn: int) -> None:
-        """Hardware behaviour on a write through a clean translation."""
-        self._check(pfn)
-        if not self._dirty_bits[pfn]:
-            self._dirty_bits[pfn] = 1
-            self._dirty_count += 1
-        if not self._shadow_bits[pfn]:
-            self._shadow_bits[pfn] = 1
-            self._shadow_count += 1
 
     @property
     def dirty_count(self) -> int:

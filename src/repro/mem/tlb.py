@@ -23,6 +23,11 @@ the least-recently-updated victim ranking exactly as the paper describes
 ("may result in flushing frequently updated pages (as opposed to least
 updated ones)"), which is why the no-flush ablation collapses throughput
 at small budgets.
+
+The TLB is state plus counters.  Lookups, dirty-flag caching and
+single-page shootdowns are performed on ``_entries`` by the MMU's probes
+and PTE toggles (:mod:`repro.mem.mmu`) and by the data-path lane's
+open-coded hits; only the full flush is a method here.
 """
 
 from __future__ import annotations
@@ -61,65 +66,6 @@ class TLB:
     def resident(self) -> int:
         """Number of live cached translations."""
         return len(self._entries)
-
-    def lookup(self, pfn: int) -> bool:
-        """Touch ``pfn``; return True on hit, inserting on miss."""
-        if not 0 <= pfn < self.num_pages:
-            raise IndexError(f"page frame {pfn} out of range [0, {self.num_pages})")
-        if pfn in self._entries:
-            self._entries.move_to_end(pfn)
-            self.hits += 1
-            return True
-        self.misses += 1
-        while len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-            self.capacity_evictions += 1
-        self._entries[pfn] = False
-        return False
-
-    # ``lookup`` inserts on miss, so probing it speculatively would perturb
-    # residency.  ``hit_dirty`` touches-and-counts *only* on success and
-    # leaves the TLB (and its counters) untouched on failure, so the
-    # caller's fallback counts the miss exactly once.  The data-path lane
-    # (``NVDRAMSystem.data_path``) and ``MMU.read_cost``/``write_probe``
-    # open-code the same checks against ``_entries``.
-
-    def hit_dirty(self, pfn: int) -> bool:
-        """Touch ``pfn`` only if resident *with the cached dirty flag set*.
-
-        A hit-but-clean entry is left untouched (not even counted): the
-        caller's fallback path will perform the one canonical lookup.
-        """
-        if self._entries.get(pfn, False):
-            self._entries.move_to_end(pfn)
-            self.hits += 1
-            return True
-        return False
-
-    # -- dirty-state caching ----------------------------------------------
-
-    def dirty_cached(self, pfn: int) -> bool:
-        """Is the cached translation already marked dirty?
-
-        When True, a write through this translation does *not* update the
-        in-memory PTE dirty bit.
-        """
-        return self._entries.get(pfn, False)
-
-    def cache_dirty(self, pfn: int) -> None:
-        """Record that the cached translation has seen a write."""
-        if pfn in self._entries:
-            self._entries[pfn] = True
-
-    # -- invalidation ------------------------------------------------------
-
-    def invalidate(self, pfn: int) -> None:
-        """Single-page shootdown (``invlpg``) after a PTE change.
-
-        ``MMU.protect_page``/``unprotect_page`` open-code this shootdown.
-        """
-        self._entries.pop(pfn, None)
-        self.single_invalidations += 1
 
     def flush_all(self) -> None:
         """Full flush — required before each epoch scan for fresh dirty bits."""

@@ -163,7 +163,13 @@ class CompiledStream:
 
     @cached_property
     def has_scans(self) -> bool:
-        return bool((self.codes == CODE_SCAN).any())
+        # Block by block, stopping at the first scan: a whole-stream
+        # comparison would hold one bool per op.
+        codes = self.codes
+        return any(
+            (codes[lo : lo + _COMPILE_BLOCK] == CODE_SCAN).any()
+            for lo in range(0, len(codes), _COMPILE_BLOCK)
+        )
 
     def meta(self) -> Dict[str, object]:
         """The stream's identifying parameters (what ``require`` checks)."""

@@ -239,6 +239,18 @@ class TestBaseline:
             system.write(mapping.base_addr + page * PAGE, b"b")
         assert system.mmu.faults == 0
 
+    def test_store_to_a_protected_page_is_a_bug(self, sim):
+        """The baseline protects nothing, so it has no fault handler: a
+        store that faults anyway is an ``AssertionError``."""
+        system = make_baseline(sim, num_pages=64)
+        mapping = system.mmap(2 * PAGE)
+        system.mmu.protect_page(mapping.base_page + 1)
+        system.write(mapping.base_addr, b"ok")
+        with pytest.raises(AssertionError, match="should never fault"):
+            system.write(mapping.base_addr + PAGE, b"x")
+        assert system.mmu.faults == 1
+        assert system.region.read(mapping.base_addr + PAGE, 1) == b"\x00"
+
     def test_baseline_is_faster(self):
         def run(factory):
             sim = Simulation()

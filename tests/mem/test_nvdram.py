@@ -181,7 +181,7 @@ class TestPageSnapshots:
         assert region.read(0, 4) == b"abaa"
         assert frozen[:4] == b"aaaa"
         frozen = region.freeze(0)
-        region.write_page_slice(0, 2, b"c")
+        region.write(2, b"c")
         assert region.read(0, 4) == b"abca"
         assert frozen[:4] == b"abaa"
         assert region.page_version[0] == 3

@@ -1,7 +1,23 @@
-"""Unit tests for the simulated page table."""
+"""Unit tests for the simulated page table.
+
+Per-page bit writes are the MMU's (a store sets the dirty and shadow
+bits, a toggle the protection bit); the tests make them through an
+:class:`MMU` or, to set up state, through the reference forms of
+``tests/mem/reference_mmu.py``.
+"""
 
 import numpy as np
 import pytest
+
+from repro.mem.machine import MachineModel
+from repro.mem.mmu import MMU
+from repro.mem.tlb import TLB
+
+from tests.mem.reference_mmu import pt_set_dirty
+
+
+def _mmu(table):
+    return MMU(table, TLB(table.num_pages), MachineModel())
 
 
 class TestConstruction:
@@ -26,8 +42,9 @@ class TestProtectionBits:
         table = page_table_cls(8)
         table.unprotect(3)
         assert not table.is_write_protected(3)
-        table.protect(3)
+        _mmu(table).protect_page(3)
         assert table.is_write_protected(3)
+        assert table.protected_count() == 8
 
     def test_protect_all(self, page_table_cls):
         table = page_table_cls(8)
@@ -39,7 +56,7 @@ class TestProtectionBits:
     def test_out_of_range_rejected(self, page_table_cls):
         table = page_table_cls(8)
         with pytest.raises(IndexError):
-            table.protect(8)
+            _mmu(table).protect_page(8)
         with pytest.raises(IndexError):
             table.unprotect(-1)
         with pytest.raises(IndexError):
@@ -48,23 +65,26 @@ class TestProtectionBits:
 
 class TestDirtyBits:
     def test_set_dirty_sets_shadow_too(self, page_table_cls):
+        """A store through a clean translation sets both bits."""
         table = page_table_cls(8)
-        table.set_dirty(2)
+        mmu = _mmu(table)
+        mmu.unprotect_page(2)
+        mmu.write_probe(2)
         assert table.is_dirty(2)
         assert table.is_shadow_dirty(2)
         assert table.shadow_dirty[2]
 
     def test_scan_returns_and_clears(self, page_table_cls):
         table = page_table_cls(8)
-        table.set_dirty(1)
-        table.set_dirty(5)
+        pt_set_dirty(table, 1)
+        pt_set_dirty(table, 5)
         updated = table.scan_and_clear_dirty()
         assert sorted(updated.tolist()) == [1, 5]
         assert not table.dirty.any()
 
     def test_scan_preserves_shadow(self, page_table_cls):
         table = page_table_cls(8)
-        table.set_dirty(1)
+        pt_set_dirty(table, 1)
         table.scan_and_clear_dirty()
         assert table.shadow_dirty[1]
 
@@ -82,7 +102,7 @@ class TestDirtyBits:
 
     def test_clear_shadow(self, page_table_cls):
         table = page_table_cls(8)
-        table.set_dirty(4)
+        pt_set_dirty(table, 4)
         table.clear_shadow(4)
         assert not table.shadow_dirty[4]
         assert not table.is_shadow_dirty(4)
@@ -90,4 +110,8 @@ class TestDirtyBits:
     def test_dirty_out_of_range(self, page_table_cls):
         table = page_table_cls(8)
         with pytest.raises(IndexError):
-            table.set_dirty(9)
+            table.is_dirty(9)
+        with pytest.raises(IndexError):
+            table.clear_shadow(-1)
+        with pytest.raises(IndexError):
+            _mmu(table).write_probe(9)

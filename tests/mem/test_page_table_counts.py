@@ -1,8 +1,9 @@
 """Cached dirty-bit popcounts stay equivalent to recomputation (S2).
 
 ``dirty_count`` / ``shadow_dirty_count`` are maintained incrementally by
-the three mutators; hypothesis drives arbitrary interleavings of them
-(and of the protection toggles) and checks the caches against a fresh
+the MMU's store (which sets both bits) and the page table's clears;
+hypothesis drives arbitrary interleavings of them (and of the
+protection toggles) and checks the caches against a fresh
 ``np.count_nonzero`` after every step, and the public numpy views
 against the byte columns they are views of.  The deterministic tests
 pin the boundary cases: an empty table (the budget-0 shape, where the
@@ -17,7 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mem.machine import MachineModel
+from repro.mem.mmu import MMU
 from repro.mem.page_table import PageTable
+from repro.mem.tlb import TLB
 
 NUM_PAGES = 24
 
@@ -37,6 +41,32 @@ _ops = st.lists(
     ),
     max_size=200,
 )
+
+
+class Bits:
+    """Per-page bit writes, made as the MMU makes them.
+
+    ``set_dirty`` is a store through a fresh translation to a writable
+    page, so it always sets the dirty and shadow bits; ``protect`` and
+    ``unprotect`` are the MMU's toggles.
+    """
+
+    def __init__(self, table) -> None:
+        self.table = table
+        self.mmu = MMU(table, TLB(table.num_pages), MachineModel())
+
+    def set_dirty(self, pfn: int) -> None:
+        self.mmu.unprotect_page(pfn)
+        assert self.mmu.write_probe(pfn) >= 0
+
+    def protect(self, pfn: int) -> None:
+        self.mmu.protect_page(pfn)
+
+    def unprotect(self, pfn: int) -> None:
+        self.mmu.unprotect_page(pfn)
+
+    def clear_shadow(self, pfn: int) -> None:
+        self.table.clear_shadow(pfn)
 
 
 def _assert_views_match(table) -> None:
@@ -65,6 +95,7 @@ def _assert_counts_match(table) -> None:
 @given(ops=_ops)
 def test_cached_counts_equal_recomputed(table_cls, ops):
     table = table_cls(NUM_PAGES)
+    bits = Bits(table)
     _assert_counts_match(table)
     for name, pfn in ops:
         if name == "scan":
@@ -72,7 +103,7 @@ def test_cached_counts_equal_recomputed(table_cls, ops):
         elif name in ("protect_all", "unprotect_all"):
             getattr(table, name)()
         else:
-            getattr(table, name)(pfn)
+            getattr(bits, name)(pfn)
         _assert_counts_match(table)
 
 
@@ -81,17 +112,18 @@ def test_bulk_updates_reach_the_byte_columns(table_cls):
     """Vectorized writes through the views land in the bytes the MMU
     reads, and byte writes show through the views."""
     table = table_cls(8)
+    bits = Bits(table)
     assert bytes(table._wp_bits) == b"\x01" * 8
     table.unprotect_all()
     assert bytes(table._wp_bits) == bytes(8)
     assert not table.write_protected.any()
-    table.protect(5)
+    bits.protect(5)
     assert table.write_protected.tolist() == [False] * 5 + [True] + [False] * 2
     table.protect_all()
     assert bytes(table._wp_bits) == b"\x01" * 8
     assert table.protected_count() == 8
-    table.set_dirty(2)
-    table.set_dirty(6)
+    bits.set_dirty(2)
+    bits.set_dirty(6)
     assert np.flatnonzero(table.dirty).tolist() == [2, 6]
     assert table.scan_and_clear_dirty().tolist() == [2, 6]
     assert bytes(table._dirty_bits) == bytes(8)
@@ -102,12 +134,13 @@ def test_bulk_updates_reach_the_byte_columns(table_cls):
 @pytest.mark.parametrize("table_cls", KERNEL_PARAMS)
 def test_counts_start_at_zero_and_track_duplicates(table_cls):
     table = table_cls(8)
+    bits = Bits(table)
     assert table.dirty_count == 0
-    table.set_dirty(3)
-    table.set_dirty(3)  # idempotent: no double count
+    bits.set_dirty(3)
+    bits.set_dirty(3)  # idempotent: no double count
     assert table.dirty_count == 1
     assert table.shadow_dirty_count == 1
-    table.set_dirty(5)
+    bits.set_dirty(5)
     assert table.dirty_count == 2
     table.scan_and_clear_dirty()
     assert table.dirty_count == 0
@@ -133,8 +166,9 @@ def test_counts_on_empty_table_survive_scans(table_cls):
 def test_counts_at_full_table_dirty(table_cls):
     """Every page dirty: counts saturate, scan drains them all at once."""
     table = table_cls(NUM_PAGES)
+    bits = Bits(table)
     for pfn in range(NUM_PAGES):
-        table.set_dirty(pfn)
+        bits.set_dirty(pfn)
     assert table.dirty_count == NUM_PAGES
     assert table.shadow_dirty_count == NUM_PAGES
     _assert_counts_match(table)

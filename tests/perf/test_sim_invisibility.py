@@ -5,11 +5,13 @@ and self-contained MMU probes, the event-queue next-due lower bound, and
 the vectorized (order-insensitive) victim-candidate materialization —
 must be invisible to the simulation: same simulated clocks, same stats,
 same flush traffic, same latency histograms, for both systems.  The
-deoptimized run swaps every system for one whose lane sends each page
-touch through the canonical ``MMU.read_access``/``write_access`` (the
-method-call TLB and page-table API, sharing no code with the lane's
-inlined probes), and monkeypatches the other fast paths off; every
-simulated quantity must match the optimized run exactly.
+deoptimized run swaps every system for one whose MMU is the reference
+``ReferenceMMU`` of ``tests/mem/reference_mmu.py`` (the method-call TLB
+and page-table forms, sharing no code with the lane's inlined probes)
+and whose lane sends each page touch through its
+``read_access``/``write_access``, and monkeypatches the other fast
+paths off; every simulated quantity must match the optimized run
+exactly.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ import pytest
 from repro.bench import runner as runner_module
 from repro.bench.runner import ExperimentScale, run_workload
 from repro.core.runtime import DataPath, FullBatteryNVDRAM, Viyojit
+from repro.mem.mmu import MMU
 from repro.workloads.compiled import compile_workload
 from repro.workloads.ycsb import YCSB_A, YCSB_C
 
 from tests.bench.reference_runner import run_workload_per_op
+from tests.mem.reference_mmu import ReferenceMMU, read_page_slice, write_page_slice
 
 SCALE = ExperimentScale(record_count=800, operation_count=2_500)
 
@@ -60,17 +64,22 @@ def _compiled(spec):
 
 
 class CanonicalLane:
-    """Mixin: a lane whose every page touch is one canonical MMU access.
+    """Mixin: a reference MMU, and a lane of one canonical access per touch.
 
-    A load is ``MMU.read_access``, then ``SimClock.advance`` and
-    ``drain_due``; a store is ``MMU.write_access``, applied with
-    ``NVDRAMRegion.write_page_slice`` and followed by ``drain_due`` — the
-    ordering rule of ``NVDRAMSystem._touch_write``, spelled out.  A
-    faulted store is charged here like a load, then handed to the
-    runtime's fault handler as a zero-cost fault; the handler's own
-    retries probe through ``write_access`` as well.  The successful
-    probe is charged without a drain.
+    The system's MMU is a :class:`ReferenceMMU` over its own page table
+    and TLB, so the runtime's PTE toggles, epoch scans and fault retries
+    (through ``write_probe``, the int form of ``write_access``) run on
+    the reference forms too.  A load is ``read_access``, then
+    ``SimClock.advance`` and ``drain_due``; a store is ``write_access``,
+    applied with the reference ``write_page_slice`` and followed by
+    ``drain_due`` — the ordering rule of ``NVDRAMSystem._touch_write``,
+    spelled out.  A faulted store is charged here like a load, then
+    handed to the runtime's fault handler as a zero-cost fault.  The
+    successful probe is charged without a drain.
     """
+
+    def _build_mmu(self) -> ReferenceMMU:
+        return ReferenceMMU(self.page_table, self.tlb, self.machine)
 
     def _build_lane(self) -> DataPath:
         system = self
@@ -96,27 +105,21 @@ class CanonicalLane:
                 return system.read(addr, size), 0
             pfn = addr // page_size
             charge(mmu.read_access(pfn).cost_ns)
-            return region.read_page_slice(pfn, addr % page_size, size), 0
-
-        def probe(pfn: int) -> int:
-            outcome = mmu.write_access(pfn)
-            return -outcome.cost_ns - 1 if outcome.faulted else outcome.cost_ns
-
-        # The runtime's fault handler retries the store through this probe.
-        system._write_probe = probe
+            return read_page_slice(region, pfn, addr % page_size, size), 0
 
         def write(addr: int, data: bytes) -> None:
             if not single_page(addr, len(data)):
                 system.write(addr, data)
                 return
             pfn = addr // page_size
-            cost = probe(pfn)
-            if cost < 0:
-                charge(-cost - 1)
+            outcome = mmu.write_access(pfn)
+            cost = outcome.cost_ns
+            if outcome.faulted:
+                charge(cost)
                 # -1 encodes a faulted probe that costs nothing more.
                 cost = system._resolve_fault(pfn, -1)
             sim.clock.advance(cost)
-            region.write_page_slice(pfn, addr % page_size, data)
+            write_page_slice(region, pfn, addr % page_size, data)
             sim.drain_due()
 
         return DataPath(write=write, read_at=read_at)
@@ -136,7 +139,6 @@ def _refuse(self, pfn):
 
 def _disable_fast_paths(monkeypatch) -> None:
     from repro.core import policies
-    from repro.mem.mmu import MMU
     from repro.sim.events import EventQueue
 
     # Every system the runners build takes the canonical lane, and the
@@ -200,8 +202,11 @@ def test_canonical_lane_is_engaged(monkeypatch):
     _disable_fast_paths(monkeypatch)
     sim, system = runner_module.build_viyojit(SCALE, 0.175)
     assert isinstance(system, CanonicalViyojit)
+    assert type(system.mmu) is ReferenceMMU
+    assert system.flusher.mmu is system.mmu
+    assert system._write_probe == system.mmu.write_probe
     reads = system.mmu.read_accesses
     system.read(system.region.page_size, 8)
     assert system.mmu.read_accesses == reads + 1
     with pytest.raises(AssertionError, match="inlined probe"):
-        system.mmu.read_cost(0)
+        MMU(system.page_table, system.tlb, system.machine).read_cost(0)

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.compiled import (
+    _COMPILE_BLOCK,
     CODE_OF,
     KIND_NAMES,
     CompiledStream,
@@ -181,6 +182,30 @@ def test_replay_memory_is_the_key_table_plus_one_batch():
     table = stream.key_table
     table_bytes = table.nbytes + sum(map(sys.getsizeof, table.tolist()))
     assert current <= table_bytes + 32 * 2**10, (current, table_bytes)
+
+
+def test_has_scans_memory_is_one_block():
+    # A whole-stream comparison held one bool per op: 978 KB here.
+    stream = compile_workload(YCSB_WORKLOADS["YCSB-A"], 1_000, 1_000_000)
+    # Reduce a tiny stream first so lazy imports are not traced.
+    assert compile_workload(YCSB_WORKLOADS["YCSB-E"], 5, 5).has_scans
+    tracemalloc.start()
+    try:
+        assert stream.has_scans is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * _COMPILE_BLOCK, peak
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_has_scans_matches_the_whole_stream_comparison(workload):
+    stream = compile_workload(YCSB_WORKLOADS[workload], **_params())
+    assert stream.has_scans is bool((stream.codes == CODE_OF["scan"]).any())
+    # A lone scan in the last, partial block is found.
+    codes = np.zeros(3 * _COMPILE_BLOCK + 5, dtype=np.uint8)
+    codes[-1] = CODE_OF["scan"]
+    assert dataclasses.replace(stream, codes=codes).has_scans is True
 
 
 @pytest.mark.parametrize("rotate", [0, 13])
