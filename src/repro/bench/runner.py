@@ -23,14 +23,13 @@ Methodology notes mirrored from section 6.1:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bench.histogram import LatencyHistogram
 from repro.core.config import ViyojitConfig
 from repro.core.runtime import FullBatteryNVDRAM, NVDRAMSystem, Viyojit
-from repro.kvstore.fastpath import build_fast_ops
 from repro.kvstore.store import KVStore
 from repro.kvstore.heap import size_class
 from repro.mem.machine import MachineModel
@@ -351,32 +350,17 @@ class BatchedSession:
     outside any operation's latency sample: the load phase, and the
     cluster's migration handoff between epoch segments.
 
-    Unordered stores run the fused closures of
-    :mod:`repro.kvstore.fastpath`; ordered stores (skip-list index,
-    YCSB-E scans) bind the store's own methods into the same loop.
-    Either way every simulated quantity is byte-identical to executing
-    the operations one ``KVStore`` call at a time — the per-op oracle in
-    ``tests/bench/reference_runner.py`` pins it.
+    The loop calls the store's own operations (``KVStore`` binds them
+    over the system's lane; a read is ``lookup``, which charges the
+    value but does not copy it, because the loop discards it), and
+    every simulated quantity is
+    byte-identical to executing the operations one at a time on the
+    method-chain store of ``tests/kvstore/reference_store.py`` — the
+    per-op oracle in ``tests/bench/reference_runner.py`` pins it.
     """
 
     def __init__(self, runner: YCSBRunner) -> None:
         self._runner = runner
-        store = runner.store
-        self._get: Callable[[bytes], object]
-        self._put: Callable[[bytes, bytes], None]
-        self._rmw: Callable[[bytes, Callable[[int], bytes]], bool]
-        if store.index is None:
-            fast = build_fast_ops(store)
-            self._get, self._put, self._rmw = fast.get, fast.put, fast.rmw
-        else:
-
-            def rmw(key: bytes, make_value: Callable[[int], bytes]) -> bool:
-                return store.read_modify_write(
-                    key, lambda value: make_value(len(value))
-                )
-
-            self._get, self._put, self._rmw = store.get, store.put, rmw
-        self._scan = store.scan
         self._clock = runner.sim.clock
         self._ssd = getattr(runner.system, "ssd", None)
         self._samples: Dict[str, LatencyHistogram] = {}
@@ -386,7 +370,7 @@ class BatchedSession:
 
     def put(self, keys: Sequence[bytes]) -> None:
         """Store each key's nonce-0 payload (one hash pass for all)."""
-        put = self._put
+        put = self._runner.store.put
         size = self._runner.scale.value_size
         reps = -(-size // 8)
         for key, seed in zip(keys, value_seeds_batch(keys, [0] * len(keys))):
@@ -410,7 +394,10 @@ class BatchedSession:
         histogram exactly as one ``record`` per op would.
         """
         runner = self._runner
-        get, put, rmw, scan = self._get, self._put, self._rmw, self._scan
+        store = runner.store
+        lookup, put, rmw, scan = (
+            store.lookup, store.put, store.read_modify_write, store.scan
+        )
         clock = self._clock
         size = runner.scale.value_size
         reps = -(-size // 8)
@@ -431,14 +418,14 @@ class BatchedSession:
         for index, kind in enumerate(kinds):
             op_start = clock._now
             if kind == "read":
-                get(keys[index])
+                lookup(keys[index])
             elif kind == "rmw":
                 seed = seed_at[index]
                 rmw(
                     keys[index],
-                    lambda val_len, _seed=seed: (
-                        _seed * (-(-val_len // 8))
-                    )[:val_len],
+                    lambda value, _seed=seed: (
+                        _seed * (-(-len(value) // 8))
+                    )[: len(value)],
                 )
             elif kind == "scan":
                 scan(keys[index], scan_lengths[index])

@@ -50,7 +50,7 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type, Union
 
 import numpy as np
 
@@ -77,6 +77,7 @@ from repro.obs.events import (
     DemandStarved,
     ShardMigration,
     ShardRebalance,
+    TraceEvent,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.engine import Progress, execute_jobs
@@ -668,21 +669,46 @@ def _reference_lease_vectors(
     return vectors
 
 
+def _record_event(
+    tracer: Tracer,
+    events: List[Dict[str, object]],
+    event_type: Type[TraceEvent],
+    **values: object,
+) -> Dict[str, object]:
+    """Record one coordinator event; returns its report dict.
+
+    The dict is ``event_type(**values).as_dict()`` — the ``type``
+    discriminator, then the dataclass's fields in declaration order —
+    built without the event object, which only a traced run constructs
+    (and emits): the untraced path allocates no event objects.
+    """
+    if tracer.enabled:
+        tracer.emit(event_type(**values))
+    record: Dict[str, object] = {"type": event_type.__name__}
+    for spec_field in fields(event_type):
+        record[spec_field.name] = values[spec_field.name]
+    events.append(record)
+    return record
+
+
 def _epoch_migrations(
     spec: ClusterSpec,
     epoch: int,
     ring_before: HashRing,
     live_keys: List[bytes],
-) -> Tuple[HashRing, List[Dict[str, object]]]:
+    tracer: Tracer,
+    events: List[Dict[str, object]],
+    migrations: List[Dict[str, object]],
+) -> HashRing:
     """Replay epoch ``epoch``'s membership changes; returns the new ring.
 
-    One migration record per scheduled action, sized against the live
-    keyspace at the boundary (loaded records plus inserts so far) —
-    the coordinator-side mirror of the key handoff every worker
-    replays.
+    One :class:`ShardMigration` per scheduled action, sized against the
+    live keyspace at the boundary (loaded records plus inserts so far)
+    — the coordinator-side mirror of the key handoff every worker
+    replays.  Each is recorded as an event, and its fields less
+    ``type`` and ``t`` as a migration record.
     """
     ring = ring_before
-    records: List[Dict[str, object]] = []
     for change_epoch, action, shard in spec.membership:
         if change_epoch != epoch:
             continue
@@ -691,18 +717,23 @@ def _epoch_migrations(
             if action == "add"
             else ring.without_shard(shard)
         )
-        records.append(
-            {
-                "epoch": epoch,
-                "action": action,
-                "shard": shard,
-                "moved_keys": len(ring.moved_keys(after, live_keys)),
-                "arc_moved": round(ring.moved_arc_fraction(after), 6),
-                "shards_after": len(after.shard_ids),
-            }
+        record = _record_event(
+            tracer,
+            events,
+            ShardMigration,
+            t=epoch,
+            epoch=epoch,
+            action=action,
+            shard=shard,
+            moved_keys=len(ring.moved_keys(after, live_keys)),
+            arc_moved=round(ring.moved_arc_fraction(after), 6),
+            shards_after=len(after.shard_ids),
+        )
+        migrations.append(
+            {key: value for key, value in record.items() if key not in ("type", "t")}
         )
         ring = after
-    return ring, records
+    return ring
 
 
 def plan_cluster(
@@ -756,25 +787,9 @@ def plan_cluster(
         ring = rings[0]
         for epoch in range(1, spec.epochs):
             live_keys.extend(inserts[epoch - 1])
-            if rings[epoch] is rings[epoch - 1]:
-                continue
-            ring, records = _epoch_migrations(spec, epoch, ring, live_keys)
-            migrations.extend(records)
-            for record in records:
-                if tracer.enabled:
-                    tracer.emit(
-                        ShardMigration(
-                            t=epoch,
-                            epoch=epoch,
-                            action=str(record["action"]),
-                            shard=int(record["shard"]),  # type: ignore[arg-type]
-                            moved_keys=int(record["moved_keys"]),  # type: ignore[arg-type]
-                            arc_moved=float(record["arc_moved"]),  # type: ignore[arg-type]
-                            shards_after=int(record["shards_after"]),  # type: ignore[arg-type]
-                        )
-                    )
-                events.append(
-                    {"type": "ShardMigration", "t": epoch, **record}
+            if rings[epoch] is not rings[epoch - 1]:
+                ring = _epoch_migrations(
+                    spec, epoch, ring, live_keys, tracer, events, migrations
                 )
         return ClusterPlan(
             spec=spec,
@@ -806,24 +821,9 @@ def plan_cluster(
         if epoch > 0:
             live_keys.extend(inserts[epoch - 1])
         if epoch > 0 and rings[epoch] is not rings[epoch - 1]:
-            ring, records = _epoch_migrations(spec, epoch, ring, live_keys)
-            migrations.extend(records)
-            for record in records:
-                if tracer.enabled:
-                    tracer.emit(
-                        ShardMigration(
-                            t=epoch,
-                            epoch=epoch,
-                            action=str(record["action"]),
-                            shard=int(record["shard"]),  # type: ignore[arg-type]
-                            moved_keys=int(record["moved_keys"]),  # type: ignore[arg-type]
-                            arc_moved=float(record["arc_moved"]),  # type: ignore[arg-type]
-                            shards_after=int(record["shards_after"]),  # type: ignore[arg-type]
-                        )
-                    )
-                epoch_events.append(
-                    {"type": "ShardMigration", "t": epoch, **record}
-                )
+            ring = _epoch_migrations(
+                spec, epoch, ring, live_keys, tracer, epoch_events, migrations
+            )
         for step_epoch, fraction in spec.pool_degrade:
             if step_epoch == epoch:
                 pool.degrade(fraction)
@@ -842,67 +842,39 @@ def plan_cluster(
                 )
                 if demand_total == 0:
                     starved.append({"epoch": epoch, "tenant": tenant})
-                    if tracer.enabled:
-                        tracer.emit(
-                            DemandStarved(t=epoch, epoch=epoch, tenant=tenant)
-                        )
-                    epoch_events.append(
-                        {
-                            "type": "DemandStarved",
-                            "t": epoch,
-                            "epoch": epoch,
-                            "tenant": tenant,
-                        }
+                    _record_event(
+                        tracer,
+                        epoch_events,
+                        DemandStarved,
+                        t=epoch,
+                        epoch=epoch,
+                        tenant=tenant,
                     )
         leases = pool.rebalance(forecast, epoch, active=active)
         predictor.observe(demands[epoch])
         moved = pool.churn(epoch).grown
-        # The report's event dicts are built by hand so the dataclasses
-        # are only constructed under the tracer guard (the untraced path
-        # must allocate no event objects).
-        if tracer.enabled:
-            tracer.emit(
-                ShardRebalance(
-                    t=epoch,
-                    epoch=epoch,
-                    shards=total_shards,
-                    moved_pages=moved,
-                    leased_pages=pool.leased_pages(epoch),
-                    capacity_pages=pool.capacity_pages,
-                )
+        _record_event(
+            tracer,
+            epoch_events,
+            ShardRebalance,
+            t=epoch,
+            epoch=epoch,
+            shards=total_shards,
+            moved_pages=moved,
+            leased_pages=pool.leased_pages(epoch),
+            capacity_pages=pool.capacity_pages,
+        )
+        for lease in leases:
+            _record_event(
+                tracer,
+                epoch_events,
+                BudgetLease,
+                t=epoch,
+                shard=lease.shard,
+                epoch=epoch,
+                pages=lease.pages,
+                demand=lease.demand,
             )
-            for lease in leases:
-                tracer.emit(
-                    BudgetLease(
-                        t=epoch,
-                        shard=lease.shard,
-                        epoch=epoch,
-                        pages=lease.pages,
-                        demand=lease.demand,
-                    )
-                )
-        epoch_events.append(
-            {
-                "type": "ShardRebalance",
-                "t": epoch,
-                "epoch": epoch,
-                "shards": total_shards,
-                "moved_pages": moved,
-                "leased_pages": pool.leased_pages(epoch),
-                "capacity_pages": pool.capacity_pages,
-            }
-        )
-        epoch_events.extend(
-            {
-                "type": "BudgetLease",
-                "t": epoch,
-                "shard": lease.shard,
-                "epoch": epoch,
-                "pages": lease.pages,
-                "demand": lease.demand,
-            }
-            for lease in leases
-        )
         if active is not None and previous_active is not None and epoch > 0:
             previous_leases = pool.lease_history[epoch - 1]
             for shard in range(total_shards):
@@ -912,25 +884,15 @@ def plan_cluster(
                 pages = abs(
                     leases[shard].pages - previous_leases[shard].pages
                 )
-                if tracer.enabled:
-                    tracer.emit(
-                        BudgetHandoff(
-                            t=epoch,
-                            epoch=epoch,
-                            shard=shard,
-                            pages=pages,
-                            kind=kind,
-                        )
-                    )
-                epoch_events.append(
-                    {
-                        "type": "BudgetHandoff",
-                        "t": epoch,
-                        "epoch": epoch,
-                        "shard": shard,
-                        "pages": pages,
-                        "kind": kind,
-                    }
+                _record_event(
+                    tracer,
+                    epoch_events,
+                    BudgetHandoff,
+                    t=epoch,
+                    epoch=epoch,
+                    shard=shard,
+                    pages=pages,
+                    kind=kind,
                 )
         previous_active = active
         events.extend(epoch_events)

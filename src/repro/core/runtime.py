@@ -359,9 +359,9 @@ class NVDRAMSystem:
         """The lane: the only implementation of a single-page load/store.
 
         Built once, by :meth:`start`.  :meth:`read`, :meth:`write`,
-        :meth:`run_ops` and the fused KV operations
-        (:mod:`repro.kvstore.fastpath`) all run their page touches through
-        these closures.
+        :meth:`run_ops` and the KV store's operations (bound over this
+        lane when a :class:`~repro.kvstore.store.KVStore` is built) all
+        run their page touches through these closures.
         """
         self._require_started()
         return self._lane

@@ -14,9 +14,11 @@ substrate:
     paper's observation that even read-only YCSB-C dirties pages through
     Redis-internal metadata writes.
 
-The on-NVM layout is self-describing: :meth:`KVStore.rebuild_index` can
-reconstruct the full index from raw region bytes, which is how the crash
-tests prove end-to-end durability rather than trusting in-DRAM state.
+The on-NVM layout is self-describing: :meth:`KVStore.dump_from_reader`
+parses every key-value pair out of raw region bytes, which is how the
+crash tests prove end-to-end durability rather than trusting in-DRAM
+state, and :meth:`KVStore.recover` re-opens a store over a recovered
+image, rebuilding its allocator state and record count from the chains.
 """
 
 from repro.kvstore.hashing import fnv1a

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.runtime import NVDRAMSystem
 from repro.kvstore.hashing import fnv1a
@@ -63,6 +63,7 @@ LRU_OFFSET = 16
 #: next-address (u64), key length (u32), value length (u32) — the first
 #: 16 bytes of a record header, precompiled for the chain-walk hot path.
 _RECORD_FIELDS = struct.Struct("<QII")
+_U64 = struct.Struct("<Q")
 NULL = 0
 
 __all__ = ["KVStore", "KVStoreStats", "fnv1a", "MAGIC", "RECORD_HEADER"]
@@ -87,7 +88,24 @@ class KVStoreStats:
 
 
 class KVStore:
-    """Hash-table KV store whose buckets, records and metadata are NVM-resident."""
+    """Hash-table KV store whose buckets, records and metadata are NVM-resident.
+
+    Each operation — ``get`` (and ``lookup``, the same read without the
+    value copy), ``put``, ``read_modify_write``, ``delete`` and ``scan``
+    — is a closure bound once, at construction, over the system's lane
+    (:meth:`~repro.core.runtime.NVDRAMSystem.data_path`), so a system
+    that builds its own lane is honoured.  The NV-DRAM access sequence
+    of each is pinned against the method-chain oracle
+    ``tests/kvstore/reference_store.py``.
+    """
+
+    lookup: Callable[[bytes], Optional[Tuple[Optional[bytes], int, int]]]
+    get: Callable[[bytes], Optional[bytes]]
+    put: Callable[[bytes, bytes], None]
+    read_modify_write: Callable[[bytes, Callable[[bytes], bytes]], bool]
+    delete: Callable[[bytes], bool]
+    scan: Callable[[bytes, int], List[Tuple[bytes, bytes]]]
+    _length: Callable[[], int]
 
     def __init__(
         self,
@@ -123,19 +141,6 @@ class KVStore:
         self.heap_mapping = system.mmap(heap_bytes)
         self.heap = PersistentHeap(system, self.heap_mapping)
         self.stats = KVStoreStats()
-        # key -> bucket link address; fnv1a is pure and the bucket layout
-        # is fixed at construction, so memoizing is wall-clock-only.
-        self._bucket_cache: Dict[bytes, int] = {}
-        self._record_count = 0
-        self._op_counter = 0
-        self._metadata_pages = int(metadata_pages)
-        self._lru_update_interval = int(lru_update_interval)
-        # Fixed addresses touched on every operation, resolved once.
-        self._metadata_addrs = [
-            self.stats_region.addr(page * page_size)
-            for page in range(self._metadata_pages)
-        ]
-        self._opctr_addr = self.header.addr(24)
 
         if _create:
             system.write(self.header.base_addr, MAGIC)
@@ -152,8 +157,12 @@ class KVStore:
         else:
             self.index = None
 
+        record_count = op_counter = 0
         if not _create:
-            self._recover_state()
+            record_count, op_counter = self._recover_state()
+        self._bind_operations(
+            int(metadata_pages), int(lru_update_interval), record_count, op_counter
+        )
 
     @classmethod
     def recover(
@@ -175,13 +184,15 @@ class KVStore:
             _create=False, **kwargs,
         )
 
-    def _recover_state(self) -> None:
-        """Rebuild in-DRAM bookkeeping from the recovered NVM image."""
-        if self.system.read(self.header.base_addr, 8) != MAGIC:
+    def _recover_state(self) -> Tuple[int, int]:
+        """Rebuild in-DRAM bookkeeping from the recovered NVM image.
+
+        Returns the record count and the op counter.
+        """
+        read = self.system.read
+        if read(self.header.base_addr, 8) != MAGIC:
             raise ValueError("bad store magic: image is not a KVStore")
-        stored_buckets = int.from_bytes(
-            self.system.read(self.header.addr(8), 8), "little"
-        )
+        stored_buckets = int.from_bytes(read(self.header.addr(8), 8), "little")
         if stored_buckets != self.num_buckets:
             raise ValueError(
                 f"bucket-count mismatch: stored {stored_buckets}, "
@@ -189,220 +200,339 @@ class KVStore:
             )
         count = 0
         for index in range(self.num_buckets):
-            record = self._read_ptr(self.buckets.addr(index * 8))
+            record = int.from_bytes(read(self.buckets.addr(index * 8), 8), "little")
             while record != NULL:
-                next_addr, key_len, val_len = self._read_record_header(record)
+                next_addr, key_len, val_len = _RECORD_FIELDS.unpack_from(
+                    read(record, RECORD_HEADER)
+                )
                 self.heap.adopt(record, RECORD_HEADER + key_len + val_len)
                 count += 1
                 record = next_addr
-        self._record_count = count
-        self._op_counter = int.from_bytes(
-            self.system.read(self.header.addr(24), 8), "little"
-        )
         if self.index is not None:
             self.index.recover_nodes()
+        return count, int.from_bytes(read(self.header.addr(24), 8), "little")
 
-    # -- low-level helpers ---------------------------------------------------
+    # -- the operations --------------------------------------------------------
 
-    def _bucket_addr(self, key: bytes) -> int:
-        addr = self._bucket_cache.get(key)
-        if addr is None:
-            index = fnv1a(key) % self.num_buckets
-            addr = self.buckets.addr(index * 8)
-            self._bucket_cache[key] = addr
-        return addr
+    def _bind_operations(
+        self,
+        metadata_pages: int,
+        lru_interval: int,
+        record_count: int,
+        op_counter: int,
+    ) -> None:
+        """Bind the public operations as closures over the system's lane.
 
-    def _read_ptr(self, addr: int) -> int:
-        return int.from_bytes(self.system.read(addr, 8), "little")
+        Every operation charges the base cost, walks the bucket chain and
+        stamps the op counter into one metadata page and into the
+        header (Redis-internal bookkeeping: even a read performs
+        stores); what lies between is the operation's own.  The charge
+        (the clock bump of :meth:`~repro.core.runtime.NVDRAMSystem.charge`),
+        the stamp and the 24-byte header read are open-coded in each
+        closure rather than called: at 10-20 us per operation, a Python
+        call per step is a measurable share.
 
-    def _write_ptr(self, addr: int, value: int) -> None:
-        self.system.write(addr, value.to_bytes(8, "little"))
+        The record count and the op counter live in this frame, not on
+        the store: no closure refers back to the store, so a dropped
+        store is freed at once rather than by the cycle collector.
+        """
+        system = self.system
+        path = system.data_path()
+        read_at = path.read_at
+        write = path.write
+        clock = system._clock
+        events = system._events
+        drain = system._drain
+        base_cost = self.base_op_cost_ns
+        stats = self.stats
+        heap = self.heap
+        heap_alloc = heap.alloc
+        heap_free = heap.free
+        block_size = heap.block_size
+        index = self.index
+        num_buckets = self.num_buckets
+        buckets = self.buckets
+        # key -> bucket link address; fnv1a is pure and the bucket layout
+        # is fixed at construction, so memoizing is wall-clock-only.
+        bucket_cache: Dict[bytes, int] = {}
+        page_size = system.region.page_size
+        # Fixed addresses touched on every operation, resolved once.
+        metadata_addrs = [
+            self.stats_region.addr(page * page_size)
+            for page in range(metadata_pages)
+        ]
+        opctr_addr = self.header.addr(24)
+        count_addr = self.header.addr(16)
+        unpack_header = _RECORD_FIELDS.unpack_from
+        unpack_u64 = _U64.unpack_from
 
-    def _read_record_header(self, addr: int) -> Tuple[int, int, int]:
-        raw = self.system.read(addr, RECORD_HEADER)
-        return _RECORD_FIELDS.unpack_from(raw)
+        def find(key: bytes) -> Tuple[Optional[int], int]:
+            """Walk the chain: returns (record_addr, predecessor_link_addr).
 
-    def _record_key(self, addr: int, key_len: int) -> bytes:
-        return self.system.read(addr + RECORD_HEADER, key_len)
+            One 8-byte pointer read, then per step one header read and
+            one key read.  A never-written page reads as zeros
+            (``buffer`` is ``None``).
+            """
+            link_addr = bucket_cache.get(key)
+            if link_addr is None:
+                link_addr = bucket_cache[key] = buckets.addr(
+                    fnv1a(key) % num_buckets * 8
+                )
+            buffer, offset = read_at(link_addr, 8)
+            current = 0 if buffer is None else unpack_u64(buffer, offset)[0]
+            while current:
+                stats.chain_steps += 1
+                buffer, offset = read_at(current, RECORD_HEADER)
+                if buffer is None:
+                    next_addr = key_len = 0
+                else:
+                    next_addr, key_len, _val_len = unpack_header(buffer, offset)
+                buffer, offset = read_at(current + RECORD_HEADER, key_len)
+                if buffer is None:
+                    matched = bytes(key_len) == key
+                else:
+                    matched = buffer[offset : offset + key_len] == key
+                if matched:
+                    return current, link_addr
+                link_addr = current  # next pointer sits at record offset 0
+                current = next_addr
+            return None, link_addr
 
-    def _record_value(self, addr: int, key_len: int, val_len: int) -> bytes:
-        return self.system.read(addr + RECORD_HEADER + key_len, val_len)
-
-    def _find(self, key: bytes) -> Tuple[Optional[int], Optional[int]]:
-        """Walk the chain: returns (record_addr, predecessor_link_addr)."""
-        link_addr = self._bucket_addr(key)
-        current = self._read_ptr(link_addr)
-        while current != NULL:
-            self.stats.chain_steps += 1
-            next_addr, key_len, _val_len = self._read_record_header(current)
-            if self._record_key(current, key_len) == key:
-                return current, link_addr
-            link_addr = current  # next pointer sits at record offset 0
-            current = next_addr
-        return None, link_addr
-
-    def _touch_metadata(self) -> None:
-        """One metadata store per op (Redis-internal bookkeeping analogue)."""
-        counter = self._op_counter = self._op_counter + 1
-        stamp = counter.to_bytes(8, "little")
-        self.system.write(self._metadata_addrs[counter % self._metadata_pages], stamp)
-        # The header's op counter is the hottest page in the store.
-        self.system.write(self._opctr_addr, stamp)
-
-    def _charge_base(self) -> None:
-        self.system.charge(self.base_op_cost_ns)
-
-    # -- public operations ------------------------------------------------------
-
-    def put(self, key: bytes, value: bytes) -> None:
-        """Insert or update ``key``.  Updates are in-place when they fit."""
-        if not key:
-            raise ValueError("key must be non-empty")
-        self._charge_base()
-        self.stats.puts += 1
-        record, link_addr = self._find(key)
-        if record is not None:
-            self._update(record, link_addr, key, value)
-        else:
-            self._insert_new(link_addr, key, value)
-        self._touch_metadata()
-
-    def _update(self, record: int, link_addr: int, key: bytes, value: bytes) -> int:
-        """Rewrite a record's value; returns the (possibly new) address."""
-        next_addr, key_len, _old_len = self._read_record_header(record)
-        needed = RECORD_HEADER + key_len + len(value)
-        if size_class(needed) == self.heap.block_size(record):
-            # In place: rewrite the value-length field and the value bytes.
-            self.system.write(record + 12, len(value).to_bytes(4, "little"))
-            self.system.write(record + RECORD_HEADER + key_len, value)
-            self.stats.inplace_updates += 1
+        def write_record(next_addr: int, key: bytes, value: bytes) -> int:
+            record = heap_alloc(RECORD_HEADER + len(key) + len(value))
+            write(
+                record,
+                next_addr.to_bytes(8, "little")
+                + len(key).to_bytes(4, "little")
+                + len(value).to_bytes(4, "little")
+                + op_counter.to_bytes(8, "little")  # LRU clock
+                + key
+                + value,
+            )
             return record
-        # Relocate: write the new record fully, then switch the link.
-        new_record = self._write_record(next_addr, key, value)
-        self._write_ptr(link_addr, new_record)
-        self.heap.free(record)
-        self.stats.relocations += 1
-        if self.index is not None:
-            self.index.insert(key, new_record)
-        return new_record
 
-    def _insert_new(self, link_addr: int, key: bytes, value: bytes) -> int:
-        head_link = self._bucket_addr(key)
-        current_head = self._read_ptr(head_link)
-        record = self._write_record(current_head, key, value)
-        self._write_ptr(head_link, record)
-        self._record_count += 1
-        self.stats.inserts += 1
-        self.system.write(
-            self.header.addr(16), self._record_count.to_bytes(8, "little")
-        )
-        if self.index is not None:
-            self.index.insert(key, record)
-        return record
+        def update(record: int, link_addr: int, key: bytes, value: bytes) -> None:
+            """Rewrite a record's value: in place when it fits its block."""
+            buffer, offset = read_at(record, RECORD_HEADER)
+            if buffer is None:
+                next_addr = key_len = 0
+            else:
+                next_addr, key_len, _old_len = unpack_header(buffer, offset)
+            if size_class(RECORD_HEADER + key_len + len(value)) == block_size(record):
+                write(record + 12, len(value).to_bytes(4, "little"))
+                write(record + RECORD_HEADER + key_len, value)
+                stats.inplace_updates += 1
+                return
+            # Relocate: write the new record fully, then switch the link.
+            new_record = write_record(next_addr, key, value)
+            write(link_addr, new_record.to_bytes(8, "little"))
+            heap_free(record)
+            stats.relocations += 1
+            if index is not None:
+                index.insert(key, new_record)
 
-    def _write_record(self, next_addr: int, key: bytes, value: bytes) -> int:
-        record = self.heap.alloc(RECORD_HEADER + len(key) + len(value))
-        blob = (
-            next_addr.to_bytes(8, "little")
-            + len(key).to_bytes(4, "little")
-            + len(value).to_bytes(4, "little")
-            + self._op_counter.to_bytes(8, "little")  # LRU clock
-            + key
-            + value
-        )
-        self.system.write(record, blob)
-        return record
+        def put(key: bytes, value: bytes) -> None:
+            """Insert or update ``key``.  Updates are in-place when they fit."""
+            nonlocal record_count, op_counter
+            if not key:
+                raise ValueError("key must be non-empty")
+            now = clock._now + base_cost
+            clock._now = now
+            if now >= events.next_due_at:
+                drain()
+            stats.puts += 1
+            record, link_addr = find(key)
+            if record is not None:
+                update(record, link_addr, key, value)
+            else:
+                head_link = bucket_cache[key]  # memoized by find
+                buffer, offset = read_at(head_link, 8)
+                current_head = 0 if buffer is None else unpack_u64(buffer, offset)[0]
+                new_record = write_record(current_head, key, value)
+                write(head_link, new_record.to_bytes(8, "little"))
+                record_count += 1
+                stats.inserts += 1
+                write(count_addr, record_count.to_bytes(8, "little"))
+                if index is not None:
+                    index.insert(key, new_record)
+            counter = op_counter = op_counter + 1
+            stamp = counter.to_bytes(8, "little")
+            write(metadata_addrs[counter % metadata_pages], stamp)
+            write(opctr_addr, stamp)
 
-    def _maybe_refresh_lru(self, record: int) -> None:
-        """Redis-style LRU-clock refresh: a store performed by a read.
+        def lookup(key: bytes) -> Optional[Tuple[Optional[bytes], int, int]]:
+            """``get`` without the copy: where ``key``'s value lies.
 
-        Every ``lru_update_interval``-th access writes the accessed
-        record's LRU field — the metadata stores the paper calls out for
-        read-only YCSB-C.
-        """
-        if self._op_counter % self._lru_update_interval == 0:
-            self.system.write(
-                record + LRU_OFFSET, self._op_counter.to_bytes(8, "little")
+            Performs every access ``get`` performs, the value read
+            included, and returns ``(buffer, offset, length)`` of the
+            value in its backing page (``buffer`` is ``None`` for a
+            never-written page, which reads as zeros), or ``None`` on a
+            miss.  A caller that discards values — the batched executor —
+            skips the copy: a cold 976-byte value is a measurable share
+            of a read.
+            """
+            nonlocal op_counter
+            if not key:
+                raise ValueError("key must be non-empty")
+            now = clock._now + base_cost
+            clock._now = now
+            if now >= events.next_due_at:
+                drain()
+            stats.gets += 1
+            record, _link_addr = find(key)
+            counter = op_counter = op_counter + 1
+            stamp = counter.to_bytes(8, "little")
+            write(metadata_addrs[counter % metadata_pages], stamp)
+            write(opctr_addr, stamp)
+            if record is None:
+                stats.misses += 1
+                return None
+            stats.hits += 1
+            if counter % lru_interval == 0:
+                write(record + LRU_OFFSET, stamp)
+            buffer, offset = read_at(record, RECORD_HEADER)
+            if buffer is None:
+                key_len = val_len = 0
+            else:
+                _next_addr, key_len, val_len = unpack_header(buffer, offset)
+            buffer, offset = read_at(record + RECORD_HEADER + key_len, val_len)
+            return buffer, offset, val_len
+
+        def get(key: bytes) -> Optional[bytes]:
+            """Look up ``key``; even misses perform a metadata store.
+
+            Like Redis, a hit on every ``lru_update_interval``-th
+            operation refreshes the record's LRU clock — a store
+            performed by a read, the metadata stores the paper calls out
+            for read-only YCSB-C.
+            """
+            found = lookup(key)
+            if found is None:
+                return None
+            buffer, offset, val_len = found
+            if buffer is None:
+                return bytes(val_len)
+            return bytes(buffer[offset : offset + val_len])
+
+        def read_modify_write(
+            key: bytes, mutate: Callable[[bytes], bytes]
+        ) -> bool:
+            """YCSB-F's op: read the value, transform it, write it back."""
+            nonlocal op_counter
+            if not key:
+                raise ValueError("key must be non-empty")
+            now = clock._now + base_cost
+            clock._now = now
+            if now >= events.next_due_at:
+                drain()
+            stats.rmws += 1
+            record, link_addr = find(key)
+            counter = op_counter = op_counter + 1
+            stamp = counter.to_bytes(8, "little")
+            write(metadata_addrs[counter % metadata_pages], stamp)
+            write(opctr_addr, stamp)
+            if record is None:
+                stats.misses += 1
+                return False
+            stats.hits += 1
+            buffer, offset = read_at(record, RECORD_HEADER)
+            if buffer is None:
+                key_len = val_len = 0
+            else:
+                _next_addr, key_len, val_len = unpack_header(buffer, offset)
+            buffer, offset = read_at(record + RECORD_HEADER + key_len, val_len)
+            value = (
+                bytes(val_len)
+                if buffer is None
+                else bytes(buffer[offset : offset + val_len])
             )
+            update(record, link_addr, key, mutate(value))
+            return True
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Look up ``key``; even misses perform a metadata store."""
-        if not key:
-            raise ValueError("key must be non-empty")
-        self._charge_base()
-        self.stats.gets += 1
-        record, _link = self._find(key)
-        self._touch_metadata()
-        if record is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._maybe_refresh_lru(record)
-        _next, key_len, val_len = self._read_record_header(record)
-        return self._record_value(record, key_len, val_len)
+        def delete(key: bytes) -> bool:
+            """Remove ``key``; returns True when it existed."""
+            nonlocal record_count, op_counter
+            if not key:
+                raise ValueError("key must be non-empty")
+            now = clock._now + base_cost
+            clock._now = now
+            if now >= events.next_due_at:
+                drain()
+            stats.deletes += 1
+            record, link_addr = find(key)
+            counter = op_counter = op_counter + 1
+            stamp = counter.to_bytes(8, "little")
+            write(metadata_addrs[counter % metadata_pages], stamp)
+            write(opctr_addr, stamp)
+            if record is None:
+                return False
+            buffer, offset = read_at(record, RECORD_HEADER)
+            next_addr = 0 if buffer is None else unpack_u64(buffer, offset)[0]
+            write(link_addr, next_addr.to_bytes(8, "little"))
+            if index is not None:
+                index.delete(key)
+            heap_free(record)
+            record_count -= 1
+            write(count_addr, record_count.to_bytes(8, "little"))
+            return True
 
-    def delete(self, key: bytes) -> bool:
-        """Remove ``key``; returns True when it existed."""
-        if not key:
-            raise ValueError("key must be non-empty")
-        self._charge_base()
-        self.stats.deletes += 1
-        record, link_addr = self._find(key)
-        self._touch_metadata()
-        if record is None:
-            return False
-        next_addr, _key_len, _val_len = self._read_record_header(record)
-        self._write_ptr(link_addr, next_addr)
-        if self.index is not None:
-            self.index.delete(key)
-        self.heap.free(record)
-        self._record_count -= 1
-        self.system.write(
-            self.header.addr(16), self._record_count.to_bytes(8, "little")
-        )
-        return True
+        def scan(start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
+            """YCSB-E's operation: up to ``count`` pairs with key >= start_key.
 
-    def read_modify_write(self, key: bytes, mutate: Callable[[bytes], bytes]) -> bool:
-        """YCSB-F's op: read the value, transform it, write it back."""
-        if not key:
-            raise ValueError("key must be non-empty")
-        self._charge_base()
-        self.stats.rmws += 1
-        record, link_addr = self._find(key)
-        self._touch_metadata()
-        if record is None:
-            self.stats.misses += 1
-            return False
-        self.stats.hits += 1
-        _next, key_len, val_len = self._read_record_header(record)
-        value = self._record_value(record, key_len, val_len)
-        self._update(record, link_addr, key, mutate(value))
-        return True
+            Requires ``ordered=True`` at construction (the skip-list
+            index); the hash-only store raises, exactly like the paper's
+            Redis did.  A rejected scan charges and counts nothing.
+            """
+            nonlocal op_counter
+            if not start_key:
+                raise ValueError("start_key must be non-empty")
+            if index is None:
+                raise RuntimeError(
+                    "scan requires an ordered store: build KVStore(ordered=True)"
+                )
+            if count <= 0:
+                raise ValueError(f"count must be positive: {count}")
+            now = clock._now + base_cost
+            clock._now = now
+            if now >= events.next_due_at:
+                drain()
+            stats.scans += 1
+            results = []
+            for key, record in index.scan(start_key, count):
+                buffer, offset = read_at(record, RECORD_HEADER)
+                if buffer is None:
+                    key_len = val_len = 0
+                else:
+                    _next_addr, key_len, val_len = unpack_header(buffer, offset)
+                buffer, offset = read_at(record + RECORD_HEADER + key_len, val_len)
+                results.append(
+                    (
+                        key,
+                        bytes(val_len)
+                        if buffer is None
+                        else bytes(buffer[offset : offset + val_len]),
+                    )
+                )
+            stats.scanned_records += len(results)
+            counter = op_counter = op_counter + 1
+            stamp = counter.to_bytes(8, "little")
+            write(metadata_addrs[counter % metadata_pages], stamp)
+            write(opctr_addr, stamp)
+            return results
 
-    def scan(self, start_key: bytes, count: int):
-        """YCSB-E's operation: up to ``count`` pairs with key >= start_key.
+        def length() -> int:
+            return record_count
 
-        Requires ``ordered=True`` at construction (the skip-list index);
-        the hash-only store raises, exactly like the paper's Redis did.
-        """
-        if not start_key:
-            raise ValueError("start_key must be non-empty")
-        if self.index is None:
-            raise RuntimeError(
-                "scan requires an ordered store: build KVStore(ordered=True)"
-            )
-        self._charge_base()
-        self.stats.scans += 1
-        results = []
-        for key, record in self.index.scan(start_key, count):
-            _next, key_len, val_len = self._read_record_header(record)
-            results.append((key, self._record_value(record, key_len, val_len)))
-        self.stats.scanned_records += len(results)
-        self._touch_metadata()
-        return results
+        self._length = length
+        self.lookup = lookup
+        self.get = get
+        self.put = put
+        self.read_modify_write = read_modify_write
+        self.delete = delete
+        self.scan = scan
 
     def __len__(self) -> int:
-        return self._record_count
+        return self._length()
 
     # -- recovery-side parsing -----------------------------------------------
 

@@ -2,12 +2,14 @@
 
 This is ``YCSBRunner.load``/``run``/``_execute`` as they ran before the
 batched session became the only executor: one :class:`Operation` at a
-time through ``KVStore.get/put/read_modify_write/scan``, one
-``value_bytes`` hash per payload, one latency sample per clock delta.
-It shares no dispatch, payload or batching code with
-:class:`repro.bench.runner.BatchedSession` beyond the store itself,
-which is what makes it an oracle: ``tests/perf/test_batched_equivalence.py``
-requires :func:`repro.bench.runner.run_workload` to reproduce its
+time through ``get/put/read_modify_write/scan``, one ``value_bytes``
+hash per payload, one latency sample per clock delta.  Its store is the
+method-chain :class:`~tests.kvstore.reference_store.ReferenceKVStore`,
+not ``src/``'s lane-bound ``KVStore``, so it shares no dispatch,
+payload, batching or KV-operation code with
+:class:`repro.bench.runner.BatchedSession`, which is what makes it an
+oracle: ``tests/perf/test_batched_equivalence.py`` requires
+:func:`repro.bench.runner.run_workload` to reproduce its
 :class:`RunResult` exactly, and ``tests/cluster/reference_shard.py``
 builds the per-op shard worker on it.
 """
@@ -25,6 +27,8 @@ from repro.bench.runner import (
     build_viyojit,
     value_bytes,
 )
+from repro.core.runtime import NVDRAMSystem
+from repro.sim.events import Simulation
 from repro.workloads.ycsb import (
     Operation,
     WorkloadSpec,
@@ -32,9 +36,30 @@ from repro.workloads.ycsb import (
     load_operations,
 )
 
+from tests.kvstore.reference_store import ReferenceKVStore
+
 
 class ReferenceRunner(YCSBRunner):
     """A :class:`YCSBRunner` that executes one operation per call."""
+
+    def __init__(
+        self,
+        sim: Simulation,
+        system: NVDRAMSystem,
+        scale: ExperimentScale,
+        ordered: bool = False,
+    ) -> None:
+        self.sim = sim
+        self.system = system
+        self.scale = scale
+        buckets = 1 << max(8, (scale.record_count - 1).bit_length())
+        self.store = ReferenceKVStore(  # type: ignore[assignment]
+            system,
+            num_buckets=buckets,
+            heap_bytes=scale.heap_bytes(),
+            ordered=ordered,
+        )
+        self._nonce = 0
 
     def load(self) -> None:
         """The YCSB load phase (excluded from measurements)."""

@@ -6,9 +6,11 @@ session — the lazy generator that filters the *global* per-op stream
 migration handoffs as it crosses segment boundaries, and feeds the
 per-op runner (``tests/bench/reference_runner.py``) one
 :class:`Operation` at a time through
-``KVStore.get/put/read_modify_write/scan``.  It shares no routing,
-payload or dispatch code with the production path beyond the ring and
-the store themselves, which is what makes it an oracle:
+``get/put/read_modify_write/scan`` of the method-chain reference
+store (``tests/kvstore/reference_store.py``).  It shares no routing,
+payload, dispatch or KV-operation code with the production path beyond
+the ring, the heap and the skip-list index, which is what makes it an
+oracle:
 ``test_shard_oracle.py`` requires :func:`repro.cluster.runner.run_shard_job`
 to reproduce its payload exactly.
 """

@@ -15,11 +15,10 @@ the MMU/TLB/SSD counters, the final virtual clock and a sha256 over
 every durable page, so any change to *which* pages get flushed *when*
 shows up here.
 
-The ``kv/*`` scenarios pin the KV data path — the fused store operations
+The ``kv/*`` scenarios pin the KV data path — the store's operations
 over the system's single-page lane — on small YCSB runs: A at an 11%
 budget on ``Viyojit`` and ``HardwareViyojit``, C on the full-battery
-baseline, F (read-modify-write) and E (the ordered store, which runs the
-``KVStore`` methods).  Each records the store and heap counters, the
+baseline, F (read-modify-write) and E (the ordered store, with scans).  Each records the store and heap counters, the
 MMU/TLB counters, the clock, every latency histogram bucket, and sha256s
 of the region and (where there is one) the backing store.
 

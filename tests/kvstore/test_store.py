@@ -1,5 +1,7 @@
 """Unit tests for the Redis-like KV store."""
 
+import weakref
+
 import pytest
 
 from repro.kvstore.store import KVStore, fnv1a
@@ -189,3 +191,14 @@ class TestNVMResidency:
         store = build_store(sim, viyojit=False)
         store.put(b"k", b"v")
         assert store.get(b"k") == b"v"
+
+
+class TestLifetime:
+    def test_dropped_store_is_freed_without_the_cycle_collector(self, sim):
+        """The bound operations hold no reference back to their store."""
+        store = build_store(sim)
+        store.put(b"k", b"v")
+        store.get(b"k")
+        alive = weakref.ref(store)
+        del store
+        assert alive() is None

@@ -4,10 +4,16 @@ import random
 
 import pytest
 
-from repro.kvstore.store import KVStore, LRU_OFFSET, RECORD_HEADER
+from repro.kvstore.store import KVStore, LRU_OFFSET, RECORD_HEADER, fnv1a
 from tests.conftest import make_baseline, make_viyojit
 
 PAGE = 4096
+
+
+def head_record(store, key):
+    """The address of the record at the head of ``key``'s bucket chain."""
+    link = store.buckets.addr(fnv1a(key) % store.num_buckets * 8)
+    return int.from_bytes(store.system.read(link, 8), "little")
 
 
 def build_store(sim, **kwargs):
@@ -76,7 +82,7 @@ class TestLRUField:
     def test_lru_refresh_writes_record_page(self, sim):
         store = build_store(sim, lru_update_interval=1)
         store.put(b"k", b"v")
-        record, _link = store._find(b"k")
+        record = head_record(store, b"k")
         version_before = int(
             store.system.region.page_version[store.system.region.page_of(record)]
         )
@@ -89,7 +95,7 @@ class TestLRUField:
     def test_interval_limits_refreshes(self, sim):
         store = build_store(sim, lru_update_interval=1000)
         store.put(b"k", b"v")
-        record, _link = store._find(b"k")
+        record = head_record(store, b"k")
         pfn = store.system.region.page_of(record)
         before = int(store.system.region.page_version[pfn])
         for _ in range(20):
