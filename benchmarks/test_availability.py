@@ -72,14 +72,7 @@ def test_runtime_budget_retuning_preserves_durability(benchmark):
         states = [("healthy", crash.power_failure().survives)]
         battery.degrade(0.4)
         states.append(("degraded 40%, before retune", crash.power_failure().survives))
-        new_budget = crash.retune_budget()
-        while system.dirty_count > new_budget:
-            victim = system._next_victim()
-            while not system.flusher.has_slot():
-                system._wait_until(system.flusher.earliest_completion())
-            cost = system.flusher.issue(victim)
-            sim.clock.advance(cost)
-            system._wait_until(system.flusher.completion_time(victim))
+        new_budget = system.retune_for_battery(model, battery)
         states.append(("after retuning to new budget", crash.power_failure().survives))
         return new_budget, states
 

@@ -188,6 +188,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.sim.events import Simulation
     from repro.workloads.traces import application_volumes, generate_volume_trace, scaled_spec
 
+    if not 0 < args.battery_pct <= 100:
+        raise ValueError(
+            f"--battery-pct must be in (0, 100]: {args.battery_pct:g}"
+        )
     rows = []
     for index, spec in enumerate(application_volumes(args.app)):
         trace = generate_volume_trace(scaled_spec(spec, args.scale), seed=7 + index)

@@ -933,16 +933,6 @@ def plan_cluster(
 # -- shard execution (worker side) ----------------------------------------
 
 
-def _apply_lease(system: Viyojit, pages: int) -> None:
-    """Re-tune a shard to its new lease (shrink drains, like section 8)."""
-    current = system.dirty_budget_pages
-    if pages == current:
-        return
-    system.set_dirty_budget(pages)
-    if pages < current:
-        system.drain_to_budget()
-
-
 def _compile_stream(
     source: Union[ClusterSpec, ShardJob, ClusterGrid],
 ) -> CompiledStream:
@@ -1063,7 +1053,9 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
     for segment in range(last_segment + 1):
         if segment:
             if viyojit is not None and schedule is not None:
-                _apply_lease(viyojit, schedule[segment])
+                # The new lease applies first; a shrink drains before
+                # the segment's operations (section 8's path).
+                viyojit.set_dirty_budget(schedule[segment])
             if track_keys and rings[segment] is not rings[segment - 1]:
                 before = rings[segment - 1]
                 after = rings[segment]

@@ -18,6 +18,11 @@ subject to:
 * the safety invariant — the sum of effective budgets never exceeds what
   the battery can flush, and budget taken from a tenant is only handed
   out after that tenant has drained below its new bound.
+
+The split is the cluster pool's own largest-remainder
+:func:`~repro.cluster.rebalancer.apportion`, and every budget change goes
+through :meth:`~repro.core.runtime.Viyojit.set_dirty_budget`, whose
+shrink drains before it returns.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ class TenantState:
     system: Viyojit
     floor_pages: int
     budget_pages: int
-    rebalances_gained: int = 0
-    rebalances_lost: int = 0
 
 
 @dataclass
@@ -49,7 +52,6 @@ class RebalanceReport:
 
     budgets: Dict[str, int] = field(default_factory=dict)
     demands: Dict[str, float] = field(default_factory=dict)
-    moved_pages: int = 0
 
 
 class BatteryBroker:
@@ -101,7 +103,6 @@ class BatteryBroker:
             budget_pages=floor_pages,
         )
         system.set_dirty_budget(floor_pages)
-        system.drain_to_budget()
         self._tenants.append(tenant)
         return tenant
 
@@ -113,58 +114,42 @@ class BatteryBroker:
     def rebalance(self) -> RebalanceReport:
         """One ballooning pass: floors first, surplus by demand.
 
-        Shrinking tenants drain *before* growing tenants receive, so at
-        every instant the sum of effective dirty bounds is covered by the
-        battery.
+        While the floors fit the battery, each tenant gets its floor plus
+        a largest-remainder share of the surplus by demand.  A battery
+        degraded below the sum of floors is split in proportion to the
+        floors instead, never below one page per tenant — the pool's own
+        stance for shards, so the budgets sum to at most
+        ``max(total_budget_pages, tenants)``.  Shrinking tenants drain
+        (inside ``set_dirty_budget``) *before* growing tenants receive,
+        so at every instant the sum of effective dirty bounds is covered
+        by the battery.
         """
-        if not self._tenants:
+        # Imported here: ``repro.cluster``'s package init loads the whole
+        # cluster runner, which every ``import repro`` would then pay for.
+        from repro.cluster.rebalancer import apportion
+
+        tenants = self._tenants
+        if not tenants:
             return RebalanceReport()
         total = self.total_budget_pages
-        floors = sum(tenant.floor_pages for tenant in self._tenants)
-        demands = {tenant.name: self.demand_of(tenant) for tenant in self._tenants}
-        demand_sum = sum(demands.values())
-
-        targets: Dict[str, int] = {}
-        if floors > total:
-            # The battery degraded below the sum of guarantees: scale the
-            # floors down proportionally (everyone keeps at least 1 page).
-            for tenant in self._tenants:
-                targets[tenant.name] = max(
-                    1, tenant.floor_pages * total // floors
-                )
+        floors = [tenant.floor_pages for tenant in tenants]
+        demands = {tenant.name: self.demand_of(tenant) for tenant in tenants}
+        if sum(floors) <= total:
+            shares = apportion(total - sum(floors), list(demands.values()))
+            targets = [floor + share for floor, share in zip(floors, shares)]
         else:
-            surplus = total - floors
-            remaining = surplus
-            for index, tenant in enumerate(self._tenants):
-                if demand_sum > 0:
-                    share = int(surplus * demands[tenant.name] / demand_sum)
-                else:
-                    share = surplus // len(self._tenants)
-                if index == len(self._tenants) - 1:
-                    share = remaining  # hand out the rounding remainder
-                share = min(share, remaining)
-                remaining -= share
-                targets[tenant.name] = tenant.floor_pages + share
+            targets = apportion(max(total, len(tenants)), floors, floor=1)
 
-        report = RebalanceReport(budgets=dict(targets), demands=demands)
-
-        # Phase 1: shrink (and drain) tenants losing budget.
-        for tenant in self._tenants:
-            target = targets[tenant.name]
-            if target < tenant.budget_pages:
-                report.moved_pages += tenant.budget_pages - target
-                tenant.system.set_dirty_budget(target)
-                tenant.system.drain_to_budget()
-                tenant.budget_pages = target
-                tenant.rebalances_lost += 1
-        # Phase 2: grow the rest.
-        for tenant in self._tenants:
-            target = targets[tenant.name]
-            if target > tenant.budget_pages:
-                tenant.system.set_dirty_budget(target)
-                tenant.budget_pages = target
-                tenant.rebalances_gained += 1
-        return report
+        moves = list(zip(tenants, targets))
+        shrinks = [(t, target) for t, target in moves if target < t.budget_pages]
+        grows = [(t, target) for t, target in moves if target > t.budget_pages]
+        for tenant, target in shrinks + grows:
+            tenant.system.set_dirty_budget(target)
+            tenant.budget_pages = target
+        return RebalanceReport(
+            budgets={tenant.name: target for tenant, target in moves},
+            demands=demands,
+        )
 
     def total_dirty_pages(self) -> int:
         return sum(tenant.system.tracker.count for tenant in self._tenants)
@@ -176,7 +161,3 @@ class BatteryBroker:
         )
         energy = self.power_model.energy_to_flush(dirty_bytes)
         return energy <= self.battery.usable_joules
-
-    def on_battery_degraded(self) -> RebalanceReport:
-        """Section 8 meets ballooning: re-split the shrunken battery."""
-        return self.rebalance()

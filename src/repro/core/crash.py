@@ -154,9 +154,9 @@ class CrashSimulator:
             # count are lost.  Flush hottest-last would be ideal; we model
             # an arbitrary deterministic order (sorted) because Viyojit's
             # guarantee is that this branch is never reached.
-            affordable_bytes = usable / self.power_model.system_watts
-            affordable_bytes *= self.power_model.ssd_flush_bandwidth_bytes_per_s
-            affordable_pages = int(affordable_bytes // page_size)
+            affordable_pages = self.power_model.dirty_budget_pages(
+                self.battery, page_size
+            )
             pages_lost = sorted(dirty)[affordable_pages:]
         return CrashReport(
             dirty_pages=len(dirty),
@@ -218,17 +218,6 @@ class CrashSimulator:
         """Section 8: time to flush at shutdown, bounded by the budget."""
         dirty_bytes = len(self._dirty_set()) * self.system.region.page_size
         return self.power_model.flush_time_seconds(dirty_bytes)
-
-    def retune_budget(self) -> int:
-        """Section 8: recompute the dirty budget for current battery health.
-
-        Returns the page budget the *current* (possibly degraded) battery
-        supports; callers apply it by building a new
-        :class:`repro.core.ViyojitConfig`.
-        """
-        return self.power_model.dirty_budget_pages(
-            self.battery, self.system.region.page_size
-        )
 
 
 def full_backup_battery(

@@ -970,12 +970,16 @@ class Viyojit(NVDRAMSystem):
         return self.tracker.budget_pages
 
     def set_dirty_budget(self, pages: int) -> None:
-        """Re-tune the dirty budget (section 8 / ballooning).
+        """Apply a new dirty budget: the one budget-change step.
 
-        Growing takes effect immediately.  Shrinking lowers the bound for
-        *new* dirtyings at once, but the battery is only safe for the new
-        budget after :meth:`drain_to_budget` brings the count down —
-        callers reassigning battery to another tenant must drain first.
+        Section 8's battery-degradation response and section 6.3's
+        ballooning both change the budget through here.  Growing takes
+        effect at once.  Shrinking lowers the bound for new dirtyings at
+        once, and on a started system flushes cold pages until the dirty
+        count fits before returning — so when the call returns, the
+        battery that sized ``pages`` covers every dirty page, and budget
+        taken from this system may be handed to another.  The sanitizer
+        learns of the change after that drain.
         """
         pages = require_page_count(pages, "budget")
         if pages <= 0:
@@ -986,41 +990,30 @@ class Viyojit(NVDRAMSystem):
                 f"{self.region.num_pages} pages"
             )
         self.tracker.budget_pages = pages
+        if self._started and self.tracker.count > pages:
+            self._drain_to_budget()
         if self.sanitizer is not None:
             self.sanitizer.note_budget_change(self.tracker.budget_pages)
 
     def retune_for_battery(
-        self,
-        power_model: "PowerModel",
-        battery: "Battery",
-        *,
-        floor_pages: int = 1,
-        drain: bool = True,
+        self, power_model: "PowerModel", battery: "Battery"
     ) -> int:
         """Section 8: graceful budget shrink after battery capacity loss.
 
-        Re-derives the dirty budget the (possibly degraded) ``battery``
-        can actually flush, applies it, and — when ``drain`` is true and
-        the dirty count sits above the new bound — drains the excess
-        dirty pages so the durability invariant is restored as fast as
-        the SSD allows.  The budget never drops below ``floor_pages``
-        (a dead battery cannot make the budget zero; Viyojit degrades to
-        a tiny budget instead of disabling NV-DRAM) and never exceeds
-        the region.  Returns the budget now in force.
+        Applies, through :meth:`set_dirty_budget` (which drains any
+        excess at SSD speed), the dirty budget the (possibly degraded)
+        ``battery`` can flush.  The budget never drops below one page (a
+        dead battery cannot make the budget zero; Viyojit degrades to a
+        tiny budget instead of disabling NV-DRAM) and never exceeds the
+        region.  Returns the budget now in force.
         """
-        if floor_pages <= 0:
-            raise ValueError(f"floor_pages must be positive: {floor_pages}")
         derived = power_model.dirty_budget_pages(battery, self.region.page_size)
-        applied = max(int(floor_pages), min(int(derived), self.region.num_pages))
-        if applied != self.tracker.budget_pages:
-            self.set_dirty_budget(applied)
-        if drain and self._started and self.tracker.count > applied:
-            self.drain_to_budget()
+        applied = max(1, min(derived, self.region.num_pages))
+        self.set_dirty_budget(applied)
         return applied
 
-    def drain_to_budget(self) -> None:
+    def _drain_to_budget(self) -> None:
         """Flush cold pages until the dirty count fits the current budget."""
-        self._require_started()
         while self.tracker.count > self.tracker.budget_pages:
             victim = self._next_victim()
             if victim is None or not self.flusher.has_slot():

@@ -8,10 +8,11 @@ could first break:
 
 ``budget-bound``
     After every page dirtying, the dirty count fits the battery budget
-    (Viyojit sections 4-5; the durability argument itself).  A budget
-    *shrink* via ``set_dirty_budget`` may leave the count legitimately
-    above the new bound, but from that point the count may only drain —
-    any growth while over budget is a violation.
+    (Viyojit sections 4-5; the durability argument itself).
+    ``set_dirty_budget`` drains a shrink before it reports the new bound,
+    so the count fits at once; a bound lowered without that drain may
+    leave the count legitimately above it, but from that point the count
+    may only drain — any growth while over budget is a violation.
 ``evicted-durability``
     At every flush completion, the page has left the dirty set, is no
     longer in flight, and its durable copy is byte-identical to the
@@ -97,7 +98,7 @@ class SimulationSanitizer:
     # -- hooks (called by the runtime) -------------------------------------
 
     def note_budget_change(self, new_budget: int) -> None:
-        """``set_dirty_budget`` ran; record any legitimate over-budget."""
+        """A new budget is in force (after any drain); record any overage."""
         count = self.system.tracker.count
         self._shrink_allowance = count if count > new_budget else 0
 

@@ -120,6 +120,18 @@ class TestSpecValidationErrors:
                 ["crashfind", "--crash-points", "0"],
                 "--crash-points stride must be >= 1: 0",
             ),
+            (
+                ["replay", "--battery-pct", "-5"],
+                "--battery-pct must be in (0, 100]: -5",
+            ),
+            (
+                ["replay", "--battery-pct", "0"],
+                "--battery-pct must be in (0, 100]: 0",
+            ),
+            (
+                ["replay", "--battery-pct", "nan"],
+                "--battery-pct must be in (0, 100]: nan",
+            ),
         ],
         ids=[
             "ycsb-records-0",
@@ -134,6 +146,9 @@ class TestSpecValidationErrors:
             "cluster-quota-nan",
             "crashfind-crash-points-abc",
             "crashfind-crash-points-0",
+            "replay-battery-pct-negative",
+            "replay-battery-pct-0",
+            "replay-battery-pct-nan",
         ],
     )
     def test_exits_2_with_one_line(

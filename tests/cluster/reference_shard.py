@@ -84,16 +84,6 @@ def iter_segment_ops(
         yield position, segment, op
 
 
-def _apply_lease(system: Viyojit, pages: int) -> None:
-    """Re-tune a shard to its new lease (shrink drains, like section 8)."""
-    current = system.dirty_budget_pages
-    if pages == current:
-        return
-    system.set_dirty_budget(pages)
-    if pages < current:
-        system.drain_to_budget()
-
-
 def shard_operations(
     job: ShardJob,
     rings: Sequence[HashRing],
@@ -135,7 +125,7 @@ def shard_operations(
         while current_segment < segment:
             current_segment += 1
             if schedule is not None and system is not None:
-                _apply_lease(system, schedule[current_segment])
+                system.set_dirty_budget(schedule[current_segment])
             if track_keys and (
                 rings[current_segment] is not rings[current_segment - 1]
             ):

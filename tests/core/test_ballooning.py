@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ballooning import BatteryBroker
 from repro.core.config import ViyojitConfig
@@ -65,7 +67,6 @@ class TestBudgetRetuning:
         for page in range(16):
             system.write(mapping.base_addr + page * PAGE, b"x")
         system.set_dirty_budget(4)
-        system.drain_to_budget()
         assert system.dirty_count <= 4
 
     def test_shrunk_budget_enforced_for_new_writes(self, sim):
@@ -168,8 +169,89 @@ class TestBroker:
         broker.rebalance()
         before = broker.allocated_pages()
         broker.battery.degrade(0.5)
-        report = broker.on_battery_degraded()
+        report = broker.rebalance()
         assert broker.allocated_pages() <= broker.total_budget_pages
         assert broker.allocated_pages() < before
         assert all(budget >= 1 for budget in report.budgets.values())
         assert broker.survives_power_failure()
+
+    def test_battery_degraded_below_floors_is_not_overcommitted(self, sim):
+        """Floors 20/1/1 on a 24-page battery degraded to 4 pages used to
+        get 3+1+1 = 5 pages, so full tenants outran the battery."""
+        broker = make_broker(sim, budget_pages=24)
+        tenants = [make_tenant(sim) for _ in range(3)]
+        for name, tenant, floor in zip("abc", tenants, (20, 1, 1)):
+            broker.register(name, tenant, floor_pages=floor)
+        broker.battery.degrade(0.8)
+        assert broker.total_budget_pages == 4
+        report = broker.rebalance()
+        assert report.budgets == {"a": 2, "b": 1, "c": 1}
+        for tenant in tenants:
+            mapping = tenant.mmap(32 * PAGE)
+            for page in range(tenant.dirty_budget_pages):
+                tenant.write(mapping.base_addr + page * PAGE, b"full")
+        assert broker.total_dirty_pages() == 4
+        assert broker.survives_power_failure()
+
+
+BURSTS = st.tuples(st.just("burst"), st.integers(0, 3), st.integers(1, 40))
+DEGRADES = st.tuples(st.just("degrade"), st.floats(0.0, 0.6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    floors=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    # At least one spare page: a battery sized for n pages may flush n - 1.
+    extra=st.integers(1, 24),
+    steps=st.lists(st.one_of(BURSTS, DEGRADES), min_size=1, max_size=8),
+)
+def test_rebalance_keeps_budgets_within_battery(floors, extra, steps):
+    """After every rebalance, under bursts and degradations: the budgets
+    fit ``max(battery, tenants)``, none is below one page or (while the
+    floors fit) its floor, and every tenant's dirty set fits its budget."""
+    sim = Simulation()
+    broker = make_broker(sim, budget_pages=sum(floors) + extra)
+    tenants = [make_tenant(sim, num_pages=128) for _ in floors]
+    mappings = [tenant.mmap(64 * PAGE) for tenant in tenants]
+    for index, (tenant, floor) in enumerate(zip(tenants, floors)):
+        broker.register(f"t{index}", tenant, floor_pages=floor)
+    for step in steps:
+        if step[0] == "burst":
+            _, which, pages = step
+            which %= len(tenants)
+            for page in range(pages):
+                tenants[which].write(
+                    mappings[which].base_addr + (page * 7 % 64) * PAGE, b"b"
+                )
+        else:
+            broker.battery.degrade(step[1])
+        total = broker.total_budget_pages
+        report = broker.rebalance()
+        budgets = list(report.budgets.values())
+        assert sum(budgets) <= max(total, len(tenants))
+        assert broker.allocated_pages() == sum(budgets)
+        for state, budget in zip(broker.tenants, budgets):
+            assert budget >= 1
+            if sum(floors) <= total:
+                assert budget >= state.floor_pages
+            assert state.system.dirty_budget_pages == budget
+            assert state.system.dirty_count <= budget
+
+
+BUDGET_STEPS = st.tuples(st.just("budget"), st.integers(1, 24))
+WRITE_STEPS = st.tuples(st.just("write"), st.integers(0, 47))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(BUDGET_STEPS, WRITE_STEPS), min_size=1, max_size=40))
+def test_set_dirty_budget_leaves_count_within_budget(steps):
+    """Grows and shrinks interleaved with writes: a started system's dirty
+    count fits the budget in force after every call."""
+    system = make_tenant(Simulation(), num_pages=64)
+    mapping = system.mmap(48 * PAGE)
+    for kind, value in steps:
+        if kind == "budget":
+            system.set_dirty_budget(value)
+        else:
+            system.write(mapping.base_addr + value * PAGE, b"w")
+        assert system.dirty_count <= system.dirty_budget_pages

@@ -198,9 +198,8 @@ class TestBatteryEconomics:
         system = make_viyojit(sim, num_pages=256, budget=16)
         model = PowerModel()
         battery = battery_for_budget(system, model)
-        crash = CrashSimulator(system, model, battery)
-        before = crash.retune_budget()
+        before = system.retune_for_battery(model, battery)
         battery.degrade(0.5)
-        after = crash.retune_budget()
+        after = system.retune_for_battery(model, battery)
         assert after == pytest.approx(before * 0.5, abs=1)
         assert after < before

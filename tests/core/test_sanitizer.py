@@ -20,6 +20,7 @@ from repro.core.sanitizer import (
 from repro.obs.export import to_json
 from repro.obs.harness import TraceWorkload, run_traced_workload
 from repro.sim.events import Simulation
+from repro.storage.backing_store import BackingStore
 from tests.obs.regen_golden import GOLDEN_SPECS, fixture_path, render
 
 
@@ -105,7 +106,9 @@ class TestBudgetBound:
         system = make_system(num_pages=32, budget=8)
         dirty_distinct_pages(system, 5)
         assert system.tracker.count == 5
-        system.set_dirty_budget(2)
+        # set_dirty_budget drains a shrink, so reach the overage directly.
+        system.tracker.budget_pages = 2
+        system.sanitizer.note_budget_change(2)
         # Over the new budget, but only because of the shrink: allowed.
         system.sanitizer.after_dirtied(0)
 
@@ -156,6 +159,53 @@ class TestScanCoherence:
         with pytest.raises(InvariantViolation, match="TLB") as exc:
             system.sanitizer.after_epoch_scan()
         assert exc.value.invariant == "scan-coherence"
+
+
+class TestHooksWired:
+    """Each runtime hook fires on its own: a collaborator misbehaves inside
+    a real run, and the one hook placed to see it raises."""
+
+    def test_after_dirtied_sees_tracker_drift(self):
+        system = make_system(num_pages=32, budget=4)
+        dirty_distinct_pages(system, 2)
+        fresh = system.mmap(system.region.page_size)
+        # The tracker rebinds its set behind the fault path's alias, so
+        # the count it reports runs over the budget the runtime enforces.
+        system.tracker._dirty = set(system.tracker._dirty) | {20, 21, 22}
+        with pytest.raises(InvariantViolation) as exc:
+            system.write(fresh.addr(0), b"x")
+        assert exc.value.invariant == "budget-bound"
+
+    def test_after_epoch_scan_sees_a_bit_left_set(self):
+        system = make_system()
+        dirty_distinct_pages(system, 2)
+        scan = system.mmu.epoch_scan
+
+        def leaky_scan(flush_tlb=True):
+            updated, cost = scan(flush_tlb=flush_tlb)
+            corrupt_dirty_bits(system.page_table, [5], True)
+            return updated, cost
+
+        system.mmu.epoch_scan = leaky_scan
+        with pytest.raises(InvariantViolation) as exc:
+            system.sim.run_until(system.sim.now + system.config.epoch_ns)
+        assert exc.value.invariant == "scan-coherence"
+
+    def test_after_flush_complete_sees_wrong_durable_bytes(self):
+        class CorruptingStore(BackingStore):
+            def persist(self, pfn, data, version):
+                super().persist(pfn, bytes(reversed(data)), version)
+
+        sim = Simulation()
+        config = ViyojitConfig(dirty_budget_pages=2, sanitize=True)
+        system = Viyojit(
+            sim, num_pages=32, config=config,
+            backing=CorruptingStore(32, 4096),
+        )
+        system.start()
+        with pytest.raises(InvariantViolation) as exc:
+            dirty_distinct_pages(system, 4)  # past the budget: evictions
+        assert exc.value.invariant == "evicted-durability"
 
 
 class TestZeroDrift:

@@ -123,17 +123,12 @@ class TestBatteryDegradation:
         # With 32 dirty pages and half the energy, we are now unsafe.
         assert not crash.power_failure().survives
 
-        # Retune: the new budget is what the degraded battery supports.
-        new_budget = crash.retune_budget()
+        # Retune: the new budget is what the degraded battery supports,
+        # and the shrink drains down to it (the runtime reaction in
+        # section 8).
+        new_budget = system.retune_for_battery(model, battery)
         assert new_budget < 32
-        # Drain down to the new budget (the runtime reaction in section 8).
-        while system.dirty_count > new_budget:
-            victim = system._next_victim()
-            while not system.flusher.has_slot():
-                system._wait_until(system.flusher.earliest_completion())
-            cost = system.flusher.issue(victim)
-            sim.clock.advance(cost)
-            system._wait_until(system.flusher.completion_time(victim))
+        assert system.dirty_count <= new_budget
         assert crash.power_failure().survives
 
 

@@ -66,7 +66,6 @@ class ViyojitMachine(RuleBasedStateMachine):
     @rule(new_budget=st.integers(4, BUDGET))
     def retune_budget(self, new_budget):
         self.system.set_dirty_budget(new_budget)
-        self.system.drain_to_budget()
 
     @rule()
     def restore_full_budget(self):
