@@ -472,11 +472,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     workload = args.workload.strip().upper()
     if not workload.startswith("YCSB-"):
         workload = f"YCSB-{workload}"
-    quotas = None
-    if args.tenant_quotas:
-        quotas = tuple(
-            float(token) for token in args.tenant_quotas.split(",")
-        )
     degrade: tuple = ()
     if args.pool_degrade:
         steps = []
@@ -507,13 +502,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         record_count=args.records,
         operation_count=args.ops,
         epochs=args.epochs,
-        tenants=args.tenants,
-        tenant_quotas=quotas,
-        vnodes=args.vnodes,
-        ring_seed=args.ring_seed,
         pool_degrade=degrade,
         predictor=args.predictor,
-        ewma_alpha=args.ewma_alpha,
         churn_cap_pages=args.churn_cap,
         membership=membership,
         hotspot_rotate_keys=args.hotspot_rotate,
@@ -829,24 +819,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="global operations (default 6000)")
     cluster.add_argument("--epochs", type=int, default=4,
                          help="rebalance epochs per run (default 4)")
-    cluster.add_argument("--tenants", type=int, default=1,
-                         help="tenants sharing the keyspace (default 1)")
-    cluster.add_argument("--tenant-quotas", type=str, default=None,
-                         help="comma-separated quotas summing to 1")
-    cluster.add_argument("--vnodes", type=int, default=32,
-                         help="virtual nodes per shard (default 32)")
-    cluster.add_argument("--ring-seed", type=int, default=17,
-                         help="consistent-hash ring seed (default 17)")
     cluster.add_argument("--predictor", type=str, default="last-epoch",
-                         choices=["last-epoch", "ewma", "per-tenant-ewma"],
+                         choices=["last-epoch", "ewma"],
                          help="demand predictor feeding the rebalancer "
                               "(default: last-epoch, the reactive protocol)")
-    cluster.add_argument("--ewma-alpha", type=float, default=0.5,
-                         help="EWMA smoothing factor in (0, 1] "
-                              "(default: 0.5)")
     cluster.add_argument("--churn-cap", type=int, default=None,
                          help="cap voluntary lease movement at this many "
-                              "pages per epoch (default: undamped)")
+                              "pages per epoch (default: undamped; 0 "
+                              "freezes epoch 0's even split)")
     cluster.add_argument("--membership", type=str, default=None,
                          help="ring membership changes as "
                               "EPOCH:add|remove:SHARD[,...], e.g. "

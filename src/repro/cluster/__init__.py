@@ -11,18 +11,18 @@ byte-identical at any ``--jobs`` count.
 """
 
 from repro.cluster.forecast import (
-    DEFAULT_EWMA_ALPHA,
+    EWMA_ALPHA,
     PREDICTORS,
     DemandPredictor,
     EwmaPredictor,
     LastEpochPredictor,
-    PerTenantEwmaPredictor,
     make_predictor,
     misallocation_report,
     misallocation_series,
 )
 from repro.cluster.pool import BatteryPool, PoolError, PoolLease
 from repro.cluster.rebalancer import (
+    FLOOR_PAGES,
     LeaseChurn,
     apportion,
     damp_grants,
@@ -57,14 +57,14 @@ __all__ = [
     "ClusterGrid",
     "ClusterPlan",
     "ClusterSpec",
-    "DEFAULT_EWMA_ALPHA",
     "DemandPredictor",
+    "EWMA_ALPHA",
     "EwmaPredictor",
+    "FLOOR_PAGES",
     "HashRing",
     "LastEpochPredictor",
     "LeaseChurn",
     "MEMBERSHIP_ACTIONS",
-    "PerTenantEwmaPredictor",
     "PoolError",
     "PoolLease",
     "PREDICTORS",

@@ -7,27 +7,22 @@ is systematically one epoch late: the pool chases yesterday's hot shard
 while today's starves.  The NVM literature treats this as a forecasting
 problem (Escuin et al. forecast NVM cache lifetime/performance the same
 way), and so does this module: the planner asks a pluggable
-:class:`DemandPredictor` for epoch ``e``'s demand matrix instead of
+:class:`DemandPredictor` for epoch ``e``'s per-shard demand instead of
 reading the stale snapshot directly.
 
-Three predictors ship:
+Two predictors ship:
 
 ``last-epoch``
-    The default: forecast = the previous epoch's observed matrix,
+    The default: forecast = the previous epoch's observed demand,
     zeros before any history exists.  ``plan_cluster`` with this
     predictor (and damping off) leases exactly as the original reactive
     protocol did, so its misallocation equals its own baseline's.
 ``ewma``
-    One exponentially weighted moving average over the *shard*
-    aggregate demand (summed across tenants):
-    ``S_e = alpha * d_{e-1} + (1 - alpha) * S_{e-1}``.  Every tenant's
-    pool is apportioned by the same smoothed shard profile.  Under a
-    rotating hotspot the EWMA hedges across recently hot shards instead
-    of betting everything on yesterday's, which lowers L1 misallocation.
-``per-tenant-ewma``
-    An EWMA per ``(tenant, shard)`` cell, so each tenant's pool follows
-    that tenant's own demand history rather than the fleet aggregate.
-    With one tenant this is identical to ``ewma``.
+    An exponentially weighted moving average of per-shard demand:
+    ``S_e = alpha * d_{e-1} + (1 - alpha) * S_{e-1}`` with
+    ``alpha =`` :data:`EWMA_ALPHA`.  Under a rotating hotspot the EWMA
+    hedges across recently hot shards instead of betting everything on
+    yesterday's, which lowers L1 misallocation.
 
 Prediction quality is measured as **L1 misallocation**: for each epoch,
 the L1 distance between the leases actually granted and the *oracle*
@@ -44,15 +39,16 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.rebalancer import plan_epoch
 
 #: Predictor registry order is part of the CLI contract.
-PREDICTORS = ("last-epoch", "ewma", "per-tenant-ewma")
+PREDICTORS = ("last-epoch", "ewma")
 
-DEFAULT_EWMA_ALPHA = 0.5
+#: The EWMA predictor's smoothing factor.
+EWMA_ALPHA = 0.5
 
-Matrix = List[List[float]]
+Vector = List[float]
 
 
 class DemandPredictor:
-    """Forecasts the next epoch's demand matrix from observed history.
+    """Forecasts the next epoch's per-shard demand from observed history.
 
     The planner drives the protocol: one :meth:`forecast` before each
     rebalance, one :meth:`observe` with the epoch's true demand after.
@@ -62,128 +58,75 @@ class DemandPredictor:
 
     name = "base"
 
-    def __init__(self, tenants: int, shards: int) -> None:
-        if tenants <= 0:
-            raise ValueError(f"tenants must be positive: {tenants}")
+    def __init__(self, shards: int) -> None:
         if shards <= 0:
             raise ValueError(f"shards must be positive: {shards}")
-        self.tenants = tenants
         self.shards = shards
 
-    def _zeros(self) -> Matrix:
-        return [[0 for _ in range(self.shards)] for _ in range(self.tenants)]
-
-    def _check(self, observed: Sequence[Sequence[int]]) -> None:
-        if len(observed) != self.tenants or any(
-            len(row) != self.shards for row in observed
-        ):
+    def _check(self, observed: Sequence[int]) -> None:
+        if len(observed) != self.shards:
             raise ValueError(
-                f"observed matrix must be {self.tenants}x{self.shards}"
+                f"observed demand must cover {self.shards} shards"
             )
 
-    def observe(self, observed: Sequence[Sequence[int]]) -> None:
+    def observe(self, observed: Sequence[int]) -> None:
         raise NotImplementedError
 
-    def forecast(self) -> Matrix:
+    def forecast(self) -> Vector:
         raise NotImplementedError
 
 
 class LastEpochPredictor(DemandPredictor):
-    """PR 8's reactive protocol: forecast = the last observed matrix."""
+    """The reactive protocol: forecast = the last observed demand."""
 
     name = "last-epoch"
 
-    def __init__(self, tenants: int, shards: int) -> None:
-        super().__init__(tenants, shards)
-        self._last: Optional[Matrix] = None
+    def __init__(self, shards: int) -> None:
+        super().__init__(shards)
+        self._last: Optional[Vector] = None
 
-    def observe(self, observed: Sequence[Sequence[int]]) -> None:
+    def observe(self, observed: Sequence[int]) -> None:
         self._check(observed)
-        self._last = [list(row) for row in observed]
+        self._last = list(observed)
 
-    def forecast(self) -> Matrix:
+    def forecast(self) -> Vector:
         if self._last is None:
-            return self._zeros()
-        return [list(row) for row in self._last]
+            return [0] * self.shards
+        return list(self._last)
 
 
 class EwmaPredictor(DemandPredictor):
-    """EWMA over the tenant-aggregated shard demand profile."""
+    """EWMA over the per-shard demand profile."""
 
     name = "ewma"
 
-    def __init__(self, tenants: int, shards: int, alpha: float) -> None:
-        super().__init__(tenants, shards)
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1]: {alpha}")
-        self.alpha = float(alpha)
+    def __init__(self, shards: int) -> None:
+        super().__init__(shards)
         self._state: Optional[List[float]] = None
 
-    def observe(self, observed: Sequence[Sequence[int]]) -> None:
+    def observe(self, observed: Sequence[int]) -> None:
         self._check(observed)
-        aggregate = [
-            float(sum(observed[tenant][shard] for tenant in range(self.tenants)))
-            for shard in range(self.shards)
-        ]
+        demand = [float(count) for count in observed]
         if self._state is None:
-            self._state = aggregate
+            self._state = demand
         else:
             self._state = [
-                self.alpha * new + (1.0 - self.alpha) * old
-                for new, old in zip(aggregate, self._state)
+                EWMA_ALPHA * new + (1.0 - EWMA_ALPHA) * old
+                for new, old in zip(demand, self._state)
             ]
 
-    def forecast(self) -> Matrix:
+    def forecast(self) -> Vector:
         if self._state is None:
-            return self._zeros()
-        profile = [round(value, 6) for value in self._state]
-        return [list(profile) for _ in range(self.tenants)]
+            return [0] * self.shards
+        return [round(value, 6) for value in self._state]
 
 
-class PerTenantEwmaPredictor(DemandPredictor):
-    """An independent EWMA per ``(tenant, shard)`` demand cell."""
-
-    name = "per-tenant-ewma"
-
-    def __init__(self, tenants: int, shards: int, alpha: float) -> None:
-        super().__init__(tenants, shards)
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1]: {alpha}")
-        self.alpha = float(alpha)
-        self._state: Optional[List[List[float]]] = None
-
-    def observe(self, observed: Sequence[Sequence[int]]) -> None:
-        self._check(observed)
-        if self._state is None:
-            self._state = [[float(cell) for cell in row] for row in observed]
-        else:
-            self._state = [
-                [
-                    self.alpha * float(new) + (1.0 - self.alpha) * old
-                    for new, old in zip(new_row, old_row)
-                ]
-                for new_row, old_row in zip(observed, self._state)
-            ]
-
-    def forecast(self) -> Matrix:
-        if self._state is None:
-            return self._zeros()
-        return [[round(cell, 6) for cell in row] for row in self._state]
-
-
-def make_predictor(
-    name: str,
-    tenants: int,
-    shards: int,
-    alpha: float = DEFAULT_EWMA_ALPHA,
-) -> DemandPredictor:
+def make_predictor(name: str, shards: int) -> DemandPredictor:
     """Build the predictor ``name`` (one of :data:`PREDICTORS`)."""
     if name == "last-epoch":
-        return LastEpochPredictor(tenants, shards)
+        return LastEpochPredictor(shards)
     if name == "ewma":
-        return EwmaPredictor(tenants, shards, alpha)
-    if name == "per-tenant-ewma":
-        return PerTenantEwmaPredictor(tenants, shards, alpha)
+        return EwmaPredictor(shards)
     raise ValueError(
         f"unknown predictor {name!r}; choose from {list(PREDICTORS)}"
     )
@@ -194,9 +137,7 @@ def make_predictor(
 
 def oracle_leases(
     capacity_pages: int,
-    observed: Sequence[Sequence[int]],
-    tenant_quotas: Sequence[float],
-    floor_pages: int,
+    observed: Sequence[int],
     active: Optional[Sequence[bool]] = None,
 ) -> List[int]:
     """The leases a clairvoyant planner would have granted.
@@ -206,10 +147,7 @@ def oracle_leases(
     these and the granted leases is pure prediction (plus damping)
     error.
     """
-    _, leases = plan_epoch(
-        capacity_pages, observed, tenant_quotas, floor_pages, active=active
-    )
-    return leases
+    return plan_epoch(capacity_pages, observed, active=active)
 
 
 def l1_misallocation(
@@ -223,17 +161,15 @@ def l1_misallocation(
 
 def misallocation_series(
     lease_vectors: Sequence[Sequence[int]],
-    demands: Sequence[Sequence[Sequence[int]]],
+    demands: Sequence[Sequence[int]],
     capacity_schedule: Sequence[int],
-    tenant_quotas: Sequence[float],
-    floor_pages: int,
     active_schedule: Optional[Sequence[Sequence[bool]]] = None,
 ) -> List[int]:
     """Per-epoch L1 misallocation of a full lease schedule.
 
     ``lease_vectors[e]`` is the granted per-shard lease vector for epoch
-    ``e``; ``demands[e]`` the true demand matrix observed during that
-    epoch.  Every epoch is scored against its own oracle, so the series
+    ``e``; ``demands[e]`` the true per-shard demand observed during
+    that epoch.  Every epoch is scored against its own oracle, so the series
     isolates the planner's forecasting error from capacity changes.
     """
     if len(lease_vectors) != len(demands) or len(demands) != len(
@@ -246,11 +182,7 @@ def misallocation_series(
             active_schedule[epoch] if active_schedule is not None else None
         )
         oracle = oracle_leases(
-            capacity_schedule[epoch],
-            demands[epoch],
-            tenant_quotas,
-            floor_pages,
-            active=active,
+            capacity_schedule[epoch], demands[epoch], active=active
         )
         series.append(l1_misallocation(granted, oracle))
     return series
@@ -260,10 +192,8 @@ def misallocation_report(
     predictor: str,
     lease_vectors: Sequence[Sequence[int]],
     reference_vectors: Sequence[Sequence[int]],
-    demands: Sequence[Sequence[Sequence[int]]],
+    demands: Sequence[Sequence[int]],
     capacity_schedule: Sequence[int],
-    tenant_quotas: Sequence[float],
-    floor_pages: int,
     active_schedule: Optional[Sequence[Sequence[bool]]] = None,
 ) -> Dict[str, object]:
     """The CLUSTER.json ``misallocation`` block for one budgeted run.
@@ -275,20 +205,10 @@ def misallocation_report(
     summed misallocation.
     """
     per_epoch = misallocation_series(
-        lease_vectors,
-        demands,
-        capacity_schedule,
-        tenant_quotas,
-        floor_pages,
-        active_schedule,
+        lease_vectors, demands, capacity_schedule, active_schedule
     )
     baseline = misallocation_series(
-        reference_vectors,
-        demands,
-        capacity_schedule,
-        tenant_quotas,
-        floor_pages,
-        active_schedule,
+        reference_vectors, demands, capacity_schedule, active_schedule
     )
     total = sum(per_epoch)
     baseline_total = sum(baseline)
@@ -308,11 +228,10 @@ def misallocation_report(
 
 
 __all__ = [
-    "DEFAULT_EWMA_ALPHA",
     "DemandPredictor",
+    "EWMA_ALPHA",
     "EwmaPredictor",
     "LastEpochPredictor",
-    "PerTenantEwmaPredictor",
     "PREDICTORS",
     "l1_misallocation",
     "make_predictor",

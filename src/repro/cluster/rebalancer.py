@@ -1,7 +1,7 @@
 """Deterministic budget apportionment for the shared battery pool.
 
 The rebalancer answers one question every epoch: given what each shard
-(and tenant) is writing, how should the pool's budget pages be divided?
+is writing, how should the pool's budget pages be divided?
 The answer is largest-remainder apportionment — proportional shares
 floored to integers, leftover pages handed out by descending fractional
 remainder with index-order tie-breaks — because it is exact (grants sum
@@ -25,7 +25,12 @@ Two planning refinements layer on top of the raw apportionment:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
+
+
+#: Pages every shard keeps whatever its demand: a live Viyojit instance
+#: needs a positive budget even when idle.
+FLOOR_PAGES = 1
 
 
 def apportion(
@@ -71,48 +76,27 @@ def apportion(
 
 def plan_epoch(
     capacity_pages: int,
-    demands: Sequence[Sequence[float]],
-    tenant_quotas: Sequence[float],
-    floor_pages: int,
+    demands: Sequence[float],
     active: Optional[Sequence[bool]] = None,
-) -> Tuple[List[List[int]], List[int]]:
-    """One rebalance epoch: tenant isolation, then per-shard demand.
+) -> List[int]:
+    """One rebalance epoch's leases, from per-shard demand.
 
-    ``demands[tenant][shard]`` is the demand signal (distinct keys
-    written this epoch, or a predictor's forecast of them).  Capacity
-    splits in two stages:
-
-    1. every shard is floored at ``floor_pages`` off the top (a live
-       Viyojit instance needs a positive budget even when idle);
-    2. the rest is divided between tenants by their static quotas —
-       *isolation*: one tenant's write burst cannot consume another
-       tenant's share — and each tenant's pool is then apportioned
-       across shards by that tenant's observed demand.
+    ``demands[shard]`` is the demand signal (distinct keys written this
+    epoch, or a predictor's forecast of them).  Every shard is floored
+    at :data:`FLOOR_PAGES` off the top (a live Viyojit instance needs a
+    positive budget even when idle), and the rest is apportioned across
+    shards by demand.
 
     ``active`` masks shards that are not currently on the ring (pre-join
     or post-removal): they keep their floor but receive no above-floor
     grant, and the all-zero-weights even-split fallback spreads over
     active shards only.
 
-    Returns ``(grants, leases)``: ``grants[tenant][shard]`` above the
-    floor, and ``leases[shard]`` = floor + its grants, summing to
-    exactly ``capacity_pages``.
+    Returns ``leases[shard]``, summing to exactly ``capacity_pages``.
     """
-    tenants = len(demands)
-    if tenants == 0:
-        raise ValueError("plan_epoch needs at least one tenant")
-    shards = len(demands[0])
+    shards = len(demands)
     if shards == 0:
         raise ValueError("plan_epoch needs at least one shard")
-    for row in demands:
-        if len(row) != shards:
-            raise ValueError("ragged demand matrix")
-    if len(tenant_quotas) != tenants:
-        raise ValueError(
-            f"{len(tenant_quotas)} quotas for {tenants} tenants"
-        )
-    if floor_pages <= 0:
-        raise ValueError(f"floor_pages must be positive: {floor_pages}")
     if active is None:
         active_idx = list(range(shards))
     else:
@@ -123,21 +107,14 @@ def plan_epoch(
         active_idx = [at for at in range(shards) if active[at]]
         if not active_idx:
             raise ValueError("plan_epoch needs at least one active shard")
-    tenant_pools = apportion(
-        capacity_pages - floor_pages * shards, tenant_quotas, floor=0
+    grants = apportion(
+        capacity_pages - FLOOR_PAGES * shards,
+        [demands[at] for at in active_idx],
     )
-    grants: List[List[int]] = []
-    for pool, row in zip(tenant_pools, demands):
-        sub = apportion(pool, [row[at] for at in active_idx], floor=0)
-        scattered = [0] * shards
-        for position, at in enumerate(active_idx):
-            scattered[at] = sub[position]
-        grants.append(scattered)
-    leases = [
-        floor_pages + sum(grants[tenant][shard] for tenant in range(tenants))
-        for shard in range(shards)
-    ]
-    return grants, leases
+    leases = [FLOOR_PAGES] * shards
+    for position, at in enumerate(active_idx):
+        leases[at] += grants[position]
+    return leases
 
 
 @dataclass(frozen=True)
@@ -191,19 +168,19 @@ def damp_grants(
     cap_pages: int,
     active: Optional[Sequence[bool]] = None,
 ) -> List[int]:
-    """Rate-limit one tenant's grant movement toward ``target``.
+    """Rate-limit grant movement toward ``target``.
 
-    ``previous`` and ``target`` are the tenant's per-shard above-floor
-    grants for consecutive epochs; they may sum differently (the tenant
-    pool shrank with pool degradation).  The damped result always sums
-    to exactly ``sum(target)`` — conservation and tenant-quota isolation
-    are preserved bit-for-bit — while the *voluntary* churn (matched
-    grow/shed movement between shards) is capped at ``cap_pages``.
+    ``previous`` and ``target`` are the per-shard above-floor grants for
+    consecutive epochs; they may sum differently (the pool shrank with
+    degradation).  The damped result always sums to exactly
+    ``sum(target)`` — conservation is preserved bit-for-bit — while the
+    *voluntary* churn (matched grow/shed movement between shards) is
+    capped at ``cap_pages``.
 
     Movement the plan cannot avoid is exempt from the cap:
 
-    * capacity delta — if the tenant pool shrank, the difference must be
-      shed somewhere regardless of damping;
+    * capacity delta — if the pool shrank, the difference must be shed
+      somewhere regardless of damping;
     * membership handoff — shards masked inactive by ``active`` are
       zeroed first (a leaving shard drains fully; damping never strands
       budget on a shard that is off the ring).

@@ -9,7 +9,7 @@ view — so two cluster runs agree iff their checksums agree, regardless
 of ``--jobs`` count, completion order, or retry history.
 
 On top of the per-shard payloads the report adds the coordinator's
-plan: ring checksums, the demand matrices, every epoch's leases and
+plan: ring checksums, per-epoch shard demand, every epoch's leases and
 rebalance events, and per-run aggregates (total throughput = total ops
 over the *slowest* shard's simulated time — shards serve in parallel).
 The ``throughput_vs_total_battery`` table is the Fig-7-style curve at
@@ -17,10 +17,11 @@ cluster scale: x = total pool battery in paper GB, one line per shard
 count, baseline-normalized when the grid includes the full-battery
 cluster.
 
-Schema 2 has one shape: every planner knob and every run's
+Schema 3 has one shape: every planner knob and every run's
 ``migrations`` list is written whatever its value, and every budgeted
 run's summary carries ``pool`` (capacity and leased pages per epoch,
 grown/shed ``churn``, ``demand_starved``) and ``misallocation``.
+``demands`` is ``[epoch][shard]``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ __all__ = [
     "dumps",
 ]
 
-CLUSTER_SCHEMA_VERSION = 2
+CLUSTER_SCHEMA_VERSION = 3
 
 
 def _run_summary(
@@ -58,11 +59,6 @@ def _run_summary(
     throughput_kops = (
         round(total_ops / slowest_ns * 1e6, 3) if slowest_ns > 0 else 0.0
     )
-    tenants = len(shards[0]["result"]["tenant_ops"])
-    tenant_ops = [
-        sum(shard["result"]["tenant_ops"][tenant] for shard in shards)
-        for tenant in range(tenants)
-    ]
     summary: Dict[str, object] = {
         "shards": plan.spec.shards,
         "total_budget_gb": plan.spec.total_budget_gb(),
@@ -70,7 +66,6 @@ def _run_summary(
         "routed_ops": routed,
         "throughput_kops": throughput_kops,
         "slowest_shard_ns": slowest_ns,
-        "tenant_ops": tenant_ops,
         "records_loaded": sum(
             shard["result"]["records_loaded"] for shard in shards
         ),

@@ -10,11 +10,11 @@ rebalance-epoch boundaries as write pressure shifts.
 Determinism protocol (everything is a pure function of the spec):
 
 1. **Demand probe** — the coordinator compiles the global op stream once
-   and counts distinct written keys per (tenant, shard, epoch segment).
+   and counts distinct written keys per (shard, epoch segment).
    Zipfian skew shows up here as hot shards demanding more budget.
 2. **Lease planning** — a pluggable demand predictor
-   (:mod:`repro.cluster.forecast`) forecasts each epoch's demand matrix
-   from observed history.  The ``last-epoch`` default reproduces the
+   (:mod:`repro.cluster.forecast`) forecasts each epoch's per-shard
+   demand from observed history.  The ``last-epoch`` default reproduces the
    original reactive protocol exactly: epoch 0 is an even split (no
    history yet), epoch ``e`` is apportioned from the demand observed
    during epoch ``e-1``.  Pool degradation steps apply at their
@@ -63,12 +63,12 @@ from repro.bench.runner import (
     build_viyojit,
 )
 from repro.cluster.forecast import (
-    DEFAULT_EWMA_ALPHA,
     PREDICTORS,
     make_predictor,
     misallocation_report,
 )
 from repro.cluster.pool import BatteryPool, PoolLease
+from repro.cluster.rebalancer import FLOOR_PAGES
 from repro.cluster.ring import HashRing
 from repro.core.runtime import NVDRAMSystem, Viyojit
 from repro.obs.events import (
@@ -111,6 +111,12 @@ DEFAULT_TOTAL_BUDGETS_GB = (2.0, 6.0, 10.0)
 MEMBERSHIP_ACTIONS = ("add", "remove")
 
 Membership = Tuple[Tuple[int, str, int], ...]
+
+#: Virtual nodes per shard on every cluster ring.
+RING_VNODES = 32
+
+#: Seed of every cluster ring's point layout.
+RING_SEED = 17
 
 
 def _normalize_membership(
@@ -167,11 +173,7 @@ def _normalize_membership(
 
 
 def membership_rings(
-    shards: int,
-    vnodes: int,
-    ring_seed: int,
-    membership: Membership,
-    epochs: int,
+    shards: int, membership: Membership, epochs: int
 ) -> List[HashRing]:
     """The per-epoch ring schedule implied by a membership schedule.
 
@@ -180,7 +182,7 @@ def membership_rings(
     change reuse the previous ring object, so ``rings[e] is
     rings[e - 1]`` doubles as the "did the ring change" test.
     """
-    ring = HashRing(range(shards), vnodes=vnodes, seed=ring_seed)
+    ring = HashRing(range(shards), vnodes=RING_VNODES, seed=RING_SEED)
     rings = [ring]
     for epoch in range(1, epochs):
         for change_epoch, action, shard in membership:
@@ -207,10 +209,11 @@ class ClusterSpec:
 
     The planning knobs added by the forecasting/hysteresis work:
 
-    * ``predictor`` / ``ewma_alpha`` — which demand predictor feeds the
-      rebalancer (:data:`repro.cluster.forecast.PREDICTORS`).
+    * ``predictor`` — which demand predictor feeds the rebalancer
+      (:data:`repro.cluster.forecast.PREDICTORS`).
     * ``churn_cap_pages`` — per-epoch cap on voluntary lease movement
-      (``None`` = undamped).
+      (``None`` = undamped; ``0`` freezes epoch 0's even split, a
+      static battery split at the same total capacity).
     * ``membership`` — ``(epoch, action, shard)`` ring changes; added
       shard ids are dense starting at ``shards``.
     * ``hotspot_rotate_keys`` — rotate the workload hotspot by this many
@@ -229,14 +232,8 @@ class ClusterSpec:
     record_count: int = 2_000
     operation_count: int = 6_000
     epochs: int = 4
-    tenants: int = 1
-    tenant_quotas: Optional[Tuple[float, ...]] = None
-    vnodes: int = 32
-    ring_seed: int = 17
-    floor_pages: int = 1
     pool_degrade: Tuple[Tuple[int, float], ...] = ()
     predictor: str = "last-epoch"
-    ewma_alpha: float = DEFAULT_EWMA_ALPHA
     churn_cap_pages: Optional[int] = None
     membership: Membership = ()
     hotspot_rotate_keys: int = 0
@@ -269,29 +266,6 @@ class ClusterSpec:
             )
         if self.epochs <= 0:
             raise ValueError(f"epochs must be positive: {self.epochs}")
-        if self.tenants <= 0:
-            raise ValueError(f"tenants must be positive: {self.tenants}")
-        if self.tenant_quotas is not None:
-            object.__setattr__(
-                self, "tenant_quotas", tuple(self.tenant_quotas)
-            )
-            if len(self.tenant_quotas) != self.tenants:
-                raise ValueError(
-                    f"{len(self.tenant_quotas)} quotas for "
-                    f"{self.tenants} tenants"
-                )
-            for quota in self.tenant_quotas:
-                if not (math.isfinite(quota) and quota > 0):
-                    raise ValueError(
-                        f"tenant_quotas must be finite and positive: "
-                        f"{quota}"
-                    )
-        if self.vnodes <= 0:
-            raise ValueError(f"vnodes must be positive: {self.vnodes}")
-        if self.floor_pages <= 0:
-            raise ValueError(
-                f"floor_pages must be positive: {self.floor_pages}"
-            )
         normalized = tuple(
             (int(epoch), float(fraction))
             for epoch, fraction in self.pool_degrade
@@ -318,10 +292,6 @@ class ClusterSpec:
                 f"unknown predictor {self.predictor!r}; choose from "
                 f"{list(PREDICTORS)}"
             )
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1]: {self.ewma_alpha}"
-            )
         if self.churn_cap_pages is not None and self.churn_cap_pages < 0:
             raise ValueError(
                 f"churn_cap_pages must be non-negative: "
@@ -347,11 +317,6 @@ class ClusterSpec:
             seed=self.seed,
         )
 
-    def quotas(self) -> Tuple[float, ...]:
-        if self.tenant_quotas is not None:
-            return self.tenant_quotas
-        return tuple(1.0 / self.tenants for _ in range(self.tenants))
-
     def total_shards(self) -> int:
         """Shard-id universe size: initial shards plus scheduled adds."""
         return self.shards + sum(
@@ -367,7 +332,7 @@ class ClusterSpec:
                 self.total_budget_fraction * self.scale().initial_heap_pages
             )
         )
-        return max(self.total_shards() * self.floor_pages, derived)
+        return max(self.total_shards() * FLOOR_PAGES, derived)
 
     def total_budget_gb(self) -> Optional[float]:
         """The paper-GB label of the pool battery (Fig-7-style axis)."""
@@ -377,19 +342,11 @@ class ClusterSpec:
 
     def ring(self) -> HashRing:
         """The epoch-0 ring (initial membership)."""
-        return HashRing(
-            range(self.shards), vnodes=self.vnodes, seed=self.ring_seed
-        )
+        return HashRing(range(self.shards), vnodes=RING_VNODES, seed=RING_SEED)
 
     def rings(self) -> List[HashRing]:
         """The per-epoch ring schedule (see :func:`membership_rings`)."""
-        return membership_rings(
-            self.shards,
-            self.vnodes,
-            self.ring_seed,
-            self.membership,
-            self.epochs,
-        )
+        return membership_rings(self.shards, self.membership, self.epochs)
 
     def active(self, epoch: int) -> Tuple[bool, ...]:
         """Which shard ids are on the ring during ``epoch``."""
@@ -400,9 +357,6 @@ class ClusterSpec:
 
     def as_dict(self) -> Dict[str, object]:
         data = asdict(self)
-        data["tenant_quotas"] = (
-            list(self.quotas()) if self.tenants > 1 else None
-        )
         data["pool_degrade"] = [list(step) for step in self.pool_degrade]
         data["membership"] = [list(entry) for entry in self.membership]
         data["total_budget_gb"] = self.total_budget_gb()
@@ -423,15 +377,12 @@ class ShardJob:
     index: int
     shard: int
     shards: int
-    vnodes: int
-    ring_seed: int
     workload: str
     theta: float
     seed: int
     record_count: int
     operation_count: int
     epochs: int
-    tenants: int
     budget_schedule: Optional[Tuple[int, ...]]
     membership: Membership = ()
     hotspot_rotate_keys: int = 0
@@ -477,13 +428,7 @@ class ShardJob:
                     )
 
     def rings(self) -> List[HashRing]:
-        return membership_rings(
-            self.shards,
-            self.vnodes,
-            self.ring_seed,
-            self.membership,
-            self.epochs,
-        )
+        return membership_rings(self.shards, self.membership, self.epochs)
 
     def as_dict(self) -> Dict[str, object]:
         data = asdict(self)
@@ -505,7 +450,7 @@ class ClusterPlan:
 
     spec: ClusterSpec
     ring_checksum: str
-    demands: List[List[List[int]]]  # [epoch][tenant][shard]
+    demands: List[List[int]]  # [epoch][shard]
     leases: List[Tuple[PoolLease, ...]]  # per epoch (empty for baseline)
     capacity_schedule: List[int]  # pool capacity per epoch
     schedules: Optional[List[Tuple[int, ...]]]  # per shard (None=baseline)
@@ -519,22 +464,22 @@ def _probe(
     spec: ClusterSpec,
     rings: Sequence[HashRing],
     stream: CompiledStream,
-) -> Tuple[List[List[List[int]]], List[List[bytes]]]:
-    """Demand matrices plus inserted keys per epoch, from array passes.
+) -> Tuple[List[List[int]], List[List[bytes]]]:
+    """Per-shard demand plus inserted keys per epoch, from array passes.
 
-    ``demands[epoch][tenant][shard]`` counts distinct written keys;
+    ``demands[epoch][shard]`` counts distinct written keys;
     ``inserts[epoch]`` lists the keys inserts created during that epoch
     segment (the coordinator needs them to size migration handoffs —
     live keys are the loaded records plus every insert so far).
 
     Per epoch segment: one boolean mask finds the written ops, one
-    ``np.unique`` replaces per-key set building (a key's tenant and
-    shard are pure functions of the key within an epoch, so distinct
-    indices ≡ distinct keys), one ``shard_for_rows`` routing pass, and
-    one ``np.bincount`` over ``tenant × shard`` buckets.
+    ``np.unique`` replaces per-key set building (a key's shard is a pure
+    function of the key within an epoch, so distinct indices ≡ distinct
+    keys), one ``shard_for_rows`` routing pass, and one ``np.bincount``
+    over shards.
     """
     total_shards = spec.total_shards()
-    demands: List[List[List[int]]] = []
+    demands: List[List[int]] = []
     inserts: List[List[bytes]] = []
     for epoch in range(spec.epochs):
         lo, hi = stream.segment_slice(epoch)
@@ -547,16 +492,10 @@ def _probe(
         written = (
             inserting | (codes == CODE_UPDATE) | (codes == CODE_RMW)
         )
-        matrix = np.zeros((spec.tenants, total_shards), dtype=np.int64)
         distinct = np.unique(indices[written])
-        if len(distinct):
-            shards = rings[epoch].shard_for_rows(key_rows(distinct))
-            tenants = distinct % spec.tenants
-            matrix = np.bincount(
-                tenants * total_shards + shards,
-                minlength=spec.tenants * total_shards,
-            ).reshape(spec.tenants, total_shards)
-        demands.append([[int(count) for count in row] for row in matrix])
+        shards = rings[epoch].shard_for_rows(key_rows(distinct))
+        counts = np.bincount(shards, minlength=total_shards)
+        demands.append([int(count) for count in counts])
     return demands, inserts
 
 
@@ -564,8 +503,8 @@ def probe_demands(
     spec: ClusterSpec,
     ring: Optional[HashRing] = None,
     stream: Optional[CompiledStream] = None,
-) -> List[List[List[int]]]:
-    """Distinct written keys per (epoch segment, tenant, shard).
+) -> List[List[int]]:
+    """Distinct written keys per (epoch segment, shard).
 
     One pass over the compiled global op stream; mutating ops (update,
     insert, rmw) contribute their key to the owning shard's demand set
@@ -581,14 +520,12 @@ def probe_demands(
 
 
 #: Cache key for one spec's probe output: everything the probe depends
-#: on — the workload stream, the segmentation, the tenant count, and
-#: the ring schedule.  Deliberately excludes every budget knob, so a
-#: grid sweeping budgets probes each workload/ring combination once.
-_ProbeKey = Tuple[
-    str, float, int, int, int, int, int, int, int, int, int, Membership
-]
+#: on — the workload stream, the segmentation and the ring schedule.
+#: Deliberately excludes every budget knob, so a grid sweeping budgets
+#: probes each workload/ring combination once.
+_ProbeKey = Tuple[str, float, int, int, int, int, int, int, Membership]
 
-ProbeCache = Dict[_ProbeKey, Tuple[List[List[List[int]]], List[List[bytes]]]]
+ProbeCache = Dict[_ProbeKey, Tuple[List[List[int]], List[List[bytes]]]]
 
 
 def _probe_cache_key(spec: ClusterSpec) -> _ProbeKey:
@@ -599,11 +536,8 @@ def _probe_cache_key(spec: ClusterSpec) -> _ProbeKey:
         spec.record_count,
         spec.operation_count,
         spec.epochs,
-        spec.tenants,
         spec.hotspot_rotate_keys,
         spec.shards,
-        spec.vnodes,
-        spec.ring_seed,
         spec.membership,
     )
 
@@ -613,14 +547,14 @@ def _cached_probe(
     rings: Sequence[HashRing],
     stream: Optional[CompiledStream],
     cache: Optional[ProbeCache],
-) -> Tuple[List[List[List[int]]], List[List[bytes]]]:
+) -> Tuple[List[List[int]], List[List[bytes]]]:
     """:func:`_probe`, memoized on everything the probe depends on.
 
     The coordinator consumes the probe twice per planned run (lease
     planning and the :func:`_reference_lease_vectors` counterfactual
     replay), and a grid re-plans the same workload once per budget —
     the cache collapses all of that to one probe per distinct
-    (stream, ring schedule, tenants) combination.  A caller holding no
+    (stream, ring schedule) combination.  A caller holding no
     compiled ``stream`` gets the spec's compiled here, on a miss.
     """
     key = _probe_cache_key(spec)
@@ -636,7 +570,7 @@ def _cached_probe(
 
 def _reference_lease_vectors(
     spec: ClusterSpec,
-    demands: List[List[List[int]]],
+    demands: List[List[int]],
     capacity: int,
 ) -> List[List[int]]:
     """Undamped last-epoch reactive replay of the same run.
@@ -647,16 +581,8 @@ def _reference_lease_vectors(
     is the coordinator's cached probe output (:func:`_cached_probe`) —
     this replay never re-streams the workload.
     """
-    pool = BatteryPool(
-        capacity_pages=capacity,
-        shards=spec.total_shards(),
-        tenant_quotas=spec.quotas(),
-        floor_pages=spec.floor_pages,
-    )
-    no_history = [
-        [0 for _ in range(spec.total_shards())]
-        for _ in range(spec.tenants)
-    ]
+    pool = BatteryPool(capacity_pages=capacity, shards=spec.total_shards())
+    no_history = [0] * spec.total_shards()
     vectors: List[List[int]] = []
     for epoch in range(spec.epochs):
         for step_epoch, fraction in spec.pool_degrade:
@@ -744,7 +670,7 @@ def plan_cluster(
 ) -> ClusterPlan:
     """Probe demand and lease the pool for every rebalance epoch.
 
-    The spec's predictor forecasts each epoch's demand matrix from the
+    The spec's predictor forecasts each epoch's per-shard demand from the
     demand observed so far (``last-epoch`` with no damping reproduces
     the original reactive protocol exactly: epoch 0 splits evenly,
     epoch ``e > 0`` apportions by epoch ``e - 1``'s observation).
@@ -805,13 +731,9 @@ def plan_cluster(
     pool = BatteryPool(
         capacity_pages=capacity,
         shards=total_shards,
-        tenant_quotas=spec.quotas(),
-        floor_pages=spec.floor_pages,
         churn_cap_pages=spec.churn_cap_pages,
     )
-    predictor = make_predictor(
-        spec.predictor, spec.tenants, total_shards, spec.ewma_alpha
-    )
+    predictor = make_predictor(spec.predictor, total_shards)
     capacity_schedule: List[int] = []
     starved: List[Dict[str, int]] = []
     ring = rings[0]
@@ -830,26 +752,18 @@ def plan_cluster(
         capacity_schedule.append(pool.capacity_pages)
         forecast = predictor.forecast()
         active = spec.active(epoch) if spec.membership else None
-        if epoch > 0:
-            # The even-split fallback is fine at epoch 0 (no history
-            # exists yet) but a starvation signal afterwards: the
-            # predictor has seen this tenant write nothing anywhere.
-            for tenant in range(spec.tenants):
-                demand_total = sum(
-                    signal
-                    for shard, signal in enumerate(forecast[tenant])
-                    if active is None or active[shard]
-                )
-                if demand_total == 0:
-                    starved.append({"epoch": epoch, "tenant": tenant})
-                    _record_event(
-                        tracer,
-                        epoch_events,
-                        DemandStarved,
-                        t=epoch,
-                        epoch=epoch,
-                        tenant=tenant,
-                    )
+        # The even-split fallback is fine at epoch 0 (no history exists
+        # yet) but a starvation signal afterwards: the predictor has seen
+        # nothing written on any active shard.
+        if epoch > 0 and not any(
+            signal
+            for shard, signal in enumerate(forecast)
+            if active is None or active[shard]
+        ):
+            starved.append({"epoch": epoch})
+            _record_event(
+                tracer, epoch_events, DemandStarved, t=epoch, epoch=epoch
+            )
         leases = pool.rebalance(forecast, epoch, active=active)
         predictor.observe(demands[epoch])
         moved = pool.churn(epoch).grown
@@ -912,8 +826,6 @@ def plan_cluster(
         reference,
         demands,
         capacity_schedule,
-        spec.quotas(),
-        spec.floor_pages,
         active_schedule,
     )
     return ClusterPlan(
@@ -964,9 +876,8 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
     """Build one shard, load its slice of the keyspace, serve its ops.
 
     The global compiled stream is replayed one epoch segment at a time:
-    ownership is one vectorized ``shard_for_rows`` routing pass and
-    tenant attribution one ``np.bincount``, so the partition stays
-    exact (every op goes to precisely one shard) and the worker never
+    ownership is one vectorized ``shard_for_rows`` routing pass, so the
+    partition stays exact (every op goes to precisely one shard) and the worker never
     materializes another shard's operations.  The owned slice of each
     segment runs through one :class:`~repro.bench.runner.BatchedSession`.
 
@@ -1038,7 +949,6 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
             np.asarray(stream.key_indices)[insert_positions]
         ).tolist()
         record_keys = stream.key_table.tolist()
-    tenant_ops = np.zeros(job.tenants, dtype=np.int64)
     routed = 0
     migrated_in = 0
     last_segment = max(
@@ -1082,9 +992,6 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
         if not len(own_indices):
             continue
         routed += len(own_indices)
-        tenant_ops += np.bincount(
-            own_indices % job.tenants, minlength=job.tenants
-        )
         session.apply(
             [
                 KIND_NAMES[code]
@@ -1099,7 +1006,6 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
     payload["shard"] = job.shard
     payload["records_loaded"] = len(own_record_keys)
     payload["routed_ops"] = routed
-    payload["tenant_ops"] = tenant_ops.tolist()
     payload["budget_schedule"] = (
         list(schedule) if schedule is not None else None
     )
@@ -1159,14 +1065,8 @@ class ClusterGrid:
     record_count: int = 2_000
     operation_count: int = 6_000
     epochs: int = 4
-    tenants: int = 1
-    tenant_quotas: Optional[Tuple[float, ...]] = None
-    vnodes: int = 32
-    ring_seed: int = 17
-    floor_pages: int = 1
     pool_degrade: Tuple[Tuple[int, float], ...] = ()
     predictor: str = "last-epoch"
-    ewma_alpha: float = DEFAULT_EWMA_ALPHA
     churn_cap_pages: Optional[int] = None
     membership: Membership = ()
     hotspot_rotate_keys: int = 0
@@ -1202,14 +1102,8 @@ class ClusterGrid:
                         record_count=self.record_count,
                         operation_count=self.operation_count,
                         epochs=self.epochs,
-                        tenants=self.tenants,
-                        tenant_quotas=self.tenant_quotas,
-                        vnodes=self.vnodes,
-                        ring_seed=self.ring_seed,
-                        floor_pages=self.floor_pages,
                         pool_degrade=self.pool_degrade,
                         predictor=self.predictor,
-                        ewma_alpha=self.ewma_alpha,
                         churn_cap_pages=self.churn_cap_pages,
                         membership=self.membership,
                         hotspot_rotate_keys=self.hotspot_rotate_keys,
@@ -1227,18 +1121,8 @@ class ClusterGrid:
             "record_count": self.record_count,
             "operation_count": self.operation_count,
             "epochs": self.epochs,
-            "tenants": self.tenants,
-            "tenant_quotas": (
-                list(self.tenant_quotas)
-                if self.tenant_quotas is not None
-                else None
-            ),
-            "vnodes": self.vnodes,
-            "ring_seed": self.ring_seed,
-            "floor_pages": self.floor_pages,
             "pool_degrade": [list(step) for step in self.pool_degrade],
             "predictor": self.predictor,
-            "ewma_alpha": self.ewma_alpha,
             "churn_cap_pages": self.churn_cap_pages,
             "membership": [list(entry) for entry in self.membership],
             "hotspot_rotate_keys": self.hotspot_rotate_keys,
@@ -1291,15 +1175,12 @@ def shard_jobs(
                     index=index,
                     shard=shard,
                     shards=spec.shards,
-                    vnodes=spec.vnodes,
-                    ring_seed=spec.ring_seed,
                     workload=spec.workload,
                     theta=spec.theta,
                     seed=spec.seed,
                     record_count=spec.record_count,
                     operation_count=spec.operation_count,
                     epochs=spec.epochs,
-                    tenants=spec.tenants,
                     budget_schedule=(
                         plan.schedules[shard]
                         if plan.schedules is not None
@@ -1392,6 +1273,8 @@ __all__ = [
     "ClusterPlan",
     "ClusterSpec",
     "MEMBERSHIP_ACTIONS",
+    "RING_SEED",
+    "RING_VNODES",
     "ShardJob",
     "membership_rings",
     "plan_cluster",

@@ -115,7 +115,10 @@ class BatteryBroker:
         """One ballooning pass: floors first, surplus by demand.
 
         While the floors fit the battery, each tenant gets its floor plus
-        a largest-remainder share of the surplus by demand.  A battery
+        a largest-remainder share of the surplus by demand, capped at its
+        region's page count; a capped tenant's excess is re-split by
+        demand over the uncapped ones, so when every tenant is capped
+        the budgets sum below the battery.  A battery
         degraded below the sum of floors is split in proportion to the
         floors instead, never below one page per tenant — the pool's own
         stance for shards, so the budgets sum to at most
@@ -135,8 +138,26 @@ class BatteryBroker:
         floors = [tenant.floor_pages for tenant in tenants]
         demands = {tenant.name: self.demand_of(tenant) for tenant in tenants}
         if sum(floors) <= total:
-            shares = apportion(total - sum(floors), list(demands.values()))
-            targets = [floor + share for floor, share in zip(floors, shares)]
+            # A tenant cannot hold more budget than its region has pages:
+            # cap it there and re-split the rest over the others.
+            caps = [tenant.system.region.num_pages for tenant in tenants]
+            weights = list(demands.values())
+            targets = list(caps)
+            uncapped = list(range(len(tenants)))
+            while uncapped:
+                held = sum(caps) - sum(caps[at] for at in uncapped)
+                shares = apportion(
+                    total - held - sum(floors[at] for at in uncapped),
+                    [weights[at] for at in uncapped],
+                )
+                for at, share in zip(uncapped, shares):
+                    targets[at] = floors[at] + share
+                over = [at for at in uncapped if targets[at] > caps[at]]
+                if not over:
+                    break
+                for at in over:
+                    targets[at] = caps[at]
+                uncapped = [at for at in uncapped if at not in over]
         else:
             targets = apportion(max(total, len(tenants)), floors, floor=1)
 

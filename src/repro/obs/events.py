@@ -46,9 +46,9 @@ event               emitted by / meaning
                          lease for one rebalance epoch; ``t`` is the
                          epoch index, not virtual nanoseconds.
 :class:`DemandStarved`   cluster coordinator — a rebalance epoch had no
-                         demand signal for a tenant (zero written keys
-                         observed), so apportionment fell back to an
-                         even split; ``t`` is the epoch index.
+                         demand signal (zero written keys observed on
+                         any active shard), so apportionment fell back
+                         to an even split; ``t`` is the epoch index.
 :class:`ShardMigration`  cluster coordinator — a ring membership change
                          moved key ranges between shards; ``t`` is the
                          epoch index.
@@ -222,18 +222,16 @@ class BudgetLease(TraceEvent):
 
 @dataclass(frozen=True)
 class DemandStarved(TraceEvent):
-    """A rebalance epoch apportioned with no demand signal for a tenant.
+    """A rebalance epoch apportioned with no demand signal.
 
     Coordinator-level event (``t`` is the epoch index).  The weights the
     planner handed to :func:`repro.cluster.rebalancer.apportion` were
-    all zero for ``tenant`` — short streams or read-heavy segments — so
-    that tenant's pool fell back to an even split across active shards.
-    Epoch 0's even split is by design (no history exists) and is never
-    flagged.
+    all zero — short streams or read-heavy segments — so the pool fell
+    back to an even split across active shards.  Epoch 0's even split
+    is by design (no history exists) and is never flagged.
     """
 
     epoch: int
-    tenant: int
 
 
 @dataclass(frozen=True)

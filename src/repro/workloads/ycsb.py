@@ -160,9 +160,9 @@ def make_key(index: int) -> bytes:
 def key_index(key: bytes) -> int:
     """Inverse of :func:`make_key`: the item index a key encodes.
 
-    The cluster layer uses this for tenant tagging — a key's tenant is a
-    pure function of its index — so it must reject anything that did not
-    come out of :func:`make_key` rather than guess.
+    The stream compiler uses this to lower per-op keys back to indices,
+    so it must reject anything that did not come out of
+    :func:`make_key` rather than guess.
     """
     if len(key) != 24 or not key.startswith(b"user"):
         raise ValueError(f"not a YCSB key: {key!r}")

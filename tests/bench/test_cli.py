@@ -109,8 +109,8 @@ class TestSpecValidationErrors:
                 "total_budget_fraction must be finite and positive: inf",
             ),
             (
-                ["cluster", "--tenants", "2", "--tenant-quotas", "0.5,nan"],
-                "tenant_quotas must be finite and positive: nan",
+                ["cluster", "--churn-cap", "-1"],
+                "churn_cap_pages must be non-negative: -1",
             ),
             (
                 ["crashfind", "--crash-points", "abc"],
@@ -143,7 +143,7 @@ class TestSpecValidationErrors:
             "sweep-grid-mistyped",
             "ycsb-duplicate-budgets",
             "cluster-budget-inf",
-            "cluster-quota-nan",
+            "cluster-churn-cap-negative",
             "crashfind-crash-points-abc",
             "crashfind-crash-points-0",
             "replay-battery-pct-negative",

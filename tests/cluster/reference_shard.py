@@ -102,7 +102,6 @@ def shard_operations(
     ring is put before any of the epoch's operations are served.
     """
     schedule = job.budget_schedule
-    tenant_ops: List[int] = [0] * job.tenants
     current_segment = 0
     routed = 0
     migrated_in = 0
@@ -141,10 +140,8 @@ def shard_operations(
         if rings[current_segment].shard_for(op.key) != job.shard:
             continue
         routed += 1
-        tenant_ops[key_index(op.key) % job.tenants] += 1
         yield op
     counters["routed_ops"] = routed
-    counters["tenant_ops"] = list(tenant_ops)
     counters["migrated_in_keys"] = migrated_in
 
 
@@ -187,7 +184,6 @@ def execute_shard(job: ShardJob) -> Dict[str, object]:
     payload["shard"] = job.shard
     payload["records_loaded"] = loaded
     payload["routed_ops"] = counters["routed_ops"]
-    payload["tenant_ops"] = counters["tenant_ops"]
     payload["budget_schedule"] = (
         list(job.budget_schedule)
         if job.budget_schedule is not None

@@ -37,8 +37,6 @@ NONLEGACY_GRID = ClusterGrid(
     record_count=300,
     operation_count=1200,
     epochs=4,
-    tenants=2,
-    tenant_quotas=(0.6, 0.4),
     pool_degrade=((2, 0.5),),
     predictor="ewma",
     membership=((1, "add", 3), (3, "remove", 0)),
@@ -75,12 +73,11 @@ def test_eight_workers_match_serial_byte_for_byte(serial_report):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_nonlegacy_grid_reproduces_golden_bytes(jobs):
-    """EWMA + rotation + add/remove + degradation + tenants, pinned.
+    """EWMA + rotation + add/remove + degradation, pinned.
 
-    The fixture was written by the commit *before* shard workers moved
-    onto the batched session (``run_cluster_grid(NONLEGACY_GRID,
-    jobs=1)`` then ``dumps(report, strip_wall=True)``), so it pins the
-    per-op executor's bytes, not the current code's own output.
+    ``run_cluster_grid(NONLEGACY_GRID, jobs=1)`` then ``dumps(report,
+    strip_wall=True)``.  The schema-3 bytes equal the schema-2 bytes of
+    the same one-tenant grid with the dropped fields projected out.
     """
     report = run_cluster_grid(NONLEGACY_GRID, jobs=jobs)
     want = NONLEGACY_GOLDEN.read_text(encoding="utf-8")

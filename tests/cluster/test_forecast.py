@@ -3,12 +3,12 @@
 Three layers:
 
 * predictor unit tests (last-epoch echo, EWMA blend arithmetic,
-  per-tenant independence, registry validation);
+  registry validation);
 * hypothesis properties for :func:`repro.cluster.rebalancer.damp_grants`
   and the damped pool — voluntary churn never exceeds the cap,
-  conservation and tenant-quota isolation hold bit-for-bit, and the
-  ``last-epoch`` predictor with damping off reproduces the original
-  reactive lease schedule exactly;
+  conservation holds bit-for-bit, a zero cap freezes epoch 0's even
+  split (the static arm), and the ``last-epoch`` predictor with damping
+  off reproduces the original reactive lease schedule exactly;
 * the acceptance experiment — on a skew-shifting workload (hotspot
   rotates at epoch boundaries) the EWMA predictor's summed L1
   misallocation beats the reactive baseline, as reported in
@@ -23,73 +23,60 @@ from hypothesis import given, settings
 
 from repro.bench.runner import PAPER_HEAP_GB
 from repro.cluster import (
+    FLOOR_PAGES,
     BatteryPool,
     ClusterGrid,
     ClusterSpec,
     EwmaPredictor,
     LastEpochPredictor,
-    PerTenantEwmaPredictor,
     damp_grants,
     lease_churn,
     make_predictor,
     plan_cluster,
     run_cluster_grid,
 )
-from repro.cluster.forecast import l1_misallocation, misallocation_series
+from repro.cluster.forecast import (
+    EWMA_ALPHA,
+    l1_misallocation,
+    misallocation_series,
+)
 
 
 # -- predictor units -------------------------------------------------------
 
 
 def test_last_epoch_echoes_latest_observation():
-    predictor = LastEpochPredictor(tenants=2, shards=3)
-    assert predictor.forecast() == [[0, 0, 0], [0, 0, 0]]
-    predictor.observe([[1, 2, 3], [4, 5, 6]])
-    assert predictor.forecast() == [[1, 2, 3], [4, 5, 6]]
-    predictor.observe([[7, 8, 9], [0, 0, 0]])
-    assert predictor.forecast() == [[7, 8, 9], [0, 0, 0]]
+    predictor = LastEpochPredictor(shards=3)
+    assert predictor.forecast() == [0, 0, 0]
+    predictor.observe([1, 2, 3])
+    assert predictor.forecast() == [1, 2, 3]
+    predictor.observe([7, 0, 9])
+    assert predictor.forecast() == [7, 0, 9]
 
 
 def test_ewma_blends_toward_new_observations():
-    predictor = EwmaPredictor(tenants=1, shards=2, alpha=0.5)
-    predictor.observe([[100, 0]])
-    assert predictor.forecast() == [[100.0, 0.0]]  # first obs initializes
-    predictor.observe([[0, 100]])
-    assert predictor.forecast() == [[50.0, 50.0]]
-    predictor.observe([[0, 100]])
-    assert predictor.forecast() == [[25.0, 75.0]]
-
-
-def test_ewma_aggregates_across_tenants():
-    predictor = EwmaPredictor(tenants=2, shards=2, alpha=1.0)
-    predictor.observe([[10, 0], [0, 30]])
-    # Both tenants forecast the same aggregated shard profile.
-    assert predictor.forecast() == [[10.0, 30.0], [10.0, 30.0]]
-
-
-def test_per_tenant_ewma_keeps_tenants_independent():
-    predictor = PerTenantEwmaPredictor(tenants=2, shards=2, alpha=1.0)
-    predictor.observe([[10, 0], [0, 30]])
-    assert predictor.forecast() == [[10.0, 0.0], [0.0, 30.0]]
+    assert EWMA_ALPHA == 0.5
+    predictor = EwmaPredictor(shards=2)
+    predictor.observe([100, 0])
+    assert predictor.forecast() == [100.0, 0.0]  # first obs initializes
+    predictor.observe([0, 100])
+    assert predictor.forecast() == [50.0, 50.0]
+    predictor.observe([0, 100])
+    assert predictor.forecast() == [25.0, 75.0]
 
 
 def test_predictor_registry_and_validation():
-    assert isinstance(
-        make_predictor("last-epoch", 1, 2), LastEpochPredictor
-    )
-    assert isinstance(make_predictor("ewma", 1, 2, 0.7), EwmaPredictor)
-    assert isinstance(
-        make_predictor("per-tenant-ewma", 2, 2), PerTenantEwmaPredictor
-    )
+    assert isinstance(make_predictor("last-epoch", 2), LastEpochPredictor)
+    assert isinstance(make_predictor("ewma", 2), EwmaPredictor)
     with pytest.raises(ValueError):
-        make_predictor("oracle", 1, 2)
+        make_predictor("oracle", 2)
     with pytest.raises(ValueError):
-        EwmaPredictor(tenants=1, shards=2, alpha=0.0)
+        make_predictor("per-tenant-ewma", 2)
     with pytest.raises(ValueError):
-        EwmaPredictor(tenants=1, shards=2, alpha=1.5)
-    predictor = LastEpochPredictor(tenants=2, shards=2)
+        EwmaPredictor(shards=0)
+    predictor = LastEpochPredictor(shards=2)
     with pytest.raises(ValueError):
-        predictor.observe([[1, 2]])  # wrong tenant count
+        predictor.observe([1, 2, 3])  # wrong shard count
 
 
 def test_misallocation_helpers_validate():
@@ -97,7 +84,7 @@ def test_misallocation_helpers_validate():
     with pytest.raises(ValueError):
         l1_misallocation([1], [1, 2])
     with pytest.raises(ValueError):
-        misallocation_series([[1]], [[[1]]], [1, 2], (1.0,), 1)
+        misallocation_series([[1]], [[1]], [1, 2])
 
 
 # -- damping properties ----------------------------------------------------
@@ -119,7 +106,7 @@ grant_vectors = st.integers(min_value=2, max_value=8).flatmap(
 def test_damp_grants_preserves_totals_and_caps_churn(vectors, cap):
     previous, target = vectors
     damped = damp_grants(previous, target, cap)
-    # Conservation: the tenant's grant total is exactly the plan's.
+    # Conservation: the grant total is exactly the plan's.
     assert sum(damped) == sum(target)
     assert all(pages >= 0 for pages in damped)
     # Voluntary churn (matched grow/shed) never exceeds the cap.
@@ -142,40 +129,23 @@ def test_damp_grants_with_loose_cap_is_identity(vectors):
     cap=st.integers(min_value=0, max_value=30),
     seedling=st.randoms(use_true_random=False),
 )
-def test_damped_pool_respects_cap_conservation_and_quotas(
+def test_damped_pool_respects_cap_and_conservation(
     shards, capacity, cap, seedling
 ):
     """End-to-end: a damped pool's lease vectors obey every invariant."""
-    quotas = (0.6, 0.4)
     pool = BatteryPool(
-        capacity_pages=capacity,
-        shards=shards,
-        tenant_quotas=quotas,
-        floor_pages=1,
-        churn_cap_pages=cap,
+        capacity_pages=capacity, shards=shards, churn_cap_pages=cap
     )
-    undamped = BatteryPool(
-        capacity_pages=capacity,
-        shards=shards,
-        tenant_quotas=quotas,
-        floor_pages=1,
-    )
+    undamped = BatteryPool(capacity_pages=capacity, shards=shards)
     for epoch in range(4):
-        demands = [
-            [seedling.randrange(0, 200) for _ in range(shards)]
-            for _ in range(2)
-        ]
+        demands = [seedling.randrange(0, 200) for _ in range(shards)]
         leases = pool.rebalance(demands, epoch)
         reference = undamped.rebalance(demands, epoch)
         # Conservation matches the undamped plan's total exactly.
         assert sum(lease.pages for lease in leases) == sum(
             ref.pages for ref in reference
         )
-        # Tenant isolation: damping moves pages within a tenant, never
-        # between tenants.
-        assert pool.tenant_leased_pages(epoch) == tuple(
-            undamped.tenant_leased_pages(epoch)
-        )
+        assert all(lease.pages >= FLOOR_PAGES for lease in leases)
         if epoch > 0:
             churn = pool.churn(epoch)
             assert churn.moved <= cap
@@ -200,18 +170,12 @@ def test_last_epoch_undamped_matches_reactive_replay(shards, seed):
     # Hand-rolled reactive replay: epoch 0 even split, epoch e from the
     # demand observed during epoch e-1 (the pre-forecasting protocol).
     pool = BatteryPool(
-        capacity_pages=spec.pool_capacity_pages(),
-        shards=shards,
-        floor_pages=spec.floor_pages,
+        capacity_pages=spec.pool_capacity_pages(), shards=shards
     )
     demands = plan.demands
     replayed = []
     for epoch in range(spec.epochs):
-        observed = (
-            demands[epoch - 1]
-            if epoch > 0
-            else [[0] * shards]
-        )
+        observed = demands[epoch - 1] if epoch > 0 else [0] * shards
         replayed.append(
             [lease.pages for lease in pool.rebalance(observed, epoch)]
         )
@@ -223,6 +187,61 @@ def test_last_epoch_undamped_matches_reactive_replay(shards, seed):
     block = plan.misallocation
     assert block["predictor"] == "last-epoch"
     assert block["total"] == block["baseline_last_epoch"]["total"]
+
+
+# -- the static arm --------------------------------------------------------
+
+STATIC_ARM = dict(
+    shards=4,
+    total_budget_fraction=2.0 / PAPER_HEAP_GB,
+    record_count=1_500,
+    operation_count=9_000,
+    epochs=6,
+    hotspot_rotate_keys=100,
+)
+
+
+def _lease_vectors(plan):
+    return [[lease.pages for lease in leases] for leases in plan.leases]
+
+
+@pytest.mark.parametrize("predictor", ["last-epoch", "ewma"])
+def test_zero_churn_cap_freezes_the_even_split(predictor):
+    """``churn_cap_pages=0`` is the static arm: epoch 0's even split
+    holds for every epoch whatever the predictor forecasts, while an
+    uncapped pool moves pages toward demand."""
+    static = plan_cluster(
+        ClusterSpec(predictor=predictor, churn_cap_pages=0, **STATIC_ARM)
+    )
+    assert _lease_vectors(static) == [[11, 11, 11, 10]] * 6
+    assert static.misallocation["predictor"] == predictor
+    pooled = plan_cluster(ClusterSpec(predictor=predictor, **STATIC_ARM))
+    assert _lease_vectors(pooled)[0] == [11, 11, 11, 10]
+    assert _lease_vectors(pooled) != _lease_vectors(static)
+    if predictor == "last-epoch":
+        assert _lease_vectors(pooled)[-1] == [10, 10, 10, 13]
+
+
+@pytest.mark.parametrize("predictor", ["last-epoch", "ewma"])
+def test_zero_churn_cap_still_sheds_a_degraded_pool(predictor):
+    """Forced movement lands under a zero cap: a pool degradation step
+    sheds the lost capacity from the frozen split, and the smaller split
+    then stays frozen."""
+    plan = plan_cluster(
+        ClusterSpec(
+            predictor=predictor,
+            churn_cap_pages=0,
+            pool_degrade=((3, 0.4),),
+            **STATIC_ARM,
+        )
+    )
+    vectors = _lease_vectors(plan)
+    capacity = plan.capacity_schedule
+    assert capacity[3] < capacity[2]
+    assert vectors[:3] == [[11, 11, 11, 10]] * 3
+    assert sum(vectors[3]) == capacity[3]
+    assert all(now <= before for now, before in zip(vectors[3], vectors[2]))
+    assert vectors[3:] == [vectors[3]] * 3
 
 
 # -- the acceptance experiment ---------------------------------------------
@@ -345,14 +364,10 @@ def test_demand_starved_run_flags_every_starved_epoch():
     assert starved, "empty epochs must be flagged"
     for record in starved:
         assert 0 < record["epoch"] < 5
-        assert record["tenant"] == 0
     starved_events = [
         event for event in run["events"] if event["type"] == "DemandStarved"
     ]
-    assert [
-        {"epoch": event["epoch"], "tenant": event["tenant"]}
-        for event in starved_events
-    ] == starved
+    assert [{"epoch": event["epoch"]} for event in starved_events] == starved
 
 
 def test_duplicate_pool_degrade_epochs_rejected():

@@ -2,9 +2,12 @@
 
 These grids use none of the planner's forecasting, damping, migration
 or rotation knobs.  The two fixtures under ``fixtures/`` hold their
-schema-2 CLUSTER.json (every knob written, every budgeted run carrying
+schema-3 CLUSTER.json (every knob written, every budgeted run carrying
 its churn and misallocation blocks); these tests regenerate the same
-grids through the current planner and compare byte for byte.
+grids through the current planner and compare byte for byte.  Schema 3
+was written once, as the schema-2 bytes with the tenant axis and the
+one-value ring, floor and EWMA knobs projected out; the degraded grid
+lost its two tenants then and kept its other knobs.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ DEGRADED_GRID = ClusterGrid(
     record_count=300,
     operation_count=900,
     epochs=3,
-    tenants=2,
-    tenant_quotas=(0.6, 0.4),
     pool_degrade=((1, 0.5),),
 )
 
@@ -73,14 +74,12 @@ def test_modern_spec_dict_round_trips_through_grid():
         operation_count=900,
         epochs=3,
         predictor="ewma",
-        ewma_alpha=0.3,
         churn_cap_pages=4,
         membership=((1, "add", 2),),
         hotspot_rotate_keys=50,
     )
     data = grid.as_dict()
     assert data["predictor"] == "ewma"
-    assert data["ewma_alpha"] == 0.3
     assert data["churn_cap_pages"] == 4
     assert data["membership"] == [[1, "add", 2]]
     assert data["hotspot_rotate_keys"] == 50

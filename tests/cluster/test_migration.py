@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cluster import (
+    FLOOR_PAGES,
     ClusterGrid,
     ClusterSpec,
     HashRing,
@@ -69,9 +70,7 @@ def test_membership_schedule_is_sorted_by_epoch():
 
 
 def test_membership_rings_reuse_unchanged_epochs():
-    rings = membership_rings(
-        2, vnodes=16, ring_seed=17, membership=((2, "add", 2),), epochs=4
-    )
+    rings = membership_rings(2, membership=((2, "add", 2),), epochs=4)
     assert rings[0] is rings[1]
     assert rings[1] is not rings[2]
     assert rings[2] is rings[3]
@@ -82,15 +81,12 @@ def test_shard_job_accepts_added_shard_ids_only_with_membership():
     kwargs = dict(
         index=0,
         shards=2,
-        vnodes=16,
-        ring_seed=17,
         workload="YCSB-A",
         theta=0.99,
         seed=42,
         record_count=100,
         operation_count=200,
         epochs=4,
-        tenants=1,
         budget_schedule=None,
     )
     with pytest.raises(ValueError, match="outside"):
@@ -258,7 +254,7 @@ def test_workers_replay_the_coordinators_handoff(migration_report):
 
 def test_inactive_shards_hold_only_the_floor(migration_report):
     run = migration_report["runs"][0]
-    floor = run["spec"]["floor_pages"]
+    floor = FLOOR_PAGES
     leases = run["leases"]
     # Shard 2 joins at epoch 1: floor-only before, leased after.
     assert leases[0][2]["pages"] == floor

@@ -3,7 +3,7 @@
 The fleet-wide safety invariant: at every rebalance epoch the pages
 leased out never exceed the pool's (possibly degraded) capacity — the
 cluster analogue of the paper's "battery flushes every dirty page"
-guarantee — plus tenant-quota isolation and largest-remainder exactness.
+guarantee — plus largest-remainder exactness.
 """
 
 from __future__ import annotations
@@ -12,7 +12,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cluster import BatteryPool, PoolError, apportion, plan_epoch
+from repro.cluster import (
+    FLOOR_PAGES,
+    BatteryPool,
+    PoolError,
+    apportion,
+    plan_epoch,
+)
 from repro.cluster.rebalancer import lease_churn
 from repro.power.battery import Battery
 from repro.power.power_model import PowerModel
@@ -77,49 +83,29 @@ def test_conservation_at_every_epoch(capacity, stream, degrade_at, fraction):
     for epoch, demand in enumerate(stream):
         if epoch == degrade_at:
             pool.degrade(fraction)
-        leases = pool.rebalance([demand], epoch)
+        leases = pool.rebalance(demand, epoch)
         assert sum(lease.pages for lease in leases) <= pool.capacity_pages
         assert pool.leased_pages(epoch) <= pool.capacity_pages
-        assert all(lease.pages >= pool.floor_pages for lease in leases)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    capacity=st.integers(min_value=100, max_value=10**6),
-    demand=st.lists(
-        st.integers(min_value=0, max_value=10**5), min_size=3, max_size=3
-    ),
-)
-def test_tenant_quota_isolation(capacity, demand):
-    """One tenant's burst cannot eat another tenant's quota share."""
-    quotas = (0.5, 0.3, 0.2)
-    pool = BatteryPool(
-        capacity_pages=capacity, shards=3, tenant_quotas=quotas
-    )
-    # Tenant 0 bursts; tenants 1 and 2 are idle.
-    pool.rebalance([demand, [0, 0, 0], [0, 0, 0]], 0)
-    distributable = pool.capacity_pages - pool.shards * pool.floor_pages
-    granted = pool.tenant_leased_pages(0)
-    for tenant, quota in enumerate(quotas):
-        # Largest-remainder rounding can add at most one page per tenant.
-        assert granted[tenant] <= int(distributable * quota) + 1
+        assert all(lease.pages >= FLOOR_PAGES for lease in leases)
 
 
 def test_degradation_shrinks_toward_floor_not_zero():
     pool = BatteryPool(capacity_pages=1000, shards=4)
     pool.degrade(0.999999)
-    assert pool.capacity_pages == 4 * pool.floor_pages
-    leases = pool.rebalance([[10, 0, 0, 0]], 0)
+    assert pool.capacity_pages == 4 * FLOOR_PAGES
+    leases = pool.rebalance([10, 0, 0, 0], 0)
     assert all(lease.pages >= 1 for lease in leases)
 
 
 def test_epochs_must_lease_in_order():
     pool = BatteryPool(capacity_pages=100, shards=2)
-    pool.rebalance([[1, 1]], 0)
+    pool.rebalance([1, 1], 0)
     with pytest.raises(PoolError):
-        pool.rebalance([[1, 1]], 0)
+        pool.rebalance([1, 1], 0)
     with pytest.raises(PoolError):
-        pool.rebalance([[1, 1]], 5)
+        pool.rebalance([1, 1], 5)
+    with pytest.raises(PoolError, match="covers 3 shards"):
+        pool.rebalance([1, 1, 1], 1)
 
 
 def test_pool_validation():
@@ -128,14 +114,7 @@ def test_pool_validation():
     with pytest.raises(PoolError):
         BatteryPool(capacity_pages=100, shards=0)
     with pytest.raises(PoolError):
-        BatteryPool(capacity_pages=100, shards=2, tenant_quotas=(0.5, 0.4))
-    with pytest.raises(PoolError):
-        BatteryPool(capacity_pages=100, shards=2, tenant_quotas=(1.5, -0.5))
-    with pytest.raises(PoolError):
         BatteryPool(capacity_pages=100, shards=2).degrade(1.0)
-    # NaN passes both ``quota <= 0`` and the sum-to-1 tolerance check.
-    with pytest.raises(PoolError, match="tenant_quotas must be finite"):
-        BatteryPool(100, 2, tenant_quotas=(0.5, float("nan")))
     with pytest.raises(PoolError, match="capacity_pages must be finite"):
         BatteryPool(float("inf"), 2)
 
@@ -153,8 +132,8 @@ def test_from_battery_matches_single_machine_sizing():
 
 def test_schedules_and_moved_pages():
     pool = BatteryPool(capacity_pages=100, shards=2)
-    pool.rebalance([[0, 0]], 0)  # even split: 50/50
-    pool.rebalance([[3, 1]], 1)  # skewed toward shard 0
+    pool.rebalance([0, 0], 0)  # even split: 50/50
+    pool.rebalance([3, 1], 1)  # skewed toward shard 0
     schedules = pool.schedules()
     assert len(schedules) == 2
     assert schedules[0][0] == 50 and schedules[1][0] == 50
@@ -171,29 +150,24 @@ def test_moved_pages_helper():
 
 
 def test_plan_epoch_leases_sum_to_capacity():
-    grants, leases = plan_epoch(101, [[5, 0, 2]], (1.0,), 1)
+    leases = plan_epoch(101, [5, 0, 2])
     assert sum(leases) == 101
-    assert all(lease >= 1 for lease in leases)
-    assert sum(sum(row) for row in grants) == 101 - 3
+    assert all(lease >= FLOOR_PAGES for lease in leases)
+    assert leases[1] == FLOOR_PAGES  # no demand, no grant above the floor
 
 
 def test_plan_epoch_masks_inactive_shards_to_the_floor():
-    grants, leases = plan_epoch(
-        100, [[5, 5, 5]], (1.0,), 1, active=(True, False, True)
-    )
-    assert leases[1] == 1  # inactive shard keeps exactly its floor
-    assert grants[0][1] == 0
+    leases = plan_epoch(100, [5, 5, 5], active=(True, False, True))
+    assert leases[1] == FLOOR_PAGES  # inactive shard keeps exactly its floor
     assert sum(leases) == 100  # capacity still fully apportioned
     # The even-split fallback also spreads over active shards only.
-    _, fallback = plan_epoch(
-        101, [[0, 0, 0]], (1.0,), 1, active=(True, False, True)
-    )
-    assert fallback[1] == 1
+    fallback = plan_epoch(101, [0, 0, 0], active=(True, False, True))
+    assert fallback[1] == FLOOR_PAGES
     assert fallback[0] + fallback[2] == 100
     with pytest.raises(ValueError):
-        plan_epoch(100, [[1, 1]], (1.0,), 1, active=(False, False))
+        plan_epoch(100, [1, 1], active=(False, False))
     with pytest.raises(ValueError):
-        plan_epoch(100, [[1, 1]], (1.0,), 1, active=(True,))
+        plan_epoch(100, [1, 1], active=(True,))
 
 
 def test_lease_churn_separates_grown_from_shed():
@@ -206,9 +180,9 @@ def test_lease_churn_separates_grown_from_shed():
 
 def test_pool_churn_accounting_across_degradation():
     pool = BatteryPool(capacity_pages=100, shards=2)
-    pool.rebalance([[1, 1]], 0)
+    pool.rebalance([1, 1], 0)
     pool.degrade(0.5)
-    pool.rebalance([[1, 1]], 1)
+    pool.rebalance([1, 1], 1)
     churn = pool.churn(1)
     assert churn.shed == churn.grown + 50  # the lost capacity is drained
     assert pool.churn(0).as_dict() == {"grown": 0, "shed": 0, "moved": 0}

@@ -82,10 +82,7 @@ def test_reactive_rebalancing_follows_observed_demand():
     plan = plan_cluster(SPEC)
     demands = probe_demands(SPEC, SPEC.ring())
     for epoch in range(1, SPEC.epochs):
-        observed = [
-            sum(demands[epoch - 1][tenant][shard] for tenant in range(SPEC.tenants))
-            for shard in range(SPEC.shards)
-        ]
+        observed = demands[epoch - 1]
         leases = [lease.pages for lease in plan.leases[epoch]]
         # The most-demanding shard gets the largest lease.
         assert leases.index(max(leases)) == observed.index(max(observed))
@@ -127,27 +124,6 @@ def test_plan_cluster_emits_lease_events_when_traced():
         assert event.leased_pages <= event.capacity_pages
 
 
-def test_tenant_ops_partition_the_stream():
-    spec = ClusterSpec(
-        shards=2,
-        total_budget_fraction=0.3,
-        record_count=200,
-        operation_count=400,
-        epochs=2,
-        tenants=3,
-        tenant_quotas=(0.5, 0.25, 0.25),
-    )
-    payloads = [
-        run_shard_job(job) for job in shard_jobs([plan_cluster(spec)])
-    ]
-    totals = [0, 0, 0]
-    for payload in payloads:
-        for tenant, count in enumerate(payload["result"]["tenant_ops"]):
-            totals[tenant] += count
-    assert sum(totals) == spec.operation_count
-    assert all(count > 0 for count in totals)
-
-
 def test_spec_and_job_validation():
     with pytest.raises(ValueError):
         ClusterSpec(shards=0, total_budget_fraction=0.5)
@@ -155,12 +131,9 @@ def test_spec_and_job_validation():
         ClusterSpec(shards=2, total_budget_fraction=-0.1)
     with pytest.raises(ValueError):
         ClusterSpec(shards=2, total_budget_fraction=0.5, workload="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown predictor"):
         ClusterSpec(
-            shards=2,
-            total_budget_fraction=0.5,
-            tenants=2,
-            tenant_quotas=(1.0,),
+            shards=2, total_budget_fraction=0.5, predictor="per-tenant-ewma"
         )
     with pytest.raises(ValueError):
         ClusterSpec(
@@ -171,15 +144,12 @@ def test_spec_and_job_validation():
             index=0,
             shard=5,
             shards=2,
-            vnodes=8,
-            ring_seed=17,
             workload="YCSB-A",
             theta=0.99,
             seed=42,
             record_count=100,
             operation_count=100,
             epochs=2,
-            tenants=1,
             budget_schedule=None,
         )
     with pytest.raises(ValueError):
@@ -187,15 +157,12 @@ def test_spec_and_job_validation():
             index=0,
             shard=0,
             shards=2,
-            vnodes=8,
-            ring_seed=17,
             workload="YCSB-A",
             theta=0.99,
             seed=42,
             record_count=100,
             operation_count=100,
             epochs=2,
-            tenants=1,
             budget_schedule=(10,),  # 1 lease for 2 epochs
         )
 
@@ -257,7 +224,7 @@ class TestClusterCommand:
         assert main(argv) == 0
         report = json.loads(out.read_text())
         assert "wall" not in report
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
 
     def test_pool_degrade_flag(self, capsys, tmp_path):
         out = tmp_path / "cluster.json"

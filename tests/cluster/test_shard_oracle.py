@@ -39,15 +39,12 @@ def _jobs(workload, schedule, membership, rotate):
             index=shard,
             shard=shard,
             shards=SHARDS,
-            vnodes=16,
-            ring_seed=17,
             workload=workload,
             theta=0.99,
             seed=42,
             record_count=RECORDS,
             operation_count=OPS,
             epochs=EPOCHS,
-            tenants=2,
             budget_schedule=schedule,
             membership=membership,
             hotspot_rotate_keys=rotate,
@@ -63,7 +60,6 @@ def _assert_matches_oracle(workload, schedule, membership, rotate):
         want = execute_shard(job)
         assert got == want
         routed += got["routed_ops"]
-        assert sum(got["tenant_ops"]) == got["routed_ops"]
         assert job.membership or got["migrated_in_keys"] == 0
     assert routed == OPS  # the partition is exact
 

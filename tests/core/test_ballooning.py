@@ -200,19 +200,27 @@ DEGRADES = st.tuples(st.just("degrade"), st.floats(0.0, 0.6))
 
 @settings(max_examples=25, deadline=None)
 @given(
-    floors=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    tenant_sizes=st.lists(
+        st.tuples(st.integers(1, 8), st.integers(8, 128)),
+        min_size=1,
+        max_size=4,
+    ),
     # At least one spare page: a battery sized for n pages may flush n - 1.
-    extra=st.integers(1, 24),
+    extra=st.integers(1, 96),
     steps=st.lists(st.one_of(BURSTS, DEGRADES), min_size=1, max_size=8),
 )
-def test_rebalance_keeps_budgets_within_battery(floors, extra, steps):
+def test_rebalance_keeps_budgets_within_battery(tenant_sizes, extra, steps):
     """After every rebalance, under bursts and degradations: the budgets
     fit ``max(battery, tenants)``, none is below one page or (while the
-    floors fit) its floor, and every tenant's dirty set fits its budget."""
+    floors fit) its floor or above its region, and every tenant's dirty
+    set fits its budget.  Regions are drawn small enough that a share of
+    the battery can overflow one."""
+    floors = [floor for floor, _ in tenant_sizes]
+    regions = [region for _, region in tenant_sizes]
     sim = Simulation()
     broker = make_broker(sim, budget_pages=sum(floors) + extra)
-    tenants = [make_tenant(sim, num_pages=128) for _ in floors]
-    mappings = [tenant.mmap(64 * PAGE) for tenant in tenants]
+    tenants = [make_tenant(sim, num_pages=region) for region in regions]
+    mappings = [tenant.mmap(region * PAGE) for tenant, region in zip(tenants, regions)]
     for index, (tenant, floor) in enumerate(zip(tenants, floors)):
         broker.register(f"t{index}", tenant, floor_pages=floor)
     for step in steps:
@@ -221,7 +229,9 @@ def test_rebalance_keeps_budgets_within_battery(floors, extra, steps):
             which %= len(tenants)
             for page in range(pages):
                 tenants[which].write(
-                    mappings[which].base_addr + (page * 7 % 64) * PAGE, b"b"
+                    mappings[which].base_addr
+                    + (page * 7 % regions[which]) * PAGE,
+                    b"b",
                 )
         else:
             broker.battery.degrade(step[1])
@@ -234,8 +244,36 @@ def test_rebalance_keeps_budgets_within_battery(floors, extra, steps):
             assert budget >= 1
             if sum(floors) <= total:
                 assert budget >= state.floor_pages
+            assert budget <= state.system.region.num_pages
             assert state.system.dirty_budget_pages == budget
             assert state.system.dirty_count <= budget
+
+
+def test_rebalance_caps_each_tenant_at_its_region():
+    """A demand share past a tenant's region goes to the other tenants.
+
+    A 64-page battery over two 32-page tenants with 4-page floors: four
+    dirty pages on one would earn it 60 pages, more than its region, and
+    ``set_dirty_budget`` used to raise partway through the pass (after
+    the shrinks were applied).  The cap keeps it at 32 and hands the
+    other tenant the rest."""
+    sim = Simulation()
+    broker = make_broker(sim, budget_pages=64)
+    busy = make_tenant(sim, num_pages=32)
+    idle = make_tenant(sim, num_pages=32)
+    broker.register("busy", busy, floor_pages=4)
+    broker.register("idle", idle, floor_pages=4)
+    mapping = busy.mmap(8 * PAGE)
+    for page in range(4):
+        busy.write(mapping.base_addr + page * PAGE, b"hot")
+    report = broker.rebalance()
+    assert report.budgets == {"busy": 32, "idle": 32}
+    assert busy.dirty_budget_pages == 32
+    assert idle.dirty_budget_pages == 32
+    # Both capped: the budgets sum below a larger battery.
+    broker.battery = PowerModel().battery_for_dirty_bytes(100 * PAGE)
+    assert broker.total_budget_pages > 64
+    assert sum(broker.rebalance().budgets.values()) == 64
 
 
 BUDGET_STEPS = st.tuples(st.just("budget"), st.integers(1, 24))
