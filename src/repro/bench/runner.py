@@ -369,8 +369,13 @@ class BatchedSession:
         self._bytes_before = 0
 
     def put(self, keys: Sequence[bytes]) -> None:
-        """Store each key's nonce-0 payload (one hash pass for all)."""
-        put = self._runner.store.put
+        """Store each key's nonce-0 payload (one hash pass for all).
+
+        The keys' buckets are memoized first, in one hash pass too.
+        """
+        store = self._runner.store
+        store.cache_buckets(keys)
+        put = store.put
         size = self._runner.scale.value_size
         reps = -(-size // 8)
         for key, seed in zip(keys, value_seeds_batch(keys, [0] * len(keys))):

@@ -40,7 +40,9 @@ from repro.cluster.runner import (
     ClusterGrid,
     ClusterPlan,
     ClusterSpec,
+    KeyOwners,
     ShardJob,
+    active_masks,
     membership_rings,
     plan_cluster,
     pool_run_shard_job,
@@ -62,6 +64,7 @@ __all__ = [
     "EwmaPredictor",
     "FLOOR_PAGES",
     "HashRing",
+    "KeyOwners",
     "LastEpochPredictor",
     "LeaseChurn",
     "MEMBERSHIP_ACTIONS",
@@ -71,6 +74,7 @@ __all__ = [
     "RING_BITS",
     "RING_SIZE",
     "ShardJob",
+    "active_masks",
     "apportion",
     "build_cluster_report",
     "damp_grants",

@@ -94,12 +94,11 @@ from repro.workloads.compiled import (
     CompiledStream,
     KIND_NAMES,
     compile_workload,
-    key_array,
     key_rows,
     open_ops,
     save_ops,
 )
-from repro.workloads.ycsb import YCSB_WORKLOADS, make_key
+from repro.workloads.ycsb import YCSB_WORKLOADS
 
 #: Pool entry for shard jobs (resolved by the engine's dispatcher).
 CLUSTER_POOL_ENTRY = "repro.cluster.runner:pool_run_shard_job"
@@ -194,6 +193,55 @@ def membership_rings(
                 ring = ring.without_shard(shard)
         rings.append(ring)
     return rings
+
+
+def active_masks(
+    rings: Sequence[HashRing], total_shards: int
+) -> List[Tuple[bool, ...]]:
+    """Which shard ids are on each ring of a per-epoch ring schedule."""
+    return [
+        tuple(shard in ring.shard_ids for shard in range(total_shards))
+        for ring in rings
+    ]
+
+
+class KeyOwners:
+    """The owning shard of any key index, under any ring: one routing
+    pass per ring object.
+
+    A key's shard is a pure function of the key and the ring, and the
+    loaded keys are ``make_key(0..record_count)``, so each ring's owners
+    of the loaded keyspace are routed once into a table; routing loaded
+    key indices is then a gather.  Inserted indices (``>=
+    record_count``, a few per segment) are routed directly.  Tables are
+    kept per ring object, in build order: a schedule whose ring did not
+    change (``rings[e] is rings[e - 1]``) reuses its table.
+    """
+
+    def __init__(self, record_count: int) -> None:
+        self.record_count = record_count
+        self._tables: List[Tuple[HashRing, np.ndarray]] = []
+
+    def table(self, ring: HashRing) -> np.ndarray:
+        """``ring``'s shard of every loaded key index."""
+        for seen, table in self._tables:
+            if seen is ring:
+                return table
+        table = ring.shard_for_rows(
+            key_rows(np.arange(self.record_count, dtype=np.int64))
+        )
+        self._tables.append((ring, table))
+        return table
+
+    def shards(self, ring: HashRing, indices: np.ndarray) -> np.ndarray:
+        """``ring``'s shard of each key index (loaded or inserted)."""
+        table = self.table(ring)
+        inserted = indices >= self.record_count
+        if not inserted.any():
+            return table[indices]
+        shards = table[np.where(inserted, 0, indices)]
+        shards[inserted] = ring.shard_for_rows(key_rows(indices[inserted]))
+        return shards
 
 
 @dataclass(frozen=True)
@@ -348,13 +396,6 @@ class ClusterSpec:
         """The per-epoch ring schedule (see :func:`membership_rings`)."""
         return membership_rings(self.shards, self.membership, self.epochs)
 
-    def active(self, epoch: int) -> Tuple[bool, ...]:
-        """Which shard ids are on the ring during ``epoch``."""
-        members = set(self.rings()[epoch].shard_ids)
-        return tuple(
-            shard in members for shard in range(self.total_shards())
-        )
-
     def as_dict(self) -> Dict[str, object]:
         data = asdict(self)
         data["pool_degrade"] = [list(step) for step in self.pool_degrade]
@@ -464,36 +505,39 @@ def _probe(
     spec: ClusterSpec,
     rings: Sequence[HashRing],
     stream: CompiledStream,
-) -> Tuple[List[List[int]], List[List[bytes]]]:
-    """Per-shard demand plus inserted keys per epoch, from array passes.
+) -> Tuple[List[List[int]], List[np.ndarray]]:
+    """Per-shard demand plus inserted key indices per epoch, from array
+    passes.
 
     ``demands[epoch][shard]`` counts distinct written keys;
-    ``inserts[epoch]`` lists the keys inserts created during that epoch
-    segment (the coordinator needs them to size migration handoffs —
-    live keys are the loaded records plus every insert so far).
+    ``inserts[epoch]`` holds the key indices inserts created during that
+    epoch segment (the coordinator needs them to size migration
+    handoffs — live keys are the loaded records plus every insert so
+    far).
 
-    Per epoch segment: one boolean mask finds the written ops, one
-    ``np.unique`` replaces per-key set building (a key's shard is a pure
-    function of the key within an epoch, so distinct indices ≡ distinct
-    keys), one ``shard_for_rows`` routing pass, and one ``np.bincount``
-    over shards.
+    Per epoch segment: one boolean mask finds the written ops, the
+    nonzero bins of one ``np.bincount`` over their key indices replace
+    per-key set building (a key's shard is a pure function of the key
+    within an epoch, so distinct indices ≡ distinct keys), one
+    :class:`KeyOwners` lookup (a gather from the segment
+    ring's table of loaded-key owners; inserted keys are routed), and
+    one ``np.bincount`` over shards.
     """
     total_shards = spec.total_shards()
+    owners = KeyOwners(spec.record_count)
     demands: List[List[int]] = []
-    inserts: List[List[bytes]] = []
+    inserts: List[np.ndarray] = []
     for epoch in range(spec.epochs):
         lo, hi = stream.segment_slice(epoch)
         codes = np.asarray(stream.codes[lo:hi])
         indices = np.asarray(stream.key_indices[lo:hi])
         inserting = codes == CODE_INSERT
-        inserts.append(
-            key_array(indices[inserting]).tolist() if inserting.any() else []
-        )
+        inserts.append(indices[inserting])
         written = (
             inserting | (codes == CODE_UPDATE) | (codes == CODE_RMW)
         )
-        distinct = np.unique(indices[written])
-        shards = rings[epoch].shard_for_rows(key_rows(distinct))
+        distinct = np.flatnonzero(np.bincount(indices[written]))
+        shards = owners.shards(rings[epoch], distinct)
         counts = np.bincount(shards, minlength=total_shards)
         demands.append([int(count) for count in counts])
     return demands, inserts
@@ -525,7 +569,7 @@ def probe_demands(
 #: probes each workload/ring combination once.
 _ProbeKey = Tuple[str, float, int, int, int, int, int, int, Membership]
 
-ProbeCache = Dict[_ProbeKey, Tuple[List[List[int]], List[List[bytes]]]]
+ProbeCache = Dict[_ProbeKey, Tuple[List[List[int]], List[np.ndarray]]]
 
 
 def _probe_cache_key(spec: ClusterSpec) -> _ProbeKey:
@@ -547,7 +591,7 @@ def _cached_probe(
     rings: Sequence[HashRing],
     stream: Optional[CompiledStream],
     cache: Optional[ProbeCache],
-) -> Tuple[List[List[int]], List[List[bytes]]]:
+) -> Tuple[List[List[int]], List[np.ndarray]]:
     """:func:`_probe`, memoized on everything the probe depends on.
 
     The coordinator consumes the probe twice per planned run (lease
@@ -572,6 +616,7 @@ def _reference_lease_vectors(
     spec: ClusterSpec,
     demands: List[List[int]],
     capacity: int,
+    active_schedule: Optional[List[Tuple[bool, ...]]],
 ) -> List[List[int]]:
     """Undamped last-epoch reactive replay of the same run.
 
@@ -579,7 +624,9 @@ def _reference_lease_vectors(
     pool, degradation schedule, and membership masks, but the original
     reactive protocol (no forecasting, no churn damping).  ``demands``
     is the coordinator's cached probe output (:func:`_cached_probe`) —
-    this replay never re-streams the workload.
+    this replay never re-streams the workload — and ``active_schedule``
+    the plan's per-epoch membership masks (``None`` without membership
+    changes).
     """
     pool = BatteryPool(capacity_pages=capacity, shards=spec.total_shards())
     no_history = [0] * spec.total_shards()
@@ -589,7 +636,7 @@ def _reference_lease_vectors(
             if step_epoch == epoch:
                 pool.degrade(fraction)
         observed = demands[epoch - 1] if epoch > 0 else no_history
-        active = spec.active(epoch) if spec.membership else None
+        active = active_schedule[epoch] if active_schedule else None
         leases = pool.rebalance(observed, epoch, active=active)
         vectors.append([lease.pages for lease in leases])
     return vectors
@@ -620,29 +667,43 @@ def _record_event(
 def _epoch_migrations(
     spec: ClusterSpec,
     epoch: int,
-    ring_before: HashRing,
-    live_keys: List[bytes],
+    rings: Sequence[HashRing],
+    owners: KeyOwners,
+    inserts: List[np.ndarray],
     tracer: Tracer,
     events: List[Dict[str, object]],
     migrations: List[Dict[str, object]],
-) -> HashRing:
-    """Replay epoch ``epoch``'s membership changes; returns the new ring.
+) -> None:
+    """Replay epoch ``epoch``'s membership changes, if it has any.
 
     One :class:`ShardMigration` per scheduled action, sized against the
-    live keyspace at the boundary (loaded records plus inserts so far)
-    — the coordinator-side mirror of the key handoff every worker
-    replays.  Each is recorded as an event, and its fields less
-    ``type`` and ``t`` as a migration record.
+    live key indices at the boundary (loaded records plus the probe's
+    ``inserts`` of every earlier epoch) — the coordinator-side mirror
+    of the key handoff every worker replays.  Each is recorded as an
+    event, and its fields less ``type`` and ``t`` as a migration
+    record.  The epoch's last action lands on the schedule's own
+    ``rings[epoch]``; only the rings between two same-epoch actions are
+    built here.
     """
-    ring = ring_before
-    for change_epoch, action, shard in spec.membership:
-        if change_epoch != epoch:
-            continue
-        after = (
-            ring.with_shard(shard)
-            if action == "add"
-            else ring.without_shard(shard)
-        )
+    actions = [
+        (action, shard)
+        for change_epoch, action, shard in spec.membership
+        if change_epoch == epoch
+    ]
+    if not actions:
+        return
+    live = np.concatenate(
+        [np.arange(spec.record_count, dtype=np.int64), *inserts[:epoch]]
+    )
+    ring = rings[epoch - 1]
+    for step, (action, shard) in enumerate(actions, start=1):
+        if step == len(actions):
+            after = rings[epoch]
+        elif action == "add":
+            after = ring.with_shard(shard)
+        else:
+            after = ring.without_shard(shard)
+        moved = owners.shards(ring, live) != owners.shards(after, live)
         record = _record_event(
             tracer,
             events,
@@ -651,7 +712,7 @@ def _epoch_migrations(
             epoch=epoch,
             action=action,
             shard=shard,
-            moved_keys=len(ring.moved_keys(after, live_keys)),
+            moved_keys=int(np.count_nonzero(moved)),
             arc_moved=round(ring.moved_arc_fraction(after), 6),
             shards_after=len(after.shard_ids),
         )
@@ -659,7 +720,6 @@ def _epoch_migrations(
             {key: value for key, value in record.items() if key not in ("type", "t")}
         )
         ring = after
-    return ring
 
 
 def plan_cluster(
@@ -685,6 +745,14 @@ def plan_cluster(
     it); ``probe_cache`` (shared across a grid's specs) reuses probe
     output between runs that differ only in budget.  Neither can change
     the plan — only how fast it is computed.
+
+    The ring schedule is built once per plan (one :class:`HashRing` per
+    distinct ring); the per-epoch membership masks are derived from it
+    once and shared by the lease loop, the
+    :func:`_reference_lease_vectors` replay and the misallocation
+    report.  Live key indices are assembled, and routed through the
+    plan's :class:`KeyOwners`, only at the epochs whose ring the
+    membership schedule changes.
     """
     rings = spec.rings()
     total_shards = spec.total_shards()
@@ -701,22 +769,17 @@ def plan_cluster(
         )
     demands, inserts = _cached_probe(spec, rings, stream, probe_cache)
     capacity = spec.pool_capacity_pages()
-    live_keys: List[bytes] = [
-        make_key(index) for index in range(spec.record_count)
-    ]
+    owners = KeyOwners(spec.record_count)
     events: List[Dict[str, object]] = []
     migrations: List[Dict[str, object]] = []
 
     if capacity is None:
         # A baseline cluster has no pool to lease, but membership changes
         # still move keys, so the migration records are still planned.
-        ring = rings[0]
         for epoch in range(1, spec.epochs):
-            live_keys.extend(inserts[epoch - 1])
-            if rings[epoch] is not rings[epoch - 1]:
-                ring = _epoch_migrations(
-                    spec, epoch, ring, live_keys, tracer, events, migrations
-                )
+            _epoch_migrations(
+                spec, epoch, rings, owners, inserts, tracer, events, migrations
+            )
         return ClusterPlan(
             spec=spec,
             ring_checksum=rings[0].layout_checksum(),
@@ -736,22 +799,28 @@ def plan_cluster(
     predictor = make_predictor(spec.predictor, total_shards)
     capacity_schedule: List[int] = []
     starved: List[Dict[str, int]] = []
-    ring = rings[0]
-    previous_active = spec.active(0) if spec.membership else None
+    active_schedule = (
+        active_masks(rings, total_shards) if spec.membership else None
+    )
     for epoch in range(spec.epochs):
         epoch_events: List[Dict[str, object]] = []
         if epoch > 0:
-            live_keys.extend(inserts[epoch - 1])
-        if epoch > 0 and rings[epoch] is not rings[epoch - 1]:
-            ring = _epoch_migrations(
-                spec, epoch, ring, live_keys, tracer, epoch_events, migrations
+            _epoch_migrations(
+                spec,
+                epoch,
+                rings,
+                owners,
+                inserts,
+                tracer,
+                epoch_events,
+                migrations,
             )
         for step_epoch, fraction in spec.pool_degrade:
             if step_epoch == epoch:
                 pool.degrade(fraction)
         capacity_schedule.append(pool.capacity_pages)
         forecast = predictor.forecast()
-        active = spec.active(epoch) if spec.membership else None
+        active = active_schedule[epoch] if active_schedule else None
         # The even-split fallback is fine at epoch 0 (no history exists
         # yet) but a starvation signal afterwards: the predictor has seen
         # nothing written on any active shard.
@@ -789,12 +858,14 @@ def plan_cluster(
                 pages=lease.pages,
                 demand=lease.demand,
             )
-        if active is not None and previous_active is not None and epoch > 0:
+        if active_schedule is not None and epoch > 0:
             previous_leases = pool.lease_history[epoch - 1]
-            for shard in range(total_shards):
-                if active[shard] == previous_active[shard]:
+            for shard, (was, now) in enumerate(
+                zip(active_schedule[epoch - 1], active_schedule[epoch])
+            ):
+                if was == now:
                     continue
-                kind = "grant" if active[shard] else "release"
+                kind = "grant" if now else "release"
                 pages = abs(
                     leases[shard].pages - previous_leases[shard].pages
                 )
@@ -808,17 +879,13 @@ def plan_cluster(
                     pages=pages,
                     kind=kind,
                 )
-        previous_active = active
         events.extend(epoch_events)
     lease_vectors = [
         [lease.pages for lease in epoch_leases]
         for epoch_leases in pool.lease_history
     ]
-    reference = _reference_lease_vectors(spec, demands, capacity)
-    active_schedule = (
-        [spec.active(epoch) for epoch in range(spec.epochs)]
-        if spec.membership
-        else None
+    reference = _reference_lease_vectors(
+        spec, demands, capacity, active_schedule
     )
     misallocation = misallocation_report(
         spec.predictor,
@@ -875,11 +942,14 @@ def _compile_stream(
 def _execute_shard(job: ShardJob) -> Dict[str, object]:
     """Build one shard, load its slice of the keyspace, serve its ops.
 
-    The global compiled stream is replayed one epoch segment at a time:
-    ownership is one vectorized ``shard_for_rows`` routing pass, so the
-    partition stays exact (every op goes to precisely one shard) and the worker never
-    materializes another shard's operations.  The owned slice of each
-    segment runs through one :class:`~repro.bench.runner.BatchedSession`.
+    The global compiled stream is replayed one epoch segment at a time.
+    Ownership comes from one :class:`KeyOwners` per job: each distinct
+    ring routes the loaded keyspace once into a table, and a segment's
+    loaded key indices gather their shard from it (its few inserted
+    keys are routed directly).  The partition stays exact (every op
+    goes to precisely one shard) and the worker never materializes
+    another shard's operations.  The owned slice of each segment runs
+    through one :class:`~repro.bench.runner.BatchedSession`.
 
     Between segments the shard re-tunes to its next lease, and at a
     boundary whose ring differs from the previous epoch's it replays
@@ -930,25 +1000,22 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
         sim, system, scale, ordered=wspec.scan_proportion > 0
     )
     session = BatchedSession(runner)
-    # One vectorized routing pass decides record ownership (put order
-    # stays the sequential key-index order of the load phase).  Loaded
-    # keys are the stream's key table entries, so the load and every
-    # later op on a key share one bytes object.
-    record_indices = np.arange(job.record_count, dtype=np.int64)
-    owned = rings[0].shard_for_rows(key_rows(record_indices)) == job.shard
+    # Record ownership is the epoch-0 ring's table of loaded-key owners
+    # (put order stays the sequential key-index order of the load
+    # phase).  Loaded keys are the stream's key table entries, so the
+    # load and every later op on a key share one bytes object.
+    owners = KeyOwners(job.record_count)
+    owned = owners.table(rings[0]) == job.shard
     own_record_keys = stream.key_table[owned].tolist()
     session.put(own_record_keys)
 
     bounds = stream.segment_bounds
-    track_keys = bool(job.membership)
-    if track_keys:
+    if job.membership:
         insert_positions = np.flatnonzero(
             np.asarray(stream.codes) == CODE_INSERT
         )
-        insert_keys = key_array(
-            np.asarray(stream.key_indices)[insert_positions]
-        ).tolist()
-        record_keys = stream.key_table.tolist()
+        insert_indices = np.asarray(stream.key_indices)[insert_positions]
+        record_indices = np.arange(job.record_count, dtype=np.int64)
     routed = 0
     migrated_in = 0
     last_segment = max(
@@ -966,28 +1033,25 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
                 # The new lease applies first; a shrink drains before
                 # the segment's operations (section 8's path).
                 viyojit.set_dirty_budget(schedule[segment])
-            if track_keys and rings[segment] is not rings[segment - 1]:
-                before = rings[segment - 1]
-                after = rings[segment]
+            if rings[segment] is not rings[segment - 1]:
                 grown = int(
                     np.searchsorted(
                         insert_positions, bounds[segment], side="left"
                     )
                 )
-                gained = [
-                    key
-                    for key in before.moved_keys(
-                        after, record_keys + insert_keys[:grown]
-                    )
-                    if after.shard_for(key) == job.shard
-                ]
-                session.put(gained)
+                live = np.concatenate(
+                    [record_indices, insert_indices[:grown]]
+                )
+                after = owners.shards(rings[segment], live)
+                before = owners.shards(rings[segment - 1], live)
+                gained = live[(after == job.shard) & (before != job.shard)]
+                session.put(stream.keys_at(gained))
                 migrated_in += len(gained)
         lo, hi = int(bounds[segment]), int(bounds[segment + 1])
         if lo == hi:
             continue
         indices = np.asarray(stream.key_indices[lo:hi])
-        own = rings[segment].shard_for_rows(key_rows(indices)) == job.shard
+        own = owners.shards(rings[segment], indices) == job.shard
         own_indices = indices[own]
         if not len(own_indices):
             continue
@@ -1272,10 +1336,12 @@ __all__ = [
     "ClusterGrid",
     "ClusterPlan",
     "ClusterSpec",
+    "KeyOwners",
     "MEMBERSHIP_ACTIONS",
     "RING_SEED",
     "RING_VNODES",
     "ShardJob",
+    "active_masks",
     "membership_rings",
     "plan_cluster",
     "pool_run_shard_job",

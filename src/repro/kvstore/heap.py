@@ -48,10 +48,7 @@ def size_class(size: int) -> int:
     """Smallest power-of-two class >= ``size`` (minimum 16 bytes)."""
     if size <= 0:
         raise ValueError(f"size must be positive: {size}")
-    cls = MIN_CLASS
-    while cls < size:
-        cls <<= 1
-    return cls
+    return MIN_CLASS if size <= MIN_CLASS else 1 << (size - 1).bit_length()
 
 
 class PersistentHeap:

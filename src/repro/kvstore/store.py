@@ -50,10 +50,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.runtime import NVDRAMSystem
-from repro.kvstore.hashing import fnv1a
+from repro.kvstore.hashing import fnv1a, fnv1a_rows
 from repro.kvstore.heap import PersistentHeap, size_class
 
 MAGIC = b"VIYOKVS1"
@@ -96,7 +98,8 @@ class KVStore:
     (:meth:`~repro.core.runtime.NVDRAMSystem.data_path`), so a system
     that builds its own lane is honoured.  The NV-DRAM access sequence
     of each is pinned against the method-chain oracle
-    ``tests/kvstore/reference_store.py``.
+    ``tests/kvstore/reference_store.py``.  ``cache_buckets`` fills the
+    operations' key-to-bucket memo for many keys in one hash pass.
     """
 
     lookup: Callable[[bytes], Optional[Tuple[Optional[bytes], int, int]]]
@@ -105,6 +108,7 @@ class KVStore:
     read_modify_write: Callable[[bytes, Callable[[bytes], bytes]], bool]
     delete: Callable[[bytes], bool]
     scan: Callable[[bytes, int], List[Tuple[bytes, bytes]]]
+    cache_buckets: Callable[[Sequence[bytes]], None]
     _length: Callable[[], int]
 
     def __init__(
@@ -520,10 +524,29 @@ class KVStore:
             write(opctr_addr, stamp)
             return results
 
+        def cache_buckets(keys: Sequence[bytes]) -> None:
+            """Memoize the bucket link address of every uncached key.
+
+            One :func:`fnv1a_rows` pass per key width instead of one
+            scalar ``fnv1a`` per key in ``find``; the addresses are the
+            ones ``find`` would compute, so this is wall-clock-only.
+            """
+            by_width: Dict[int, List[bytes]] = {}
+            for key in keys:
+                if key not in bucket_cache:
+                    by_width.setdefault(len(key), []).append(key)
+            for width, group in by_width.items():
+                rows = np.frombuffer(b"".join(group), dtype=np.uint8)
+                hashes = fnv1a_rows(rows.reshape(len(group), width))
+                slots = (hashes % np.uint64(num_buckets)).tolist()
+                for key, slot in zip(group, slots):
+                    bucket_cache[key] = buckets.addr(slot * 8)
+
         def length() -> int:
             return record_count
 
         self._length = length
+        self.cache_buckets = cache_buckets
         self.lookup = lookup
         self.get = get
         self.put = put

@@ -239,8 +239,9 @@ class ShardMigration(TraceEvent):
     """A ring membership change moved key ranges between shards.
 
     Coordinator-level event (``t`` is the epoch index).  ``action`` is
-    ``"add"`` or ``"remove"``; ``moved_keys`` counts initial record keys
-    whose owner changed between the old and new rings, and
+    ``"add"`` or ``"remove"``; ``moved_keys`` counts live keys (loaded
+    records plus earlier inserts) whose owner changed between the old
+    and new rings, and
     ``arc_moved`` is the fraction of the hash ring's arc that changed
     ownership.  ``shards_after`` is the active shard count once the
     change is applied.

@@ -21,6 +21,7 @@ from repro.cluster import (
     ClusterSpec,
     HashRing,
     ShardJob,
+    active_masks,
     membership_rings,
     plan_cluster,
     run_cluster_grid,
@@ -64,9 +65,10 @@ def test_membership_schedule_is_sorted_by_epoch():
     spec = _spec(((3, "remove", 0), (1, "add", 2)))
     assert spec.membership == ((1, "add", 2), (3, "remove", 0))
     assert spec.total_shards() == 3
-    assert spec.active(0) == (True, True, False)
-    assert spec.active(1) == (True, True, True)
-    assert spec.active(3) == (False, True, True)
+    active = active_masks(spec.rings(), spec.total_shards())
+    assert active[0] == (True, True, False)
+    assert active[1] == (True, True, True)
+    assert active[3] == (False, True, True)
 
 
 def test_membership_rings_reuse_unchanged_epochs():

@@ -28,6 +28,22 @@ class TestSizeClass:
     def test_invalid(self):
         with pytest.raises(ValueError):
             size_class(0)
+        with pytest.raises(ValueError):
+            size_class(-5)
+
+    def test_matches_doubling_loop_around_every_power_of_two(self):
+        def doubling(size):
+            cls = 16
+            while cls < size:
+                cls <<= 1
+            return cls
+
+        sizes = {1, 2}
+        for exponent in range(1, 25):
+            power = 1 << exponent
+            sizes.update((power - 1, power, power + 1))
+        for size in sorted(sizes):
+            assert size_class(size) == doubling(size), size
 
 
 class TestAlloc:

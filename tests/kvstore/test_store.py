@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from repro.kvstore.store import KVStore, fnv1a
+from repro.sim.events import Simulation
 from tests.conftest import make_baseline, make_viyojit
 
 PAGE = 4096
@@ -30,6 +31,32 @@ class TestFnv:
 
     def test_empty(self):
         assert fnv1a(b"") == 0xCBF29CE484222325
+
+
+class TestCacheBuckets:
+    def test_primed_store_runs_exactly_like_an_unprimed_one(self):
+        """Bulk-memoized buckets are the ones ``find`` computes: keys of
+        mixed widths (duplicates and an already-cached key included)
+        land in the same chains at the same virtual time."""
+        keys = (
+            [b"k%d" % i for i in range(200)]
+            + [b"user%020d" % i for i in range(60)]
+            + [b"k7", b"x"]
+        )
+        runs = []
+        for prime in (False, True):
+            sim = Simulation()
+            store = build_store(sim)
+            store.put(b"k3", b"early")
+            if prime:
+                store.cache_buckets(keys)
+            for i, key in enumerate(keys):
+                store.put(key, b"v%d" % i)
+            got = [store.get(key) for key in keys]
+            runs.append(
+                (list(store.items()), got, sim.now, store.stats.chain_steps)
+            )
+        assert runs[0] == runs[1]
 
 
 class TestPutGet:
