@@ -559,17 +559,24 @@ def probe_demands(
     spec's compiled op stream when the caller already holds one.
     """
     rings = [ring] * spec.epochs if ring is not None else spec.rings()
-    demands, _ = _cached_probe(spec, rings, stream, None)
+    if stream is None:
+        stream = _compile_stream(spec)
+    demands, _ = _probe(spec, rings, stream)
     return demands
 
 
 #: Cache key for one spec's probe output: everything the probe depends
 #: on — the workload stream, the segmentation and the ring schedule.
 #: Deliberately excludes every budget knob, so a grid sweeping budgets
-#: probes each workload/ring combination once.
+#: builds each ring schedule and probes each workload/ring combination
+#: once.
 _ProbeKey = Tuple[str, float, int, int, int, int, int, int, Membership]
 
-ProbeCache = Dict[_ProbeKey, Tuple[List[List[int]], List[np.ndarray]]]
+#: One spec's ring schedule with the probe output routed through it:
+#: ``(rings, demands, inserts)``.
+_ProbeResult = Tuple[List[HashRing], List[List[int]], List[np.ndarray]]
+
+ProbeCache = Dict[_ProbeKey, _ProbeResult]
 
 
 def _probe_cache_key(spec: ClusterSpec) -> _ProbeKey:
@@ -588,25 +595,27 @@ def _probe_cache_key(spec: ClusterSpec) -> _ProbeKey:
 
 def _cached_probe(
     spec: ClusterSpec,
-    rings: Sequence[HashRing],
     stream: Optional[CompiledStream],
     cache: Optional[ProbeCache],
-) -> Tuple[List[List[int]], List[np.ndarray]]:
-    """:func:`_probe`, memoized on everything the probe depends on.
+) -> _ProbeResult:
+    """The spec's ring schedule and its :func:`_probe` output, memoized
+    on everything either depends on.
 
     The coordinator consumes the probe twice per planned run (lease
     planning and the :func:`_reference_lease_vectors` counterfactual
     replay), and a grid re-plans the same workload once per budget —
-    the cache collapses all of that to one probe per distinct
-    (stream, ring schedule) combination.  A caller holding no
-    compiled ``stream`` gets the spec's compiled here, on a miss.
+    the cache collapses all of that to one ring schedule and one probe
+    per distinct (stream, ring schedule) combination.  A caller holding
+    no compiled ``stream`` gets the spec's compiled here, on a miss.
     """
     key = _probe_cache_key(spec)
     found = cache.get(key) if cache is not None else None
     if found is None:
         if stream is None:
             stream = _compile_stream(spec)
-        found = _probe(spec, rings, stream)
+        rings = spec.rings()
+        demands, inserts = _probe(spec, rings, stream)
+        found = (rings, demands, inserts)
         if cache is not None:
             cache[key] = found
     return found
@@ -743,18 +752,18 @@ def plan_cluster(
     ``stream`` is the spec's compiled op stream when the caller already
     holds one (checked against the spec; otherwise the probe compiles
     it); ``probe_cache`` (shared across a grid's specs) reuses probe
-    output between runs that differ only in budget.  Neither can change
-    the plan — only how fast it is computed.
+    output and the ring schedule between runs that differ only in
+    budget.  Neither can change the plan — only how fast it is computed.
 
-    The ring schedule is built once per plan (one :class:`HashRing` per
-    distinct ring); the per-epoch membership masks are derived from it
+    The ring schedule is built once per plan, or once per grid through
+    ``probe_cache`` (one :class:`HashRing` per distinct ring); the
+    per-epoch membership masks are derived from it
     once and shared by the lease loop, the
     :func:`_reference_lease_vectors` replay and the misallocation
     report.  Live key indices are assembled, and routed through the
     plan's :class:`KeyOwners`, only at the epochs whose ring the
     membership schedule changes.
     """
-    rings = spec.rings()
     total_shards = spec.total_shards()
     if stream is not None:
         stream.require(
@@ -767,7 +776,7 @@ def plan_cluster(
             epochs=spec.epochs,
             hotspot_rotate_keys=spec.hotspot_rotate_keys,
         )
-    demands, inserts = _cached_probe(spec, rings, stream, probe_cache)
+    rings, demands, inserts = _cached_probe(spec, stream, probe_cache)
     capacity = spec.pool_capacity_pages()
     owners = KeyOwners(spec.record_count)
     events: List[Dict[str, object]] = []

@@ -206,10 +206,7 @@ class FineGrainViyojit(Viyojit):
             self.stats.proactive_flushes += 1
             excess -= freed
 
-    def _on_flush_cleaned(self, pfn: int) -> None:
-        self.policy.note_cleaned(pfn)
-        if not self.config.proactive or not self._started:
-            return
+    def _refill_after_flush(self) -> None:
         if (
             self.blocks.dirty_bytes - self._inflight_bytes()
             > self._byte_threshold

@@ -32,7 +32,7 @@ only gathers precomputed keys.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Union
+from typing import Collection, Deque, List, Union
 
 import numpy as np
 
@@ -106,10 +106,10 @@ class UpdateHistory:
         return int(self._counts[pfn])
 
     @staticmethod
-    def _as_pfn_array(candidates: Union[np.ndarray, Iterable[int]]) -> np.ndarray:
+    def _as_pfn_array(candidates: Union[np.ndarray, Collection[int]]) -> np.ndarray:
         if isinstance(candidates, np.ndarray):
             return candidates.astype(np.int64, copy=False)
-        return np.fromiter(candidates, dtype=np.int64)
+        return np.fromiter(candidates, dtype=np.int64, count=len(candidates))
 
     def _ranking_keys(self, pfns: np.ndarray):
         """``(last, counts)`` ranking keys with out-of-window aging.
@@ -123,7 +123,7 @@ class UpdateHistory:
         last = np.where(counts > 0, self._last_update[pfns], -1)
         return last, counts
 
-    def coldest(self, candidates: Union[np.ndarray, Iterable[int]], k: int) -> List[int]:
+    def coldest(self, candidates: Union[np.ndarray, Collection[int]], k: int) -> List[int]:
         """The ``k`` least-recently-updated pages among ``candidates``.
 
         Ordered oldest-update first; ties broken by ascending update count
@@ -144,14 +144,16 @@ class UpdateHistory:
         if len(pfns) == 0:
             return []
         keys = self._keys[pfns]
+        # The ndarray methods, not np.argpartition / np.argsort: the
+        # module functions add a Python-level dispatch per call.
         if k < len(pfns):
-            top = np.argpartition(keys, k - 1)[:k]
-            top = top[np.argsort(keys[top])]
+            top = keys.argpartition(k - 1)[:k]
+            top = top[keys[top].argsort()]
         else:
-            top = np.argsort(keys)
+            top = keys.argsort()
         return pfns[top].tolist()
 
-    def hottest(self, candidates: Union[np.ndarray, Iterable[int]], k: int) -> List[int]:
+    def hottest(self, candidates: Union[np.ndarray, Collection[int]], k: int) -> List[int]:
         """The ``k`` most-recently-updated pages (diagnostics / tests)."""
         pfns = self._as_pfn_array(candidates)
         if len(pfns) == 0 or k <= 0:

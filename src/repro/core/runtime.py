@@ -920,18 +920,24 @@ class Viyojit(NVDRAMSystem):
             excess -= 1
 
     def _on_flush_cleaned(self, pfn: int) -> None:
-        """Flush completion: free the policy's record, refill the pipe.
-
-        The background copier keeps issuing while the dirty count sits
-        above the trigger threshold, so its drain rate is bounded by the
-        SSD, not by the epoch tick frequency.
-        """
+        """Flush completion: check the page is durable, free the
+        policy's record, then let the background copier refill the pipe
+        (:meth:`_refill_after_flush`)."""
         if self.sanitizer is not None:
             self.sanitizer.after_flush_complete(pfn)
         if self._note_cleaned is not None:
             self._note_cleaned(pfn)
-        if not self.config.proactive or not self._started:
-            return
+        if self.config.proactive and self._started:
+            self._refill_after_flush()
+
+    def _refill_after_flush(self) -> None:
+        """Issue one more proactive flush if the dirty count is still
+        above the trigger threshold and an IO slot is free.
+
+        The background copier keeps issuing while the dirty count sits
+        above the threshold, so its drain rate is bounded by the SSD,
+        not by the epoch tick frequency.
+        """
         outstanding = len(self._inflight)
         if (
             len(self._dirty) - outstanding > self._proactive_threshold

@@ -45,7 +45,8 @@ def fnv1a_rows(rows: np.ndarray) -> np.ndarray:
     prime = np.uint64(_FNV_PRIME)
     with np.errstate(over="ignore"):  # uint64 wraparound == the scalar mask
         for column in range(rows.shape[1]):
-            values = (values ^ rows[:, column]) * prime
+            np.bitwise_xor(values, rows[:, column], out=values)
+            np.multiply(values, prime, out=values)
     return values
 
 

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import importlib
 import tempfile
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.parallel.grid import SweepGrid, SweepJob
@@ -143,6 +141,11 @@ def _run_pool(
     progress: Progress,
     retries: List[int],
 ) -> Dict[int, dict]:
+    # Imported here so a process that never runs a pool never loads the
+    # process-pool stack (concurrent.futures, multiprocessing, logging).
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     by_index = {job.index: job for job in jobs}
     pending = sorted(by_index)
     attempts = {index: 0 for index in pending}

@@ -11,13 +11,21 @@ section               dtype   meaning
 ====================  ======  =================================================
 ``codes``             u1      op kind (0 read, 1 update, 2 insert, 3 rmw,
                               4 scan)
-``key_indices``       <i8     the integer each key encodes (``make_key``
+``key_indices``       <i4     the integer each key encodes (``make_key``
                               inverse); rotation already applied
-``value_sizes``       <i4     bytes written by mutating ops, 0 otherwise
-``scan_lengths``      <i4     scan span, 0 for non-scans
+``scan_lengths``      <u2     scan span, 0 for non-scans
 ``segment_bounds``    <i4     ``epochs + 1`` offsets; segment ``e`` is
                               ``[bounds[e], bounds[e + 1])``
 ====================  ======  =================================================
+
+Seven bytes per op.  The widths are the replay's: key indices stay
+below ``record_count + operation_count`` (inserts mint one new index
+each), which :func:`compile_workload` requires to fit ``int32``, and a
+scan spans at most ``max_scan_length`` keys, which it requires to fit
+``uint16``; both are checked before anything is allocated.  A mutating
+op writes ``value_size`` bytes and nothing else does, so the per-op
+value size is not stored: :attr:`CompiledStream.value_sizes` derives
+it from ``codes``.
 
 The compiled stream is **element-for-element equivalent** to
 :func:`generate_operations` (and, segmented and rotated, to the per-op
@@ -30,7 +38,7 @@ byte-identical.
 ``.ops`` on-disk format (little-endian throughout)::
 
     offset  0  magic   b"REPROOPS"
-    offset  8  u32     format version (1)
+    offset  8  u32     format version (2; any other is rejected)
     offset 12  u32     meta length in bytes
     offset 16  32 B    sha256 over every byte from offset 48 to EOF
     offset 48  meta    JSON: stream parameters + section table
@@ -83,7 +91,7 @@ from repro.workloads.ycsb import (
 )
 
 OPS_MAGIC = b"REPROOPS"
-OPS_VERSION = 1
+OPS_VERSION = 2
 
 _HEADER_LEN = 48
 _CHECKSUM_CHUNK = 1 << 20
@@ -97,11 +105,16 @@ CODE_READ, CODE_UPDATE, CODE_INSERT, CODE_RMW, CODE_SCAN = range(5)
 #: Section table: fixed order and dtypes of the on-disk format.
 _SECTIONS: Tuple[Tuple[str, str], ...] = (
     ("codes", "u1"),
-    ("key_indices", "<i8"),
-    ("value_sizes", "<i4"),
-    ("scan_lengths", "<i4"),
+    ("key_indices", "<i4"),
+    ("scan_lengths", "<u2"),
     ("segment_bounds", "<i4"),
 )
+
+#: Largest ``record_count + operation_count`` an ``<i4`` key index holds.
+_INDEX_LIMIT = int(np.iinfo(np.int32).max)
+
+#: Longest scan a ``<u2`` scan length holds.
+_SCAN_LIMIT = int(np.iinfo(np.uint16).max)
 
 #: Chooser draws per classification block.  Any value yields the same
 #: stream (the draws are consumed in stream order regardless of
@@ -154,7 +167,6 @@ class CompiledStream:
     hotspot_rotate_keys: int
     codes: np.ndarray
     key_indices: np.ndarray
-    value_sizes: np.ndarray
     scan_lengths: np.ndarray
     segment_bounds: np.ndarray
 
@@ -170,6 +182,19 @@ class CompiledStream:
             (codes[lo : lo + _COMPILE_BLOCK] == CODE_SCAN).any()
             for lo in range(0, len(codes), _COMPILE_BLOCK)
         )
+
+    @property
+    def value_sizes(self) -> np.ndarray:
+        """Bytes each op writes, as read-only ``int32``: ``value_size``
+        for update, insert and rmw, 0 for read and scan.
+
+        Derived from ``codes`` on each access and not kept, so a stream
+        holds 7 bytes per op however it is read; a caller that reads the
+        sizes twice keeps the array itself.
+        """
+        sizes = _value_sizes(self.codes, self.value_size)
+        sizes.flags.writeable = False
+        return sizes
 
     def meta(self) -> Dict[str, object]:
         """The stream's identifying parameters (what ``require`` checks)."""
@@ -292,11 +317,13 @@ class CompiledStream:
         n = len(self)
         for lo in range(0, n, _COMPILE_BLOCK):
             hi = min(n, lo + _COMPILE_BLOCK)
-            codes = self.codes[lo:hi].tolist()
+            codes = np.asarray(self.codes[lo:hi])
             keys = self.keys(lo, hi)
-            sizes = self.value_sizes[lo:hi].tolist()
+            sizes = _value_sizes(codes, self.value_size).tolist()
             scans = self.scan_lengths[lo:hi].tolist()
-            for code, key, size, scan in zip(codes, keys, sizes, scans):
+            for code, key, size, scan in zip(
+                codes.tolist(), keys, sizes, scans
+            ):
                 yield Operation(
                     KIND_NAMES[code], key, value_size=size, scan_length=scan
                 )
@@ -344,6 +371,15 @@ class CompiledStream:
         return digest.hexdigest()
 
 
+def _value_sizes(codes: np.ndarray, value_size: int) -> np.ndarray:
+    """``value_size`` where ``codes`` mutate (update, insert, rmw: the
+    contiguous codes 1..3), else 0, as ``int32``; no temporary is wider
+    than one bool per op."""
+    sizes = ((codes >= CODE_UPDATE) & (codes <= CODE_RMW)).astype(np.int32)
+    sizes *= value_size
+    return sizes
+
+
 def _keygen(spec: WorkloadSpec, record_count: int, theta: float, seed: int):
     if spec.request_distribution == "zipfian":
         return ScrambledZipfianGenerator(record_count, theta, seed + 1)
@@ -359,8 +395,8 @@ def _compile_indices(
     value_size: int,
     theta: float,
     seed: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The un-rotated stream's four per-op sections, in table order.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The un-rotated stream's three per-op sections, in table order.
 
     The one vectorized producer of YCSB operations (every batch of
     :func:`iter_op_batches` is a slice of its output): the chooser
@@ -373,9 +409,8 @@ def _compile_indices(
     vectorized) and recover indices via :func:`key_index`.
     """
     codes_out = np.empty(operation_count, dtype=np.uint8)
-    index_out = np.empty(operation_count, dtype=np.int64)
-    sizes_out = np.zeros(operation_count, dtype=np.int32)
-    scans_out = np.zeros(operation_count, dtype=np.int32)
+    index_out = np.empty(operation_count, dtype=np.int32)
+    scans_out = np.zeros(operation_count, dtype=np.uint16)
 
     if spec.scan_proportion > 0:
         ops = generate_operations(
@@ -384,9 +419,8 @@ def _compile_indices(
         for at, op in enumerate(ops):
             codes_out[at] = CODE_OF[op.kind]
             index_out[at] = key_index(op.key)
-            sizes_out[at] = op.value_size
             scans_out[at] = op.scan_length
-        return codes_out, index_out, sizes_out, scans_out
+        return codes_out, index_out, scans_out
 
     chooser = random.Random(seed)
     keygen = _keygen(spec, record_count, theta, seed)
@@ -403,8 +437,8 @@ def _compile_indices(
         codes[draws < insert_bound] = CODE_INSERT
         codes[draws < update_bound] = CODE_UPDATE
         codes[draws < read_bound] = CODE_READ
+        del draws  # freed before the key draws allocate theirs
         codes_out[done : done + n] = codes
-        sizes_out[done : done + n][codes != CODE_READ] = value_size
         inserts_at = np.flatnonzero(codes == CODE_INSERT)
         if len(inserts_at) == 0:
             index_out[done : done + n] = keygen.sample(n)
@@ -423,7 +457,7 @@ def _compile_indices(
                 index_out[done + insert_at] = new_index
             position = insert_at + 1
         done += n
-    return codes_out, index_out, sizes_out, scans_out
+    return codes_out, index_out, scans_out
 
 
 def compile_workload(
@@ -461,8 +495,18 @@ def compile_workload(
         raise ValueError(
             f"hotspot_rotate_keys must be non-negative: {hotspot_rotate_keys}"
         )
+    if record_count + operation_count > _INDEX_LIMIT:
+        raise ValueError(
+            "record_count + operation_count must fit an int32 key index: "
+            f"{record_count} + {operation_count} > {_INDEX_LIMIT}"
+        )
+    if spec.scan_proportion > 0 and spec.max_scan_length > _SCAN_LIMIT:
+        raise ValueError(
+            f"max_scan_length must fit a uint16 scan length: "
+            f"{spec.max_scan_length} > {_SCAN_LIMIT}"
+        )
 
-    codes, indices, value_sizes, scan_lengths = _compile_indices(
+    codes, indices, scan_lengths = _compile_indices(
         spec, record_count, operation_count, value_size, theta, seed
     )
     # Segment e starts at the first position p with p * epochs //
@@ -476,10 +520,14 @@ def compile_workload(
         if shift:
             lo, hi = segment_bounds[epoch], segment_bounds[epoch + 1]
             segment = indices[lo:hi]
-            # Inserts mint indices >= record_count, so they stay put.
-            loaded = segment < record_count
-            np.add(segment, shift, out=segment, where=loaded)
-            np.remainder(segment, record_count, out=segment, where=loaded)
+            # Inserts mint indices >= record_count, so they stay put.  A
+            # loaded index at or past ``wrap`` wraps by subtracting
+            # ``wrap``, so no intermediate leaves int32.
+            wrap = record_count - shift
+            wrapping = segment >= wrap
+            wrapping &= segment < record_count
+            np.add(segment, shift, out=segment, where=segment < wrap)
+            np.subtract(segment, wrap, out=segment, where=wrapping)
 
     return CompiledStream(
         workload=spec.name,
@@ -492,7 +540,6 @@ def compile_workload(
         hotspot_rotate_keys=hotspot_rotate_keys,
         codes=codes,
         key_indices=indices,
-        value_sizes=value_sizes,
         scan_lengths=scan_lengths,
         segment_bounds=segment_bounds,
     )
@@ -653,7 +700,6 @@ def open_ops(path: str, verify: bool = True) -> CompiledStream:
             hotspot_rotate_keys=int(meta["hotspot_rotate_keys"]),
             codes=arrays["codes"],
             key_indices=arrays["key_indices"],
-            value_sizes=arrays["value_sizes"],
             scan_lengths=arrays["scan_lengths"],
             segment_bounds=arrays["segment_bounds"],
         )
@@ -671,9 +717,9 @@ def _check_sections(stream: CompiledStream, values: bool) -> List[str]:
     """What makes ``stream`` unreplayable; empty when it is sound.
 
     Lengths come from the meta alone.  ``values`` also reads every
-    element, one numpy reduction per section: codes inside
-    :data:`KIND_NAMES`, key indices, value sizes and scan lengths
-    non-negative, and ``segment_bounds`` non-decreasing from 0 to
+    element, one numpy reduction per check: codes inside
+    :data:`KIND_NAMES`, key indices in ``[0, record_count +
+    operation_count)``, and ``segment_bounds`` non-decreasing from 0 to
     ``operation_count``.
     """
     n = stream.operation_count
@@ -686,7 +732,7 @@ def _check_sections(stream: CompiledStream, values: bool) -> List[str]:
     problems = [
         f"{name} has {len(getattr(stream, name))} entries, "
         f"operation_count is {n}"
-        for name in ("codes", "key_indices", "value_sizes", "scan_lengths")
+        for name in ("codes", "key_indices", "scan_lengths")
         if len(getattr(stream, name)) != n
     ]
     bounds = stream.segment_bounds
@@ -702,10 +748,13 @@ def _check_sections(stream: CompiledStream, values: bool) -> List[str]:
             f"op code {int(stream.codes.max())} outside "
             f"[0, {len(KIND_NAMES)})"
         )
-    for name in ("key_indices", "value_sizes", "scan_lengths"):
-        array = getattr(stream, name)
-        if n and int(array.min()) < 0:
-            problems.append(f"{name} holds {int(array.min())}, below 0")
+    if n:
+        low, high = int(stream.key_indices.min()), int(stream.key_indices.max())
+        span = stream.record_count + n
+        if low < 0 or high >= span:
+            problems.append(
+                f"key_indices run {low} .. {high}, outside [0, {span})"
+            )
     first, last = int(bounds[0]), int(bounds[-1])
     falls = (np.diff(bounds.astype(np.int64)) < 0).any()
     if first != 0 or last != n or falls:

@@ -32,9 +32,13 @@ def uniforms(rng: random.Random, count: int) -> np.ndarray:
     words = np.frombuffer(
         rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4"
     )
-    high = (words[0::2] >> 5).astype(np.float64)
-    low = (words[1::2] >> 6).astype(np.float64)
-    return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+    # In place, one float64 array: every step is exact, so the result
+    # is the same as the expression's.
+    draws = (words[0::2] >> 5).astype(np.float64)
+    draws *= 67108864.0
+    draws += words[1::2] >> 6
+    draws *= 1.0 / 9007199254740992.0
+    return draws
 
 
 def zeta(n: int, theta: float, initial_sum: float = 0.0, from_n: int = 0) -> float:
@@ -96,12 +100,17 @@ class ZipfianGenerator:
             raise ValueError(f"count must be non-negative: {count}")
         u = uniforms(self._rng, count)
         uz = u * self._zetan
-        ranks = (self.items * (self._eta * u - self._eta + 1.0) ** self._alpha).astype(
-            np.int64
-        )
-        ranks = np.where(uz < 1.0, 0, ranks)
-        ranks = np.where((uz >= 1.0) & (uz < 1.0 + 0.5**self.theta), 1, ranks)
-        return np.minimum(ranks, self.items - 1)
+        # ``items * (eta * u - eta + 1) ** alpha``, in place in ``u``.
+        u *= self._eta
+        u -= self._eta
+        u += 1.0
+        u **= self._alpha
+        u *= self.items
+        ranks = u.astype(np.int64)
+        del u
+        ranks[uz < 1.0 + 0.5**self.theta] = 1
+        ranks[uz < 1.0] = 0
+        return np.minimum(ranks, self.items - 1, out=ranks)
 
 
 class ScrambledZipfianGenerator:

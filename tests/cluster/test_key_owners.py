@@ -4,22 +4,27 @@
 keyspace once and then gathers; both the planner's demand probe and
 every shard worker route through it.  These tests pin it to the ring's
 own per-key routing, element for element, on every ring of a membership
-schedule, and pin the planner to one :class:`HashRing` per distinct ring.
+schedule, and pin the planner to one :class:`HashRing` per distinct ring,
+for one plan and for a grid of plans.
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro.cluster import (
+    ClusterGrid,
     ClusterSpec,
     HashRing,
     KeyOwners,
     membership_rings,
     plan_cluster,
+    run_cluster_grid,
 )
+from repro.cluster import runner as cluster_runner
 from repro.workloads.compiled import key_rows
 
 #: Adds, removes and two changes in one epoch (an intermediate ring).
@@ -67,7 +72,8 @@ def test_each_ring_object_is_routed_once(monkeypatch):
     assert routed == [50] * len({id(ring) for ring in RINGS})
 
 
-def test_plan_builds_one_ring_per_distinct_ring(monkeypatch):
+def _count_rings(monkeypatch):
+    """Every :class:`HashRing` built from here on, by its shard ids."""
     built = []
     real_init = HashRing.__init__
 
@@ -76,6 +82,11 @@ def test_plan_builds_one_ring_per_distinct_ring(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(HashRing, "__init__", counting_init)
+    return built
+
+
+def test_plan_builds_one_ring_per_distinct_ring(monkeypatch):
+    built = _count_rings(monkeypatch)
     for budget in (None, 0.05):
         built.clear()
         spec = ClusterSpec(
@@ -89,3 +100,38 @@ def test_plan_builds_one_ring_per_distinct_ring(monkeypatch):
         plan = plan_cluster(spec)
         assert len(plan.migrations) == 1
         assert len(built) == 2, built
+
+
+def test_grid_builds_one_ring_schedule_for_all_budgets(monkeypatch):
+    """A grid's plans share one ring schedule and one probe: 3 budgets,
+    one membership change, 2 rings built (not 2 per budget)."""
+
+    class Planned(Exception):
+        pass
+
+    def stop_after_planning(job_list, **kwargs):
+        raise Planned(len(job_list))
+
+    probes = []
+    real_probe = cluster_runner._probe
+
+    def counting_probe(spec, rings, stream):
+        probes.append(spec.total_budget_fraction)
+        return real_probe(spec, rings, stream)
+
+    built = _count_rings(monkeypatch)
+    monkeypatch.setattr(cluster_runner, "_probe", counting_probe)
+    monkeypatch.setattr(cluster_runner, "execute_jobs", stop_after_planning)
+    grid = ClusterGrid(
+        shard_counts=(4,),
+        total_budgets_gb=(None, 2.0, 6.0),
+        record_count=300,
+        operation_count=1_200,
+        epochs=6,
+        membership=((2, "remove", 1),),
+    )
+    with pytest.raises(Planned) as planned:
+        run_cluster_grid(grid)
+    assert planned.value.args == (12,)  # 3 budgets x 4 shards planned
+    assert len(built) == 2, built
+    assert probes == [None]  # the first spec's probe serves all three

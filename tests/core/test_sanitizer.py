@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ViyojitConfig
+from repro.core.finegrain import FineGrainViyojit
 from repro.core.runtime import Viyojit
 from repro.core.sanitizer import (
     INVARIANTS,
@@ -191,20 +192,38 @@ class TestHooksWired:
             system.sim.run_until(system.sim.now + system.config.epoch_ns)
         assert exc.value.invariant == "scan-coherence"
 
-    def test_after_flush_complete_sees_wrong_durable_bytes(self):
-        class CorruptingStore(BackingStore):
-            def persist(self, pfn, data, version):
-                super().persist(pfn, bytes(reversed(data)), version)
+    class CorruptingStore(BackingStore):
+        def persist(self, pfn, data, version):
+            super().persist(pfn, bytes(reversed(data)), version)
 
+    def test_after_flush_complete_sees_wrong_durable_bytes(self):
         sim = Simulation()
         config = ViyojitConfig(dirty_budget_pages=2, sanitize=True)
         system = Viyojit(
             sim, num_pages=32, config=config,
-            backing=CorruptingStore(32, 4096),
+            backing=self.CorruptingStore(32, 4096),
         )
         system.start()
         with pytest.raises(InvariantViolation) as exc:
             dirty_distinct_pages(system, 4)  # past the budget: evictions
+        assert exc.value.invariant == "evicted-durability"
+
+    def test_fine_grain_after_flush_complete_sees_wrong_durable_bytes(self):
+        sim = Simulation()
+        config = ViyojitConfig(dirty_budget_pages=2, sanitize=True)
+        system = FineGrainViyojit(
+            sim, num_pages=32, config=config,
+            backing=self.CorruptingStore(32, 4096),
+        )
+        system.start()
+        page_size = system.region.page_size
+        mapping = system.mmap(4 * page_size)
+        # The budget is in bytes here: whole, non-palindromic pages run
+        # past it, so pages are evicted and their corrupted copies seen.
+        image = bytes(range(256)) * (page_size // 256)
+        with pytest.raises(InvariantViolation) as exc:
+            for page in range(4):
+                system.write(mapping.addr(page * page_size), image)
         assert exc.value.invariant == "evicted-durability"
 
 

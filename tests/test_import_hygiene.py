@@ -2,7 +2,8 @@
 
 A simulation process (a sweep or cluster shard worker, a ``repro`` run)
 must not drag in the static-analysis package or anything of
-:mod:`repro.perf` beyond the wall-clock timer.  The check runs in a
+:mod:`repro.perf` beyond the wall-clock timer, and a process that runs
+no pool must not load the process-pool stack.  The check runs in a
 fresh interpreter so modules other tests imported do not mask a leak.
 """
 
@@ -17,21 +18,29 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 PROBE = """
 import json, sys
-import repro.core.runtime, repro.parallel.engine, repro.cluster.runner
+import {modules}
 print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_runtime_and_engines_skip_analysis_and_perf_suite():
+def _loaded_after_importing(*modules: str) -> list:
+    """Every module in ``sys.modules`` after a fresh interpreter imports
+    ``modules``."""
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", PROBE.format(modules=", ".join(modules))],
         capture_output=True,
         text=True,
         check=True,
         cwd=REPO_ROOT,
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
-    loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_runtime_and_engines_skip_analysis_and_perf_suite():
+    loaded = _loaded_after_importing(
+        "repro.core.runtime", "repro.parallel.engine", "repro.cluster.runner"
+    )
     leaked = [
         name
         for name in loaded
@@ -41,3 +50,18 @@ def test_runtime_and_engines_skip_analysis_and_perf_suite():
     ]
     assert leaked == []
     assert "repro.perf.timer" in loaded
+
+
+def test_single_node_runners_skip_the_process_pool_stack():
+    """The process pool is imported by the run that uses it: a process
+    that runs no pool never loads ``concurrent.futures`` or
+    ``multiprocessing``."""
+    loaded = _loaded_after_importing(
+        "repro.bench.runner", "repro.cluster.runner", "repro.obs.harness"
+    )
+    pool_stack = [
+        name
+        for name in loaded
+        if name.split(".")[0] in ("concurrent", "multiprocessing")
+    ]
+    assert pool_stack == []

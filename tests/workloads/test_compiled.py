@@ -24,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
+from repro.workloads import compiled as compiled_module
 from repro.workloads.compiled import (
     _COMPILE_BLOCK,
     CODE_OF,
@@ -82,6 +84,11 @@ def test_compiled_equals_generate_operations(
         )
     )
     assert list(stream.operations()) == expected
+    # The derived per-op sizes are what a version-1 file stored: the
+    # generator's ``value_size`` field, op for op.
+    assert stream.value_sizes.dtype == np.int32
+    assert stream.value_sizes.tolist() == [op.value_size for op in expected]
+    assert not stream.value_sizes.flags.writeable
 
 
 @given(
@@ -212,9 +219,8 @@ def test_has_scans_matches_the_whole_stream_comparison(workload):
 def test_compile_and_save_memory_is_the_stream_plus_one_block(
     tmp_path, rotate
 ):
-    # One whole-stream int64 temporary adds 0.47x the section bytes and
-    # a bytes copy of the file 1.0x; building the file as bytes peaked
-    # at 4.0x.
+    # The stored sections are 7 bytes per op; one whole-stream int64
+    # temporary adds 1.14x them and a bytes copy of the file 1.0x.
     spec = YCSB_WORKLOADS["YCSB-A"]
     # Save a tiny stream first so lazy imports are not traced.
     save_ops(compile_workload(spec, 5, 5), str(tmp_path / "warm.ops"))
@@ -229,14 +235,9 @@ def test_compile_and_save_memory_is_the_stream_plus_one_block(
         tracemalloc.stop()
     sections = sum(
         getattr(stream, name).nbytes
-        for name in (
-            "codes",
-            "key_indices",
-            "value_sizes",
-            "scan_lengths",
-            "segment_bounds",
-        )
+        for name in ("codes", "key_indices", "scan_lengths", "segment_bounds")
     )
+    assert sections == 7 * len(stream) + 4 * 5
     assert peak < 1.25 * sections, (peak, sections)
 
 
@@ -385,6 +386,119 @@ class TestOpsFormat:
         with pytest.raises(OpsFormatError):
             ops_checksum(path)
 
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_other_format_versions_are_rejected(self, tmp_path, version):
+        path = str(tmp_path / "a.ops")
+        save_ops(self._stream(operation_count=300), path)
+        # The version word sits before the checksummed bytes, so only
+        # the version check can refuse the file.
+        with open(path, "r+b") as handle:
+            handle.seek(8)
+            handle.write(version.to_bytes(4, "little"))
+        with pytest.raises(
+            OpsFormatError, match=f"unsupported .ops version {version} "
+        ):
+            open_ops(path)
+
+    def test_sections_are_stored_at_replay_width(self, tmp_path):
+        stream = self._stream(epochs=3)
+        path = str(tmp_path / "a.ops")
+        save_ops(stream, path)
+        reopened = open_ops(path)
+        widths = {
+            name: getattr(reopened, name).dtype.str
+            for name in ("codes", "key_indices", "scan_lengths", "segment_bounds")
+        }
+        assert widths == {
+            "codes": "|u1",
+            "key_indices": "<i4",
+            "scan_lengths": "<u2",
+            "segment_bounds": "<i4",
+        }
+        assert b"value_sizes" not in (tmp_path / "a.ops").read_bytes()
+        assert np.array_equal(reopened.value_sizes, stream.value_sizes)
+
+
+class TestWidthLimits:
+    """Counts past the stored widths are refused before anything is
+    allocated.  ``_compile_indices`` (the first allocation) is replaced
+    by a tripwire, so a missing check fails fast instead of allocating
+    a 2**31-op stream."""
+
+    class Compiled(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def tripwire(self, monkeypatch):
+        def compile_indices(*args):
+            raise self.Compiled
+
+        monkeypatch.setattr(
+            compiled_module, "_compile_indices", compile_indices
+        )
+
+    @pytest.mark.parametrize(
+        "record_count, operation_count",
+        [(2**31 - 2, 1), (1, 2**31 - 2), (2**31 - 1, 0)],
+    )
+    def test_largest_int32_keyspace_passes_validation(
+        self, record_count, operation_count
+    ):
+        with pytest.raises(self.Compiled):
+            compile_workload(
+                YCSB_WORKLOADS["YCSB-A"], record_count, operation_count
+            )
+
+    @pytest.mark.parametrize(
+        "record_count, operation_count",
+        [(2**31 - 1, 1), (1, 2**31 - 1), (2**31, 0), (5_000, 2**40)],
+    )
+    def test_keyspace_past_int32_is_refused(
+        self, record_count, operation_count
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="must fit an int32 key"):
+                compile_workload(
+                    YCSB_WORKLOADS["YCSB-A"], record_count, operation_count
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, peak
+
+    def test_scan_length_past_uint16_is_refused(self):
+        spec = YCSB_WORKLOADS["YCSB-E"]
+        with pytest.raises(self.Compiled):
+            compile_workload(
+                dataclasses.replace(spec, max_scan_length=2**16 - 1), 10, 10
+            )
+        with pytest.raises(ValueError, match="must fit a uint16 scan"):
+            compile_workload(
+                dataclasses.replace(spec, max_scan_length=2**16), 10, 10
+            )
+        # A mix without scans never stores a scan length.
+        with pytest.raises(self.Compiled):
+            compile_workload(
+                dataclasses.replace(
+                    YCSB_WORKLOADS["YCSB-A"], max_scan_length=2**16
+                ),
+                10,
+                10,
+            )
+
+    def test_cli_exits_2_with_one_line(self, capsys, tmp_path):
+        out = str(tmp_path / "big.ops")
+        argv = ["compile", "--records", "5000", "--ops", str(2**31), "--out", out]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro: error: record_count + operation_count must fit an int32 "
+            f"key index: 5000 + {2**31} > {2**31 - 1}\n"
+        )
+        assert captured.out == ""
+        assert not os.path.exists(out)
+
 
 def _doctored(stream: CompiledStream, case: str) -> CompiledStream:
     if case == "op code 9":
@@ -404,10 +518,12 @@ def _doctored(stream: CompiledStream, case: str) -> CompiledStream:
             stream,
             segment_bounds=np.array([0, 2 * len(stream)], dtype=np.int32),
         )
-    assert case == "value size -1"
-    sizes = np.array(stream.value_sizes)
-    sizes[3] = -1
-    return dataclasses.replace(stream, value_sizes=sizes)
+    assert case == "key index 1100"
+    # 100 records + 1,000 ops: 1100 is the first index past the keyspace.
+    indices = np.array(stream.key_indices)
+    indices[3] = stream.record_count + len(stream)
+    assert indices[3] == 1100
+    return dataclasses.replace(stream, key_indices=indices)
 
 
 class TestOpsContents:
@@ -420,7 +536,7 @@ class TestOpsContents:
         "short key_indices",
         "key index -3",
         "bounds past the end",
-        "value size -1",
+        "key index 1100",
     ]
 
     @pytest.mark.parametrize("case", CASES)
