@@ -427,24 +427,37 @@ class ForkSafetyRule(ProgramRule):
     title = "fork safety: picklable pool entries, no worker global writes"
 
     def check_program(self, project: ProjectIndex) -> Iterable[Violation]:
-        graph = project.graph
         entries: List[str] = []
-        for module_name in sorted(project.modules):
-            if not (
-                module_name == P1_SCOPE_PREFIX
-                or module_name.startswith(P1_SCOPE_PREFIX + ".")
-            ):
-                continue
-            module = project.modules[module_name]
-            yield from self._check_submissions(
-                project, graph, module_name, module, entries
-            )
-        tree = graph.reachable(entries)
-        for qualname in sorted(tree):
+        yield from self._check_all_submissions(project, entries)
+        for qualname in sorted(project.graph.reachable(entries)):
             info = project.functions.get(qualname)
             if info is None:
                 continue
             yield from self._check_worker_function(project, info)
+
+    def pool_entries(self, project: ProjectIndex) -> List[str]:
+        """Qualified names of the functions submitted to process pools:
+        the roots of the worker tree."""
+        entries: List[str] = []
+        for _ in self._check_all_submissions(project, entries):
+            pass
+        return entries
+
+    def _check_all_submissions(
+        self, project: ProjectIndex, entries: List[str]
+    ) -> Iterable[Violation]:
+        for module_name in sorted(project.modules):
+            if (
+                module_name == P1_SCOPE_PREFIX
+                or module_name.startswith(P1_SCOPE_PREFIX + ".")
+            ):
+                yield from self._check_submissions(
+                    project,
+                    project.graph,
+                    module_name,
+                    project.modules[module_name],
+                    entries,
+                )
 
     # -- submission sites --------------------------------------------------
 

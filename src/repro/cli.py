@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.bench import experiments
 from repro.bench.reporting import format_table
@@ -41,18 +41,20 @@ from repro.bench.runner import ExperimentScale, PAPER_HEAP_GB
 from repro.workloads.ycsb import YCSB_WORKLOADS
 
 
+def _workload_name(text: str) -> str:
+    """``a``, ``ycsb-a`` and ``YCSB-A`` all name YCSB-A."""
+    token = text.strip().upper()
+    name = token if token.startswith("YCSB-") else f"YCSB-{token}"
+    if name not in YCSB_WORKLOADS:
+        raise ValueError(
+            f"unknown workload {token!r}; choose from "
+            f"{sorted(YCSB_WORKLOADS)}"
+        )
+    return name
+
+
 def _parse_workloads(spec: str) -> List[str]:
-    names = []
-    for token in spec.split(","):
-        token = token.strip().upper()
-        name = token if token.startswith("YCSB-") else f"YCSB-{token}"
-        if name not in YCSB_WORKLOADS:
-            raise ValueError(
-                f"unknown workload {token!r}; choose from "
-                f"{sorted(YCSB_WORKLOADS)}"
-            )
-        names.append(name)
-    return names
+    return [_workload_name(token) for token in spec.split(",")]
 
 
 def _scale_from(args: argparse.Namespace) -> ExperimentScale:
@@ -385,7 +387,7 @@ def cmd_policies(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.parallel import SweepError, SweepGrid, dumps, run_sweep
+    from repro.parallel import SweepGrid, run_sweep
 
     if args.grid:
         grid = SweepGrid.from_file(args.grid)
@@ -404,29 +406,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             record_count=args.records,
             operation_count=args.ops,
         )
-    try:
-        report = run_sweep(
-            grid,
-            jobs=args.jobs,
-            timeout_s=args.timeout,
-            max_retries=args.retries,
-            progress=print if args.progress else None,
-        )
-    except KeyboardInterrupt:
-        print(
-            "sweep interrupted; partial results discarded",
-            file=sys.stderr,
-        )
-        return 130
-    except SweepError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        print(
-            f"partial results: {len(exc.partial)} of "
-            f"{len(grid.jobs())} job(s) completed "
-            f"(failed: {sorted(exc.failures)})",
-            file=sys.stderr,
-        )
-        return 1
+    return _run_grid(args, "sweep", run_sweep, grid, _print_sweep)
+
+
+def _print_sweep(report: dict, args: argparse.Namespace) -> None:
     rows = [
         {
             "workload": row["workload"],
@@ -446,18 +429,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"--jobs {args.jobs})",
             )
         )
-    print(f"sweep checksum: {report['checksum_sha256']}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dumps(report, strip_wall=args.strip_wall))
-        print(f"wrote {args.out}")
-    return 0
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterGrid, run_cluster_grid
-    from repro.cluster.report import dumps
-    from repro.parallel import SweepError
 
     if args.shards is not None:
         shard_counts = (args.shards,)
@@ -469,9 +444,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     budgets.extend(
         float(token) for token in args.total_budgets_gb.split(",")
     )
-    workload = args.workload.strip().upper()
-    if not workload.startswith("YCSB-"):
-        workload = f"YCSB-{workload}"
     degrade: tuple = ()
     if args.pool_degrade:
         steps = []
@@ -485,18 +457,16 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         for token in args.membership.split(","):
             parts = token.split(":")
             if len(parts) != 3:
-                print(
+                raise ValueError(
                     f"bad membership entry {token!r}: expected "
-                    f"EPOCH:add|remove:SHARD",
-                    file=sys.stderr,
+                    f"EPOCH:add|remove:SHARD"
                 )
-                return 2
             changes.append((int(parts[0]), parts[1], int(parts[2])))
         membership = tuple(changes)
     grid = ClusterGrid(
         shard_counts=shard_counts,
         total_budgets_gb=tuple(budgets),
-        workload=workload,
+        workload=_workload_name(args.workload),
         theta=args.theta,
         seed=args.seed,
         record_count=args.records,
@@ -508,28 +478,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         membership=membership,
         hotspot_rotate_keys=args.hotspot_rotate,
     )
-    try:
-        report = run_cluster_grid(
-            grid,
-            jobs=args.jobs,
-            timeout_s=args.timeout,
-            max_retries=args.retries,
-            progress=print if args.progress else None,
-        )
-    except KeyboardInterrupt:
-        print(
-            "cluster run interrupted; partial results discarded",
-            file=sys.stderr,
-        )
-        return 130
-    except SweepError as exc:
-        print(f"cluster run failed: {exc}", file=sys.stderr)
-        print(
-            f"partial results: {len(exc.partial)} shard job(s) completed "
-            f"(failed: {sorted(exc.failures)})",
-            file=sys.stderr,
-        )
-        return 1
+    return _run_grid(args, "cluster", run_cluster_grid, grid, _print_cluster)
+
+
+def _print_cluster(report: dict, args: argparse.Namespace) -> None:
     rows = [
         {
             "shards": row["shards"],
@@ -564,7 +516,42 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             f"{misallocation['predictor']}]: "
             f"L1 {misallocation['total']} ({improved})"
         )
-    print(f"cluster checksum: {report['checksum_sha256']}")
+
+
+def _run_grid(
+    args: argparse.Namespace,
+    name: str,
+    run: Callable[..., dict],
+    grid: object,
+    print_tables: Callable[[dict, argparse.Namespace], None],
+) -> int:
+    """Run ``grid`` under :func:`_add_run_flags`' flags, print its tables
+    and checksum, write ``--out``: exit 0, 1 on a failed job, 130 on an
+    interrupt."""
+    from repro.parallel import SweepError, dumps
+
+    try:
+        report = run(
+            grid,
+            jobs=args.jobs,
+            timeout_s=args.timeout,
+            max_retries=args.retries,
+            progress=print if args.progress else None,
+        )
+    except KeyboardInterrupt:
+        print(f"{name} interrupted; partial results discarded", file=sys.stderr)
+        return 130
+    except SweepError as exc:
+        print(f"{name} failed: {exc}", file=sys.stderr)
+        print(
+            f"partial results: {len(exc.partial)} of "
+            f"{len(exc.partial) + len(exc.failures)} job(s) completed "
+            f"(failed: {sorted(exc.failures)})",
+            file=sys.stderr,
+        )
+        return 1
+    print_tables(report, args)
+    print(f"{name} checksum: {report['checksum_sha256']}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(dumps(report, strip_wall=args.strip_wall))
@@ -572,19 +559,26 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_run_flags(parser: argparse.ArgumentParser, report: str) -> None:
+    """The execution flags ``repro sweep`` and ``repro cluster`` share."""
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (1 = in-process serial)")
+    parser.add_argument("--timeout", type=float, default=None,
+                        help="per-job timeout in wall seconds")
+    parser.add_argument("--retries", type=int, default=2,
+                        help="max retries per failed job (default 2)")
+    parser.add_argument("--out", type=str, default=None,
+                        help=f"write {report} to this path")
+    parser.add_argument("--strip-wall", action="store_true",
+                        help="write the deterministic view (no wall section)")
+    parser.add_argument("--progress", action="store_true",
+                        help="print per-job progress lines")
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
     from repro.workloads.compiled import compile_workload, save_ops
 
-    name = args.workload.strip().upper()
-    if not name.startswith("YCSB-"):
-        name = f"YCSB-{name}"
-    if name not in YCSB_WORKLOADS:
-        print(
-            f"unknown workload {args.workload!r}; choose from "
-            f"{sorted(YCSB_WORKLOADS)}",
-            file=sys.stderr,
-        )
-        return 2
+    name = _workload_name(args.workload)
     stream = compile_workload(
         YCSB_WORKLOADS[name],
         args.records,
@@ -780,18 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="operations per job (default 6000)")
     sweep.add_argument("--grid", type=str, default=None,
                        help="JSON grid file overriding the flags above")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (1 = in-process serial)")
-    sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-job timeout in wall seconds")
-    sweep.add_argument("--retries", type=int, default=2,
-                       help="max retries per failed job (default 2)")
-    sweep.add_argument("--out", type=str, default=None,
-                       help="write SWEEP.json to this path")
-    sweep.add_argument("--strip-wall", action="store_true",
-                       help="write the deterministic view (no wall section)")
-    sweep.add_argument("--progress", action="store_true",
-                       help="print per-job progress lines")
+    _add_run_flags(sweep, "SWEEP.json")
     sweep.set_defaults(func=cmd_sweep)
 
     cluster = sub.add_parser(
@@ -837,18 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--pool-degrade", type=str, default=None,
                          help="epoch:fraction pool-health losses, "
                          "comma-separated (e.g. 2:0.3)")
-    cluster.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (1 = in-process serial)")
-    cluster.add_argument("--timeout", type=float, default=None,
-                         help="per-shard-job timeout in wall seconds")
-    cluster.add_argument("--retries", type=int, default=2,
-                         help="max retries per failed job (default 2)")
-    cluster.add_argument("--out", type=str, default=None,
-                         help="write CLUSTER.json to this path")
-    cluster.add_argument("--strip-wall", action="store_true",
-                         help="write the deterministic view (no wall section)")
-    cluster.add_argument("--progress", action="store_true",
-                         help="print per-job progress lines")
+    _add_run_flags(cluster, "CLUSTER.json")
     cluster.set_defaults(func=cmd_cluster)
     return parser
 

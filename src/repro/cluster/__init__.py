@@ -35,7 +35,6 @@ from repro.cluster.report import (
 )
 from repro.cluster.ring import RING_BITS, RING_SIZE, HashRing
 from repro.cluster.runner import (
-    CLUSTER_POOL_ENTRY,
     MEMBERSHIP_ACTIONS,
     ClusterGrid,
     ClusterPlan,
@@ -45,7 +44,6 @@ from repro.cluster.runner import (
     active_masks,
     membership_rings,
     plan_cluster,
-    pool_run_shard_job,
     probe_demands,
     run_cluster_grid,
     run_shard_job,
@@ -54,7 +52,6 @@ from repro.cluster.runner import (
 
 __all__ = [
     "BatteryPool",
-    "CLUSTER_POOL_ENTRY",
     "CLUSTER_SCHEMA_VERSION",
     "ClusterGrid",
     "ClusterPlan",
@@ -85,7 +82,6 @@ __all__ = [
     "misallocation_series",
     "plan_cluster",
     "plan_epoch",
-    "pool_run_shard_job",
     "probe_demands",
     "run_cluster_grid",
     "run_shard_job",

@@ -1,8 +1,9 @@
 """Merged cluster report (``CLUSTER.json``).
 
 Same determinism contract as ``SWEEP.json``
-(:mod:`repro.parallel.report`, whose canonicalisation, checksum, and
-``deterministic_view`` helpers this module reuses): results merge by
+(:mod:`repro.parallel.report`, whose canonicalisation, checksum,
+``deterministic_view``, ``job_entries`` and ``seal`` helpers this
+module reuses): results merge by
 global job index, wall-clock data is quarantined under the top-level
 ``wall`` key, and the embedded sha256 covers exactly the deterministic
 view — so two cluster runs agree iff their checksums agree, regardless
@@ -30,8 +31,13 @@ from typing import Dict, List, Sequence, TYPE_CHECKING
 
 from repro.bench.reporting import overhead_percent
 from repro.cluster.rebalancer import lease_churn
-from repro.parallel.report import checksum, deterministic_view, dumps
-from repro.perf.timer import timestamp
+from repro.parallel.report import (
+    checksum,
+    deterministic_view,
+    dumps,
+    job_entries,
+    seal,
+)
 
 if TYPE_CHECKING:
     from repro.cluster.runner import ClusterGrid, ClusterPlan
@@ -146,26 +152,18 @@ def build_cluster_report(
     """Merge shard payloads and coordinator plans into CLUSTER.json.
 
     ``results`` maps global job index ->
-    :func:`repro.cluster.runner.run_shard_job` payload.  Indices are
+    :func:`repro.parallel.worker.run_job` payload.  Indices are
     assigned by :func:`repro.cluster.runner.shard_jobs` (plan order,
     then shard order) — the same arithmetic slices them back here.
     """
-    expected = sum(plan.spec.total_shards() for plan in plans)
-    missing = set(range(expected)) - set(results)
-    if missing:
-        raise ValueError(f"results missing job indices: {sorted(missing)}")
+    entries = job_entries(
+        results, sum(plan.spec.total_shards() for plan in plans)
+    )
     runs = []
-    job_wall_s: Dict[str, float] = {}
     index = 0
     for plan in plans:
-        shards = []
-        for _ in range(plan.spec.total_shards()):
-            payload = results[index]
-            shards.append(
-                {"job": payload["job"], "result": payload["result"]}
-            )
-            job_wall_s[str(index)] = round(payload["wall_s"], 6)
-            index += 1
+        shards = entries[index:index + plan.spec.total_shards()]
+        index += len(shards)
         runs.append(
             {
                 "spec": plan.spec.as_dict(),
@@ -187,12 +185,10 @@ def build_cluster_report(
         "runs": runs,
         "tables": {"throughput_vs_total_battery": _battery_rows(runs)},
     }
-    report["checksum_sha256"] = checksum(report)
-    report["wall"] = {
-        "workers": workers,
-        "retries": retries,
-        "total_wall_s": round(total_wall_s, 6),
-        "job_wall_s": job_wall_s,
-        "generated_at_unix": round(timestamp(), 3),
-    }
-    return report
+    return seal(
+        report,
+        results,
+        workers=workers,
+        total_wall_s=total_wall_s,
+        retries=retries,
+    )

@@ -69,6 +69,7 @@ from repro.cluster.forecast import (
 )
 from repro.cluster.pool import BatteryPool, PoolLease
 from repro.cluster.rebalancer import FLOOR_PAGES
+from repro.cluster.report import build_cluster_report
 from repro.cluster.ring import HashRing
 from repro.core.runtime import NVDRAMSystem, Viyojit
 from repro.obs.events import (
@@ -81,12 +82,7 @@ from repro.obs.events import (
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.engine import Progress, execute_jobs
-from repro.parallel.worker import (
-    job_timeout,
-    maybe_kill_once,
-    result_payload,
-)
-from repro.perf.timer import best_of
+from repro.parallel.worker import job_identity, result_payload, run_job
 from repro.workloads.compiled import (
     CODE_INSERT,
     CODE_RMW,
@@ -99,9 +95,6 @@ from repro.workloads.compiled import (
     save_ops,
 )
 from repro.workloads.ycsb import YCSB_WORKLOADS
-
-#: Pool entry for shard jobs (resolved by the engine's dispatcher).
-CLUSTER_POOL_ENTRY = "repro.cluster.runner:pool_run_shard_job"
 
 #: Default Fig-7-style x-axis: total pool battery in paper GB.
 DEFAULT_TOTAL_BUDGETS_GB = (2.0, 6.0, 10.0)
@@ -193,6 +186,11 @@ def membership_rings(
                 ring = ring.without_shard(shard)
         rings.append(ring)
     return rings
+
+
+def _total_shards(shards: int, membership: Membership) -> int:
+    """Shard-id universe size: initial shards plus scheduled adds."""
+    return shards + sum(1 for _, action, _ in membership if action == "add")
 
 
 def active_masks(
@@ -358,18 +356,10 @@ class ClusterSpec:
 
     def scale(self) -> ExperimentScale:
         """The global dataset's experiment scale (shared by all shards)."""
-        return ExperimentScale(
-            record_count=self.record_count,
-            operation_count=self.operation_count,
-            zipf_theta=self.theta,
-            seed=self.seed,
-        )
+        return _stream_scale(self)
 
     def total_shards(self) -> int:
-        """Shard-id universe size: initial shards plus scheduled adds."""
-        return self.shards + sum(
-            1 for _, action, _ in self.membership if action == "add"
-        )
+        return _total_shards(self.shards, self.membership)
 
     def pool_capacity_pages(self) -> Optional[int]:
         """Total pool budget in pages (None for the baseline cluster)."""
@@ -441,9 +431,7 @@ class ShardJob:
             "membership",
             _normalize_membership(self.membership, self.shards, self.epochs),
         )
-        total = self.shards + sum(
-            1 for _, action, _ in self.membership if action == "add"
-        )
+        total = _total_shards(self.shards, self.membership)
         if not 0 <= self.shard < total:
             raise ValueError(
                 f"shard {self.shard} outside [0, {total})"
@@ -471,11 +459,11 @@ class ShardJob:
     def rings(self) -> List[HashRing]:
         return membership_rings(self.shards, self.membership, self.epochs)
 
+    def run(self) -> Dict[str, object]:
+        return _execute_shard(self)
+
     def as_dict(self) -> Dict[str, object]:
-        data = asdict(self)
-        data.pop("timeout_s")
-        data.pop("fault_kill_once_path")
-        data.pop("ops_path")
+        data = job_identity(self)
         data["budget_schedule"] = (
             list(self.budget_schedule)
             if self.budget_schedule is not None
@@ -505,9 +493,9 @@ def _probe(
     spec: ClusterSpec,
     rings: Sequence[HashRing],
     stream: CompiledStream,
-) -> Tuple[List[List[int]], List[np.ndarray]]:
+) -> Tuple[List[List[int]], List[np.ndarray], KeyOwners]:
     """Per-shard demand plus inserted key indices per epoch, from array
-    passes.
+    passes, and the :class:`KeyOwners` that routed them.
 
     ``demands[epoch][shard]`` counts distinct written keys;
     ``inserts[epoch]`` holds the key indices inserts created during that
@@ -540,7 +528,7 @@ def _probe(
         shards = owners.shards(rings[epoch], distinct)
         counts = np.bincount(shards, minlength=total_shards)
         demands.append([int(count) for count in counts])
-    return demands, inserts
+    return demands, inserts, owners
 
 
 def probe_demands(
@@ -561,7 +549,7 @@ def probe_demands(
     rings = [ring] * spec.epochs if ring is not None else spec.rings()
     if stream is None:
         stream = _compile_stream(spec)
-    demands, _ = _probe(spec, rings, stream)
+    demands, _, _ = _probe(spec, rings, stream)
     return demands
 
 
@@ -572,9 +560,12 @@ def probe_demands(
 #: once.
 _ProbeKey = Tuple[str, float, int, int, int, int, int, int, Membership]
 
-#: One spec's ring schedule with the probe output routed through it:
-#: ``(rings, demands, inserts)``.
-_ProbeResult = Tuple[List[HashRing], List[List[int]], List[np.ndarray]]
+#: One spec's ring schedule with the probe output routed through it and
+#: the ownership tables of its rings: ``(rings, demands, inserts,
+#: owners)``.
+_ProbeResult = Tuple[
+    List[HashRing], List[List[int]], List[np.ndarray], KeyOwners
+]
 
 ProbeCache = Dict[_ProbeKey, _ProbeResult]
 
@@ -604,9 +595,10 @@ def _cached_probe(
     The coordinator consumes the probe twice per planned run (lease
     planning and the :func:`_reference_lease_vectors` counterfactual
     replay), and a grid re-plans the same workload once per budget —
-    the cache collapses all of that to one ring schedule and one probe
-    per distinct (stream, ring schedule) combination.  A caller holding
-    no compiled ``stream`` gets the spec's compiled here, on a miss.
+    the cache collapses all of that to one ring schedule, one probe and
+    one :class:`KeyOwners` (so one routing pass per distinct ring) per
+    distinct (stream, ring schedule) combination.  A caller holding no
+    compiled ``stream`` gets the spec's compiled here, on a miss.
     """
     key = _probe_cache_key(spec)
     found = cache.get(key) if cache is not None else None
@@ -614,8 +606,7 @@ def _cached_probe(
         if stream is None:
             stream = _compile_stream(spec)
         rings = spec.rings()
-        demands, inserts = _probe(spec, rings, stream)
-        found = (rings, demands, inserts)
+        found = (rings, *_probe(spec, rings, stream))
         if cache is not None:
             cache[key] = found
     return found
@@ -761,24 +752,17 @@ def plan_cluster(
     once and shared by the lease loop, the
     :func:`_reference_lease_vectors` replay and the misallocation
     report.  Live key indices are assembled, and routed through the
-    plan's :class:`KeyOwners`, only at the epochs whose ring the
-    membership schedule changes.
+    probe's :class:`KeyOwners` (whose tables every plan of the schedule
+    shares), only at the epochs whose ring the membership schedule
+    changes.
     """
     total_shards = spec.total_shards()
     if stream is not None:
-        stream.require(
-            YCSB_WORKLOADS[spec.workload],
-            spec.record_count,
-            spec.operation_count,
-            spec.scale().value_size,
-            spec.theta,
-            spec.seed,
-            epochs=spec.epochs,
-            hotspot_rotate_keys=spec.hotspot_rotate_keys,
-        )
-    rings, demands, inserts = _cached_probe(spec, stream, probe_cache)
+        _require_stream(stream, spec)
+    rings, demands, inserts, owners = _cached_probe(
+        spec, stream, probe_cache
+    )
     capacity = spec.pool_capacity_pages()
-    owners = KeyOwners(spec.record_count)
     events: List[Dict[str, object]] = []
     migrations: List[Dict[str, object]] = []
 
@@ -921,31 +905,51 @@ def plan_cluster(
 # -- shard execution (worker side) ----------------------------------------
 
 
-def _compile_stream(
-    source: Union[ClusterSpec, ShardJob, ClusterGrid],
-) -> CompiledStream:
-    """The one segmented, rotated global op stream of a cluster run.
+#: A spec, its shard jobs and the grid it came from carry the same
+#: workload parameters under the same names, so any of them names the
+#: run's one op stream.
+StreamSource = Union[ClusterSpec, ShardJob, "ClusterGrid"]
 
-    A spec, its shard jobs and the grid it came from carry the same
-    workload parameters under the same names, so any of them compiles
-    the identical stream.
-    """
-    scale = ExperimentScale(
+
+def _stream_scale(source: StreamSource) -> ExperimentScale:
+    return ExperimentScale(
         record_count=source.record_count,
         operation_count=source.operation_count,
         zipf_theta=source.theta,
         seed=source.seed,
     )
+
+
+def _compile_stream(source: StreamSource) -> CompiledStream:
+    """The one segmented, rotated global op stream of a cluster run."""
     return compile_workload(
         YCSB_WORKLOADS[source.workload],
         source.record_count,
         source.operation_count,
-        value_size=scale.value_size,
+        value_size=_stream_scale(source).value_size,
         theta=source.theta,
         seed=source.seed,
         epochs=source.epochs,
         hotspot_rotate_keys=source.hotspot_rotate_keys,
     )
+
+
+def _require_stream(
+    stream: CompiledStream, source: StreamSource
+) -> CompiledStream:
+    """``stream``, refused unless it is ``source``'s
+    :func:`_compile_stream` output."""
+    stream.require(
+        YCSB_WORKLOADS[source.workload],
+        source.record_count,
+        source.operation_count,
+        _stream_scale(source).value_size,
+        source.theta,
+        source.seed,
+        epochs=source.epochs,
+        hotspot_rotate_keys=source.hotspot_rotate_keys,
+    )
+    return stream
 
 
 def _execute_shard(job: ShardJob) -> Dict[str, object]:
@@ -971,28 +975,13 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
     segments past the last operation are never entered.
     """
     wspec = YCSB_WORKLOADS[job.workload]
-    scale = ExperimentScale(
-        record_count=job.record_count,
-        operation_count=job.operation_count,
-        zipf_theta=job.theta,
-        seed=job.seed,
-    )
+    scale = _stream_scale(job)
     # The coordinator's compiled stream arrives by path and is opened
     # read-only (np.memmap): every worker shares the parent's single
     # compilation through the page cache.  A job handed no path
     # compiles the same stream itself.
     if job.ops_path is not None:
-        stream = open_ops(job.ops_path)
-        stream.require(
-            wspec,
-            job.record_count,
-            job.operation_count,
-            scale.value_size,
-            job.theta,
-            job.seed,
-            epochs=job.epochs,
-            hotspot_rotate_keys=job.hotspot_rotate_keys,
-        )
+        stream = _require_stream(open_ops(job.ops_path), job)
     else:
         stream = _compile_stream(job)
     rings = job.rings()
@@ -1086,35 +1075,9 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
     return payload
 
 
-def run_shard_job(job: ShardJob, in_worker: bool = False) -> Dict[str, object]:
-    """Run one shard job and return its mergeable payload.
-
-    Same hermetic-worker contract as
-    :func:`repro.parallel.worker.run_sweep_job`: the SIGKILL fault hook
-    only arms inside a sacrificial pool worker, and wall time flows
-    through the sanctioned timer.
-    """
-    if in_worker:
-        maybe_kill_once(
-            job.fault_kill_once_path, f"shard {job.shard} (job {job.index})"
-        )
-    holder: Dict[str, Dict[str, object]] = {}
-
-    def one_pass() -> None:
-        holder["result"] = _execute_shard(job)
-
-    with job_timeout(job.timeout_s, f"shard {job.shard} (job {job.index})"):
-        wall_s = best_of(1, one_pass)
-    return {
-        "job": job.as_dict(),
-        "result": holder["result"],
-        "wall_s": wall_s,
-    }
-
-
-def pool_run_shard_job(job: ShardJob) -> Dict[str, object]:
-    """Process-pool entry point (arms the worker-only fault hooks)."""
-    return run_shard_job(job, in_worker=True)
+#: The shard worker is the engine's one job runner; the name stays for
+#: callers that run a single shard job in-process.
+run_shard_job = run_job
 
 
 # -- cluster grids (coordinator side) --------------------------------------
@@ -1238,49 +1201,32 @@ def shard_jobs(
     every job at the coordinator's one compiled ``.ops`` stream — all
     grid runs share a workload, so one file serves them all.
     """
-    jobs: List[ShardJob] = []
-    index = 0
-    for plan in plans:
-        spec = plan.spec
-        for shard in range(spec.total_shards()):
-            jobs.append(
-                ShardJob(
-                    index=index,
-                    shard=shard,
-                    shards=spec.shards,
-                    workload=spec.workload,
-                    theta=spec.theta,
-                    seed=spec.seed,
-                    record_count=spec.record_count,
-                    operation_count=spec.operation_count,
-                    epochs=spec.epochs,
-                    budget_schedule=(
-                        plan.schedules[shard]
-                        if plan.schedules is not None
-                        else None
-                    ),
-                    membership=spec.membership,
-                    hotspot_rotate_keys=spec.hotspot_rotate_keys,
-                    timeout_s=timeout_s,
-                    ops_path=ops_path,
-                )
-            )
-            index += 1
-    return jobs
-
-
-def _materialize_grid_stream(grid: ClusterGrid, directory: str) -> str:
-    """Compile the grid's one op stream into ``directory``; return path.
-
-    Every spec of a :class:`ClusterGrid` shares the same workload
-    parameters (only shard count and battery vary), so the coordinator
-    compiles exactly once and both the planner's demand probe and every
-    shard worker replay the same memory-mapped arrays.
-    """
-    stream = _compile_stream(grid)
-    path = os.path.join(directory, "cluster.ops")
-    save_ops(stream, path)
-    return path
+    runs = [
+        (plan, shard)
+        for plan in plans
+        for shard in range(plan.spec.total_shards())
+    ]
+    return [
+        ShardJob(
+            index=index,
+            shard=shard,
+            shards=plan.spec.shards,
+            workload=plan.spec.workload,
+            theta=plan.spec.theta,
+            seed=plan.spec.seed,
+            record_count=plan.spec.record_count,
+            operation_count=plan.spec.operation_count,
+            epochs=plan.spec.epochs,
+            budget_schedule=(
+                plan.schedules[shard] if plan.schedules is not None else None
+            ),
+            membership=plan.spec.membership,
+            hotspot_rotate_keys=plan.spec.hotspot_rotate_keys,
+            timeout_s=timeout_s,
+            ops_path=ops_path,
+        )
+        for index, (plan, shard) in enumerate(runs)
+    ]
 
 
 def run_cluster_grid(
@@ -1299,16 +1245,16 @@ def run_cluster_grid(
     fault tests substitute doctored shard jobs (kill hooks) without
     widening the public surface.
 
-    The coordinator compiles the grid's op stream exactly once
-    (:func:`_materialize_grid_stream`): planning probes it in-process
-    (with per-epoch demand results cached across specs), and shard
-    workers open the same ``.ops`` file read-only by path.  The file
-    lives only for the duration of the run.
+    Every spec of a grid shares its workload parameters (only shard
+    count and battery vary), so the coordinator compiles the grid's op
+    stream exactly once: planning probes it in-process (with per-epoch
+    demand results cached across specs), and shard workers open the
+    same ``.ops`` file read-only by path.  The file lives only for the
+    duration of the run.
     """
-    from repro.cluster.report import build_cluster_report
-
     with tempfile.TemporaryDirectory(prefix="repro-ops-") as ops_dir:
-        ops_path = _materialize_grid_stream(grid, ops_dir)
+        ops_path = os.path.join(ops_dir, "cluster.ops")
+        save_ops(_compile_stream(grid), ops_path)
         stream = open_ops(ops_path)
         probe_cache: ProbeCache = {}
         plans = [
@@ -1324,8 +1270,6 @@ def run_cluster_grid(
             ]
         results, retries, total_wall_s = execute_jobs(
             job_list,
-            serial_runner=run_shard_job,
-            pool_entry=CLUSTER_POOL_ENTRY,
             jobs=jobs,
             max_retries=max_retries,
             progress=progress,
@@ -1341,7 +1285,6 @@ def run_cluster_grid(
 
 
 __all__ = [
-    "CLUSTER_POOL_ENTRY",
     "ClusterGrid",
     "ClusterPlan",
     "ClusterSpec",
@@ -1353,7 +1296,6 @@ __all__ = [
     "active_masks",
     "membership_rings",
     "plan_cluster",
-    "pool_run_shard_job",
     "probe_demands",
     "run_cluster_grid",
     "run_shard_job",

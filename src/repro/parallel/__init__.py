@@ -9,14 +9,14 @@ retries.  ``--jobs 1`` falls back to running every job in-process.
 """
 
 from repro.parallel.engine import SweepError, run_sweep
-from repro.parallel.grid import SweepGrid, SweepJob
+from repro.parallel.grid import SweepGrid
 from repro.parallel.report import (
     SWEEP_SCHEMA_VERSION,
     build_sweep_report,
     deterministic_view,
     dumps,
 )
-from repro.parallel.worker import run_sweep_job
+from repro.parallel.worker import SweepJob, run_job
 
 __all__ = [
     "SWEEP_SCHEMA_VERSION",
@@ -26,6 +26,6 @@ __all__ = [
     "build_sweep_report",
     "deterministic_view",
     "dumps",
+    "run_job",
     "run_sweep",
-    "run_sweep_job",
 ]

@@ -11,11 +11,11 @@ partial results is raised.
 :func:`execute_jobs` is the generic core; :func:`run_sweep` wraps it
 with the sweep grid's expansion and report, and
 :func:`repro.cluster.runner.run_cluster_grid` rides the same machinery
-with shard jobs (one shard per worker).  Pool workers are reached
-through :func:`_dispatch`, a module-top-level trampoline that resolves a
-``"module:function"`` entry name inside the child process — keeping
-every submitted callable picklable regardless of which subsystem
-supplied the job type.
+with shard jobs (one shard per worker).  Every job, of either kind, runs
+through :func:`repro.parallel.worker.run_job`: called directly at
+``jobs=1``, submitted to the pool by name otherwise — a module-top-level
+function, so it pickles by reference and the fork-safety lint resolves
+the whole worker tree from the submission site.
 
 Failure handling:
 
@@ -32,25 +32,19 @@ Failure handling:
 
 from __future__ import annotations
 
-import importlib
+import os
 import tempfile
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.parallel.grid import SweepGrid, SweepJob
+from repro.parallel.grid import SweepGrid
 from repro.parallel.report import build_sweep_report
-from repro.parallel.worker import materialize_ops_paths, run_sweep_job
+from repro.parallel.worker import Job, SweepJob, run_job
 from repro.perf.timer import best_of
+from repro.workloads.compiled import compile_workload, save_ops
+from repro.workloads.ycsb import YCSB_WORKLOADS
 
 Progress = Optional[Callable[[str], None]]
-
-#: Pool entry for plain sweep jobs (resolved by :func:`_dispatch`).
-SWEEP_POOL_ENTRY = "repro.parallel.worker:pool_run_job"
-
-
-class IndexedJob(Protocol):
-    """What the engine needs from a job descriptor: a stable index."""
-
-    index: int
 
 
 class SweepError(RuntimeError):
@@ -67,80 +61,61 @@ class SweepError(RuntimeError):
         self.failures = failures
 
 
-def _dispatch(entry: str, job: object) -> dict:
-    """Pool trampoline: resolve ``"module:function"`` in the child.
+class _Outcomes:
+    """One batch's results, failures and attempt counts, shared by the
+    serial and the pool runner."""
 
-    The engine cannot submit an arbitrary callable parameter (it may not
-    be picklable, and fork-safety lint requires a statically-resolvable
-    module-top-level entry), so callers hand over a dotted entry name
-    and the child process imports it fresh.
-    """
-    module_name, _, func_name = entry.partition(":")
-    if not module_name or not func_name:
-        raise ValueError(f"pool entry must be 'module:function': {entry!r}")
-    module = importlib.import_module(module_name)
-    runner = getattr(module, func_name)
-    result = runner(job)
-    if not isinstance(result, dict):
-        raise TypeError(
-            f"pool entry {entry!r} must return a payload dict, "
-            f"got {type(result).__name__}"
+    def __init__(self, total: int, max_retries: int, progress: Progress):
+        self.total = total
+        self.max_retries = max_retries
+        self.progress = progress
+        self.results: Dict[int, dict] = {}
+        self.failures: Dict[int, str] = {}
+        self.attempts: Dict[int, int] = {}
+        self.retries = 0
+
+    def notify(self, message: str) -> None:
+        if self.progress is not None:
+            self.progress(message)
+
+    def done(self, index: int, payload: dict) -> None:
+        self.results[index] = payload
+        self.notify(
+            f"job {index} done ({len(self.results)}/{self.total} complete)"
         )
-    return result
+
+    def charge(self, index: int, error: str) -> bool:
+        """Charge job ``index`` one failed attempt; True if it may run
+        again, False once its retries are spent (it is then a failure)."""
+        self.attempts[index] = self.attempts.get(index, 0) + 1
+        self.retries += 1
+        if self.attempts[index] > self.max_retries:
+            self.failures[index] = error
+            return False
+        return True
+
+    def raised(self, index: int, exc: Exception) -> bool:
+        """:meth:`charge` for a job that raised ``exc``."""
+        again = self.charge(index, repr(exc))
+        if again:
+            self.notify(f"job {index} failed ({exc!r}); retrying")
+        return again
 
 
-def _notify(progress: Progress, message: str) -> None:
-    if progress is not None:
-        progress(message)
-
-
-def _run_serial(
-    jobs: Sequence[IndexedJob],
-    runner: Callable[..., dict],
-    max_retries: int,
-    progress: Progress,
-    retries: List[int],
-) -> Dict[int, dict]:
-    results: Dict[int, dict] = {}
-    failures: Dict[int, str] = {}
+def _run_serial(jobs: Sequence[Job], outcomes: _Outcomes) -> None:
     for job in jobs:
-        for attempt in range(max_retries + 1):
+        while True:
             try:
-                results[job.index] = runner(job)
-                break
+                payload = run_job(job)
             except Exception as exc:  # noqa: BLE001 - job isolation boundary
-                retries[0] += 1
-                if attempt == max_retries:
-                    failures[job.index] = repr(exc)
-                else:
-                    _notify(
-                        progress,
-                        f"job {job.index} failed ({exc!r}); retrying",
-                    )
-        if job.index in results:
-            _notify(
-                progress,
-                f"job {job.index} done "
-                f"({len(results)}/{len(jobs)} complete)",
-            )
-    if failures:
-        raise SweepError(
-            f"{len(failures)} of {len(jobs)} jobs failed: "
-            f"{sorted(failures)}",
-            partial=results,
-            failures=failures,
-        )
-    return results
+                if outcomes.raised(job.index, exc):
+                    continue
+            else:
+                outcomes.done(job.index, payload)
+            break
 
 
-def _run_pool(
-    jobs: Sequence[IndexedJob],
-    pool_entry: str,
-    workers: int,
-    max_retries: int,
-    progress: Progress,
-    retries: List[int],
-) -> Dict[int, dict]:
+def _run_pool(jobs: Sequence[Job], workers: int, outcomes: _Outcomes) -> None:
     # Imported here so a process that never runs a pool never loads the
     # process-pool stack (concurrent.futures, multiprocessing, logging).
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -148,15 +123,12 @@ def _run_pool(
 
     by_index = {job.index: job for job in jobs}
     pending = sorted(by_index)
-    attempts = {index: 0 for index in pending}
-    results: Dict[int, dict] = {}
-    failures: Dict[int, str] = {}
-
+    results, failures = outcomes.results, outcomes.failures
     while pending:
         resubmit: List[int] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(_dispatch, pool_entry, by_index[index]): index
+                pool.submit(run_job, by_index[index], True): index
                 for index in pending
             }
             not_done = set(futures)
@@ -171,28 +143,15 @@ def _run_pool(
                         broken = True
                         continue
                     except Exception as exc:  # noqa: BLE001 - job boundary
-                        attempts[index] += 1
-                        retries[0] += 1
-                        if attempts[index] > max_retries:
-                            failures[index] = repr(exc)
-                        else:
+                        if outcomes.raised(index, exc):
                             resubmit.append(index)
-                            _notify(
-                                progress,
-                                f"job {index} failed ({exc!r}); retrying",
-                            )
                         continue
-                    results[index] = payload
-                    _notify(
-                        progress,
-                        f"job {index} done "
-                        f"({len(results)}/{len(jobs)} complete)",
-                    )
+                    outcomes.done(index, payload)
             if broken:
                 # The pool is poisoned: harvest whatever finished before
                 # the breakage, charge one attempt to every other
                 # unfinished job, and rebuild.
-                _notify(progress, "worker process died; rebuilding pool")
+                outcomes.notify("worker process died; rebuilding pool")
                 for future, index in futures.items():
                     if (
                         index in results
@@ -202,42 +161,25 @@ def _run_pool(
                         continue
                     if future.done() and future.exception() is None:
                         results[index] = future.result()
-                        continue
-                    attempts[index] += 1
-                    retries[0] += 1
-                    if attempts[index] > max_retries:
-                        failures[index] = "worker process died"
-                    else:
+                    elif outcomes.charge(index, "worker process died"):
                         resubmit.append(index)
         pending = sorted(resubmit)
 
-    if failures:
-        raise SweepError(
-            f"{len(failures)} of {len(jobs)} jobs failed: "
-            f"{sorted(failures)}",
-            partial=results,
-            failures=failures,
-        )
-    return results
-
 
 def execute_jobs(
-    job_list: Sequence[IndexedJob],
+    job_list: Sequence[Job],
     *,
-    serial_runner: Callable[..., dict],
-    pool_entry: str,
     jobs: int = 1,
     max_retries: int = 2,
     progress: Progress = None,
 ) -> Tuple[Dict[int, dict], int, float]:
     """Run every job and return ``(results, retries, total_wall_s)``.
 
-    ``serial_runner`` executes a job in-process (``jobs=1``);
-    ``pool_entry`` names the module-top-level pool entry point as
-    ``"module:function"`` — the two may arm different fault hooks (the
-    SIGKILL test hook only fires inside a sacrificial worker).  Job
-    indices must be unique; results are keyed by them.  Raises
-    :class:`SweepError` when any job exhausts its retries.
+    ``jobs=1`` runs each job in-process; otherwise a pool of ``jobs``
+    workers runs them, with the SIGKILL test hook armed (it only fires
+    inside a sacrificial worker).  Job indices must be unique; results
+    are keyed by them.  Raises :class:`SweepError` when any job exhausts
+    its retries.
     """
     if jobs <= 0:
         raise ValueError(f"jobs must be positive: {jobs}")
@@ -246,21 +188,57 @@ def execute_jobs(
     indices = [job.index for job in job_list]
     if len(set(indices)) != len(indices):
         raise ValueError("job indices must be unique")
-    holder: Dict[int, Dict[int, dict]] = {}
-    retries = [0]
+    outcomes = _Outcomes(len(job_list), max_retries, progress)
+    if jobs == 1:
+        total_wall_s = best_of(1, lambda: _run_serial(job_list, outcomes))
+    else:
+        total_wall_s = best_of(1, lambda: _run_pool(job_list, jobs, outcomes))
+    if outcomes.failures:
+        raise SweepError(
+            f"{len(outcomes.failures)} of {len(job_list)} jobs failed: "
+            f"{sorted(outcomes.failures)}",
+            partial=outcomes.results,
+            failures=outcomes.failures,
+        )
+    return outcomes.results, outcomes.retries, total_wall_s
 
-    def one_pass() -> None:
-        if jobs == 1:
-            holder[0] = _run_serial(
-                job_list, serial_runner, max_retries, progress, retries
-            )
-        else:
-            holder[0] = _run_pool(
-                job_list, pool_entry, jobs, max_retries, progress, retries
-            )
 
-    total_wall_s = best_of(1, one_pass)
-    return holder[0], retries[0], total_wall_s
+def materialize_ops_paths(
+    jobs: Sequence[SweepJob], directory: str
+) -> List[SweepJob]:
+    """Compile each distinct op stream of ``jobs`` once, into ``directory``.
+
+    Runs in the *parent* before any worker starts: jobs differing only
+    in budget share one ``.ops`` file, so a whole sweep generates its
+    workload exactly once instead of once per job.  Returns the jobs
+    with ``ops_path`` set (an execution detail — payload bytes cannot
+    change, because the worker checks the stream against the job).
+    """
+    paths: Dict[Tuple[str, float, int, int, int], str] = {}
+    out: List[SweepJob] = []
+    for job in jobs:
+        key = (
+            job.workload,
+            job.theta,
+            job.seed,
+            job.record_count,
+            job.operation_count,
+        )
+        path = paths.get(key)
+        if path is None:
+            stream = compile_workload(
+                YCSB_WORKLOADS[job.workload],
+                job.record_count,
+                job.operation_count,
+                value_size=job.scale().value_size,
+                theta=job.theta,
+                seed=job.seed,
+            )
+            path = os.path.join(directory, f"sweep-{len(paths)}.ops")
+            save_ops(stream, path)
+            paths[key] = path
+        out.append(replace(job, ops_path=path))
+    return out
 
 
 def run_sweep(
@@ -292,8 +270,6 @@ def run_sweep(
         job_list = materialize_ops_paths(job_list, ops_dir)
         results, retries, total_wall_s = execute_jobs(
             job_list,
-            serial_runner=run_sweep_job,
-            pool_entry=SWEEP_POOL_ENTRY,
             jobs=jobs,
             max_retries=max_retries,
             progress=progress,

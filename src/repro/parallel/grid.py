@@ -1,11 +1,12 @@
-"""Sweep grid and job descriptions.
+"""Sweep grid and its job expansion.
 
 A :class:`SweepGrid` is the full parameter space of one ``repro sweep``
 invocation — workloads x budget fractions x zipf thetas x seeds at one
 (record_count, operation_count) scale.  :meth:`SweepGrid.jobs` expands it
-into a deterministic, index-stamped list of :class:`SweepJob` descriptors;
-the job list (and therefore the merged report) depends only on the grid,
-never on how the jobs are scheduled.
+into a deterministic, index-stamped list of
+:class:`~repro.parallel.worker.SweepJob` descriptors; the job list (and
+therefore the merged report) depends only on the grid, never on how the
+jobs are scheduled.
 
 Budget fractions follow the repo-wide convention: a fraction of the
 initial heap (``None`` = the full-battery NV-DRAM baseline), labelled in
@@ -14,12 +15,14 @@ paper-equivalent GB via ``PAPER_HEAP_GB``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
+from repro.parallel.worker import SweepJob
 from repro.workloads.ycsb import YCSB_WORKLOADS
 
 #: The grid's list-valued fields, with the noun for one of their values.
@@ -43,43 +46,6 @@ def _require_real(name: str, value: object) -> None:
         or not math.isfinite(value)
     ):
         raise ValueError(f"{name}: expected a finite number, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SweepJob:
-    """One self-contained point of a sweep grid.
-
-    Carries everything a worker process needs to reproduce the run from
-    scratch; pickled across the process boundary.  ``index`` is the job's
-    position in the grid expansion and keys the merge order.
-    """
-
-    index: int
-    workload: str
-    budget_fraction: Optional[float]  # None = full-battery baseline
-    theta: float
-    seed: int
-    record_count: int
-    operation_count: int
-    timeout_s: Optional[float] = None
-    # Test hook: when set, a pool worker touches this file and SIGKILLs
-    # itself on the job's first attempt (see repro.parallel.worker).
-    fault_kill_once_path: Optional[str] = None
-    # Path to a pre-compiled ``.ops`` stream the worker opens read-only
-    # (np.memmap) instead of regenerating the ops.  Purely an execution
-    # detail — the stream is checked against the job's own parameters,
-    # so it can never change the payload.
-    ops_path: Optional[str] = None
-
-    def as_dict(self) -> Dict[str, object]:
-        data = asdict(self)
-        data.pop("timeout_s")
-        data.pop("fault_kill_once_path")
-        # An execution detail like timeout_s, never identity: the report
-        # bytes must not depend on whether a compiled stream backed the
-        # run.
-        data.pop("ops_path")
-        return data
 
 
 @dataclass(frozen=True)
@@ -141,26 +107,22 @@ class SweepGrid:
         Nesting order (workload, budget, theta, seed) is part of the
         on-disk contract: job indices key the merged report.
         """
-        out = []
-        index = 0
-        for workload in self.workloads:
-            for fraction in self.budget_fractions:
-                for theta in self.thetas:
-                    for seed in self.seeds:
-                        out.append(
-                            SweepJob(
-                                index=index,
-                                workload=workload,
-                                budget_fraction=fraction,
-                                theta=theta,
-                                seed=seed,
-                                record_count=self.record_count,
-                                operation_count=self.operation_count,
-                                timeout_s=timeout_s,
-                            )
-                        )
-                        index += 1
-        return tuple(out)
+        axes = itertools.product(
+            self.workloads, self.budget_fractions, self.thetas, self.seeds
+        )
+        return tuple(
+            SweepJob(
+                index=index,
+                workload=workload,
+                budget_fraction=fraction,
+                theta=theta,
+                seed=seed,
+                record_count=self.record_count,
+                operation_count=self.operation_count,
+                timeout_s=timeout_s,
+            )
+            for index, (workload, fraction, theta, seed) in enumerate(axes)
+        )
 
     def as_dict(self) -> Dict[str, object]:
         return {

@@ -83,31 +83,56 @@ def build_sweep_report(
 ) -> dict:
     """Merge per-job payloads into the checksummed sweep report.
 
-    ``results`` maps job index -> :func:`repro.parallel.worker.run_sweep_job`
+    ``results`` maps job index -> :func:`repro.parallel.worker.run_job`
     payload; iteration order is irrelevant, the merge sorts by index.
     """
-    expected = {job.index for job in grid.jobs()}
-    missing = expected - set(results)
-    if missing:
-        raise ValueError(f"results missing job indices: {sorted(missing)}")
-    jobs = []
-    job_wall_s: Dict[str, float] = {}
-    for index in sorted(results):
-        payload = results[index]
-        jobs.append({"job": payload["job"], "result": payload["result"]})
-        job_wall_s[str(index)] = round(payload["wall_s"], 6)
+    jobs = job_entries(results, len(grid.jobs()))
     report: Dict[str, object] = {
         "schema_version": SWEEP_SCHEMA_VERSION,
         "grid": grid.as_dict(),
         "jobs": jobs,
         "tables": {"throughput_vs_budget": _throughput_rows(jobs)},
     }
+    return seal(
+        report,
+        results,
+        workers=workers,
+        total_wall_s=total_wall_s,
+        retries=retries,
+    )
+
+
+def job_entries(results: Dict[int, dict], job_count: int) -> List[dict]:
+    """Each job's ``{job, result}`` in index order, refusing any gap in
+    ``0..job_count``."""
+    missing = set(range(job_count)) - set(results)
+    if missing:
+        raise ValueError(f"results missing job indices: {sorted(missing)}")
+    return [
+        {"job": results[index]["job"], "result": results[index]["result"]}
+        for index in range(job_count)
+    ]
+
+
+def seal(
+    report: Dict[str, object],
+    results: Dict[int, dict],
+    *,
+    workers: int,
+    total_wall_s: float,
+    retries: int,
+) -> dict:
+    """Checksum ``report``'s deterministic body, then add its ``wall``
+    block (per-job and total wall seconds, never checksummed)."""
     report["checksum_sha256"] = checksum(report)
     report["wall"] = {
         "workers": workers,
         "retries": retries,
         "total_wall_s": round(total_wall_s, 6),
-        "job_wall_s": job_wall_s,
+        "job_wall_s": {
+            str(index): round(results[index]["wall_s"], 6)
+            for index in sorted(results)
+        },
         "generated_at_unix": round(timestamp(), 3),
     }
     return report

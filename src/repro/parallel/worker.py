@@ -1,18 +1,15 @@
-"""Sweep worker: one self-contained job, executed from scratch.
+"""Job runner: one self-contained job, executed from scratch.
 
-:func:`run_sweep_job` is the module-level (picklable) entry point the
-engine submits to its process pool; it rebuilds the full simulation from
-the job's seed and runs it over the batched execution path.  Every
-simulated quantity in the returned payload is a pure function of the
-job, so a retried or re-scheduled job produces the identical payload —
-the foundation of the sweep's cross-``--jobs`` byte-identity.  Wall time
-is measured through :func:`repro.perf.timer.best_of` (the sanctioned
-wall-clock site) and reported separately.
-
-The fault-hook (:func:`maybe_kill_once`) and timeout
-(:func:`job_timeout`) helpers are shared with the cluster shard worker
-(:mod:`repro.cluster.runner`), which runs the same hermetic protocol
-over shard jobs.
+A job is a frozen, picklable descriptor whose :meth:`run` is its whole
+simulation — :class:`SweepJob` here, :class:`repro.cluster.runner.ShardJob`
+for cluster shards.  :func:`run_job` is the one module-level entry the
+engine calls in-process and submits to its process pool by name, so the
+fork-safety lint (P1) follows it through ``job.run()`` into every
+worker-reachable function.  Every simulated quantity in a payload is a
+pure function of the job, so a retried or re-scheduled job produces the
+identical payload — the foundation of cross-``--jobs`` byte-identity.
+Wall time is measured through :func:`repro.perf.timer.best_of` (the
+sanctioned wall-clock site) and reported separately.
 """
 
 from __future__ import annotations
@@ -21,18 +18,42 @@ import os
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Iterator, Optional, Protocol
 
 from repro.bench.runner import ExperimentScale, RunResult, run_workload
-from repro.parallel.grid import SweepJob
 from repro.perf.timer import best_of
-from repro.workloads.compiled import compile_workload, open_ops, save_ops
+from repro.workloads.compiled import open_ops
 from repro.workloads.ycsb import YCSB_WORKLOADS
+
+#: Job fields that steer execution but never enter a payload: the report
+#: bytes must not depend on a timeout, a test hook, or whether a compiled
+#: stream backed the run.
+EXECUTION_FIELDS = ("timeout_s", "fault_kill_once_path", "ops_path")
+
+
+class Job(Protocol):
+    """What the engine and :func:`run_job` need from a job descriptor."""
+
+    index: int
+    timeout_s: Optional[float]
+    fault_kill_once_path: Optional[str]
+
+    def run(self) -> Dict[str, object]: ...
+
+    def as_dict(self) -> Dict[str, object]: ...
 
 
 class SweepTimeout(RuntimeError):
     """A job exceeded its per-job timeout."""
+
+
+def job_identity(job: Any) -> Dict[str, object]:
+    """A job dataclass's fields less :data:`EXECUTION_FIELDS`."""
+    data = asdict(job)
+    for name in EXECUTION_FIELDS:
+        del data[name]
+    return data
 
 
 def result_payload(result: RunResult) -> Dict[str, object]:
@@ -64,6 +85,61 @@ def result_payload(result: RunResult) -> Dict[str, object]:
     }
 
 
+@dataclass(frozen=True)
+class SweepJob:
+    """One self-contained point of a sweep grid.
+
+    Carries everything a worker process needs to reproduce the run from
+    scratch; pickled across the process boundary.  ``index`` is the job's
+    position in the grid expansion and keys the merge order.
+    """
+
+    index: int
+    workload: str
+    budget_fraction: Optional[float]  # None = full-battery baseline
+    theta: float
+    seed: int
+    record_count: int
+    operation_count: int
+    timeout_s: Optional[float] = None
+    # Test hook: when set, a pool worker touches this file and SIGKILLs
+    # itself on the job's first attempt (see maybe_kill_once).
+    fault_kill_once_path: Optional[str] = None
+    # Path to a pre-compiled ``.ops`` stream the worker opens read-only
+    # (np.memmap) instead of regenerating the ops.  Purely an execution
+    # detail — the stream is checked against the job's own parameters,
+    # so it can never change the payload.
+    ops_path: Optional[str] = None
+
+    def scale(self) -> ExperimentScale:
+        return ExperimentScale(
+            record_count=self.record_count,
+            operation_count=self.operation_count,
+            zipf_theta=self.theta,
+            seed=self.seed,
+        )
+
+    def run(self) -> Dict[str, object]:
+        """Rebuild the simulation and replay the job's op stream."""
+        # A pre-compiled stream is opened read-only (np.memmap, mode="r"):
+        # any number of workers can share the parent's one compilation
+        # through the page cache, and nothing in a worker can write to it.
+        # A job handed no path compiles the same stream itself.
+        compiled = None
+        if self.ops_path is not None:
+            compiled = open_ops(self.ops_path)
+        result = run_workload(
+            YCSB_WORKLOADS[self.workload],
+            self.scale(),
+            self.budget_fraction,
+            compiled=compiled,
+        )
+        return result_payload(result)
+
+    def as_dict(self) -> Dict[str, object]:
+        return job_identity(self)
+
+
 def maybe_kill_once(path: Optional[str], label: str) -> None:
     """Fault hook: die hard on the first attempt, marked by a touch-file.
 
@@ -75,46 +151,6 @@ def maybe_kill_once(path: Optional[str], label: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"killed {label}\n")
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-def run_sweep_job(job: SweepJob, in_worker: bool = False) -> Dict[str, object]:
-    """Run one sweep job and return its mergeable payload.
-
-    ``in_worker`` is set by the pool entry point: the SIGKILL fault hook
-    and the SIGALRM timeout only arm inside a sacrificial worker process
-    (or, for the timeout, the main thread of a serial run).
-    """
-    if in_worker:
-        maybe_kill_once(job.fault_kill_once_path, f"job {job.index}")
-    spec = YCSB_WORKLOADS[job.workload]
-    scale = ExperimentScale(
-        record_count=job.record_count,
-        operation_count=job.operation_count,
-        zipf_theta=job.theta,
-        seed=job.seed,
-    )
-    # A pre-compiled stream is opened read-only (np.memmap, mode="r"):
-    # any number of workers can share the parent's one compilation
-    # through the page cache, and nothing in a worker can write to it.
-    # A job handed no path compiles the same stream itself.
-    compiled = open_ops(job.ops_path) if job.ops_path is not None else None
-    holder: Dict[str, RunResult] = {}
-
-    def one_pass() -> None:
-        holder["result"] = run_workload(
-            spec,
-            scale,
-            job.budget_fraction,
-            compiled=compiled,
-        )
-
-    with job_timeout(job.timeout_s, f"job {job.index} ({job.workload})"):
-        wall_s = best_of(1, one_pass)
-    return {
-        "job": job.as_dict(),
-        "result": result_payload(holder["result"]),
-        "wall_s": wall_s,
-    }
 
 
 @contextmanager
@@ -152,50 +188,25 @@ def job_timeout(timeout_s: Optional[float], label: str) -> Iterator[None]:
         )
 
 
-def pool_run_job(job: SweepJob) -> Dict[str, object]:
-    """Process-pool entry point (arms the worker-only fault hooks)."""
-    return run_sweep_job(job, in_worker=True)
+def run_job(job: Job, in_worker: bool = False) -> Dict[str, object]:
+    """Run one job and return its mergeable ``{job, result, wall_s}``.
 
-
-def materialize_ops_paths(
-    jobs: Sequence[SweepJob], directory: str
-) -> List[SweepJob]:
-    """Compile each distinct op stream of ``jobs`` once, into ``directory``.
-
-    Runs in the *parent* before any worker starts: jobs differing only
-    in budget share one ``.ops`` file, so a whole sweep generates its
-    workload exactly once instead of once per job.  Returns the jobs
-    with ``ops_path`` set (an execution detail — payload bytes cannot
-    change, because the worker checks the stream against the job).
+    ``in_worker`` is set when the engine submits the job to its pool:
+    the SIGKILL fault hook only arms inside a sacrificial worker
+    process.  The SIGALRM timeout arms on any main thread.
     """
-    paths: Dict[Tuple[str, float, int, int, int], str] = {}
-    out: List[SweepJob] = []
-    for job in jobs:
-        key = (
-            job.workload,
-            job.theta,
-            job.seed,
-            job.record_count,
-            job.operation_count,
-        )
-        path = paths.get(key)
-        if path is None:
-            scale = ExperimentScale(
-                record_count=job.record_count,
-                operation_count=job.operation_count,
-                zipf_theta=job.theta,
-                seed=job.seed,
-            )
-            stream = compile_workload(
-                YCSB_WORKLOADS[job.workload],
-                job.record_count,
-                job.operation_count,
-                value_size=scale.value_size,
-                theta=job.theta,
-                seed=job.seed,
-            )
-            path = os.path.join(directory, f"sweep-{len(paths)}.ops")
-            save_ops(stream, path)
-            paths[key] = path
-        out.append(replace(job, ops_path=path))
-    return out
+    label = f"job {job.index}"
+    if in_worker:
+        maybe_kill_once(job.fault_kill_once_path, label)
+    holder: Dict[str, Dict[str, object]] = {}
+
+    def one_pass() -> None:
+        holder["result"] = job.run()
+
+    with job_timeout(job.timeout_s, label):
+        wall_s = best_of(1, one_pass)
+    return {
+        "job": job.as_dict(),
+        "result": holder["result"],
+        "wall_s": wall_s,
+    }

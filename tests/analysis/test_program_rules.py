@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import shutil
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import lint_project
+from repro.analysis.callgraph import ProjectIndex
 from repro.analysis.program_rules import (
     ForkSafetyRule,
     RNGStreamRule,
@@ -327,3 +332,58 @@ class TestP1ForkSafety:
         report = lint_with([SRC / "repro"], ForkSafetyRule)
         assert findings(report, "P1") == []
 
+
+
+def plant_global_append(path, function):
+    """Add a module-level list to ``path`` and append to it as the first
+    statement of ``function``'s body (after any docstring)."""
+    source = path.read_text(encoding="utf-8")
+    node = next(
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    body = node.body
+    if ast.get_docstring(node) is not None:
+        body = body[1:]
+    lines = source.splitlines(keepends=True)
+    lines.insert(
+        body[0].lineno - 1, " " * body[0].col_offset + "_PLANTED.append(1)\n"
+    )
+    lines.append("\n_PLANTED = []\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+class TestP1ShippedWorkerTree:
+    """P1 over the shipped package sees the worker code, not a trampoline."""
+
+    def test_run_job_is_the_one_pool_entry(self):
+        project = ProjectIndex.from_paths([SRC / "repro"])
+        entries = ForkSafetyRule().pool_entries(project)
+        assert entries == ["repro.parallel.worker.run_job"]
+        tree = project.graph.reachable(entries)
+        assert "repro.bench.runner.run_workload" in tree
+        assert "repro.cluster.runner._execute_shard" in tree
+
+    @pytest.mark.parametrize(
+        "relpath, function",
+        [
+            ("cluster/runner.py", "_execute_shard"),
+            ("bench/runner.py", "run_workload"),
+        ],
+    )
+    def test_planted_worker_global_write_is_flagged(
+        self, tmp_path, relpath, function
+    ):
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            SRC / "repro", copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        plant_global_append(copy / relpath, function)
+        report = lint_with([copy], ForkSafetyRule)
+        planted = [
+            v for v in findings(report, "P1") if "`_PLANTED`" in v.message
+        ]
+        assert len(planted) == 1, [v.render() for v in findings(report, "P1")]
+        assert planted[0].path.endswith(relpath)
+        assert function in planted[0].message

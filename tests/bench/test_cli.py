@@ -96,6 +96,12 @@ class TestSpecValidationErrors:
             ),
             (["ycsb", "--workloads", "Z"], UNKNOWN_WORKLOAD),
             (["sweep", "--workloads", "Z"], UNKNOWN_WORKLOAD),
+            (["cluster", "--workload", "Z"], UNKNOWN_WORKLOAD),
+            (["compile", "--workload", "Z", "--out", "z.ops"], UNKNOWN_WORKLOAD),
+            (
+                ["cluster", "--membership", "1:add"],
+                "bad membership entry '1:add': expected EPOCH:add|remove:SHARD",
+            ),
             (
                 ["sweep", "--grid", "mistyped-grid.json"],
                 "seeds: expected an integer, got 1.5",
@@ -140,6 +146,9 @@ class TestSpecValidationErrors:
             "compile-out-unwritable",
             "ycsb-unknown-workload",
             "sweep-unknown-workload",
+            "cluster-unknown-workload",
+            "compile-unknown-workload",
+            "cluster-membership-malformed",
             "sweep-grid-mistyped",
             "ycsb-duplicate-budgets",
             "cluster-budget-inf",

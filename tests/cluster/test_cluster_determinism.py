@@ -100,18 +100,12 @@ def test_compiled_streams_match_generator_byte_for_byte(serial_report):
     own copy (no ``ops_path``) must merge to an identical report.
     """
     from repro.cluster.report import build_cluster_report
-    from repro.cluster.runner import CLUSTER_POOL_ENTRY, run_shard_job
     from repro.parallel.engine import execute_jobs
 
     plans = [plan_cluster(spec) for spec in GRID.specs()]
     job_list = shard_jobs(plans)
     assert all(job.ops_path is None for job in job_list)
-    results, retries, total_wall_s = execute_jobs(
-        job_list,
-        serial_runner=run_shard_job,
-        pool_entry=CLUSTER_POOL_ENTRY,
-        jobs=1,
-    )
+    results, retries, total_wall_s = execute_jobs(job_list, jobs=1)
     legacy = build_cluster_report(
         GRID, plans, results, workers=1,
         total_wall_s=total_wall_s, retries=retries,

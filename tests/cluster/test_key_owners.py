@@ -103,8 +103,9 @@ def test_plan_builds_one_ring_per_distinct_ring(monkeypatch):
 
 
 def test_grid_builds_one_ring_schedule_for_all_budgets(monkeypatch):
-    """A grid's plans share one ring schedule and one probe: 3 budgets,
-    one membership change, 2 rings built (not 2 per budget)."""
+    """A grid's plans share one ring schedule, one probe and one set of
+    ownership tables: 3 budgets, one membership change, 2 rings built
+    and 2 full-keyspace routing passes (not 2 per budget)."""
 
     class Planned(Exception):
         pass
@@ -119,8 +120,16 @@ def test_grid_builds_one_ring_schedule_for_all_budgets(monkeypatch):
         probes.append(spec.total_budget_fraction)
         return real_probe(spec, rings, stream)
 
+    routed = []
+    real_route = HashRing.shard_for_rows
+
+    def counting_route(self, rows):
+        routed.append(len(rows))
+        return real_route(self, rows)
+
     built = _count_rings(monkeypatch)
     monkeypatch.setattr(cluster_runner, "_probe", counting_probe)
+    monkeypatch.setattr(HashRing, "shard_for_rows", counting_route)
     monkeypatch.setattr(cluster_runner, "execute_jobs", stop_after_planning)
     grid = ClusterGrid(
         shard_counts=(4,),
@@ -135,3 +144,5 @@ def test_grid_builds_one_ring_schedule_for_all_budgets(monkeypatch):
     assert planned.value.args == (12,)  # 3 budgets x 4 shards planned
     assert len(built) == 2, built
     assert probes == [None]  # the first spec's probe serves all three
+    # YCSB-A inserts nothing: every routing pass is a loaded-key table.
+    assert routed == [grid.record_count] * 2, routed

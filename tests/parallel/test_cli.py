@@ -1,4 +1,5 @@
-"""``repro sweep``: determinism, grid files, interrupts and failures."""
+"""``repro sweep`` and ``repro cluster``: determinism, grid files,
+interrupts and failures."""
 
 from __future__ import annotations
 
@@ -81,3 +82,50 @@ class TestSweepCommand:
         assert "sweep failed" in err
         assert "partial results: 2 of" in err
 
+
+
+class TestClusterCommand:
+    """``repro cluster`` shares the sweep's run tail: flags, exit codes,
+    the failure lines and the checksum line."""
+
+    CLUSTER_ARGS = [
+        "cluster", "--shards", "2", "--total-budgets-gb", "2",
+        "--records", "200", "--ops", "400", "--epochs", "2",
+    ]
+
+    def test_strip_wall_out_and_checksum_line(self, capsys, tmp_path):
+        out = tmp_path / "cluster.json"
+        argv = self.CLUSTER_ARGS + ["--out", str(out), "--strip-wall"]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert "wall" not in report
+        printed = capsys.readouterr().out
+        assert f"cluster checksum: {report['checksum_sha256']}" in printed
+        assert f"wrote {out}" in printed
+
+    def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys):
+        import repro.cluster
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(repro.cluster, "run_cluster_grid", interrupted)
+        assert main(self.CLUSTER_ARGS) == 130
+        assert "cluster interrupted" in capsys.readouterr().err
+
+    def test_failure_reports_partial_results(self, monkeypatch, capsys):
+        import repro.cluster
+        from repro.parallel import SweepError
+
+        def doomed(grid, **kwargs):
+            raise SweepError(
+                "1 of 3 jobs failed",
+                partial={0: {}, 2: {}},
+                failures={1: "boom"},
+            )
+
+        monkeypatch.setattr(repro.cluster, "run_cluster_grid", doomed)
+        assert main(self.CLUSTER_ARGS) == 1
+        err = capsys.readouterr().err
+        assert "cluster failed: 1 of 3 jobs failed" in err
+        assert "partial results: 2 of 3 job(s) completed (failed: [1])" in err

@@ -21,7 +21,7 @@ from repro.parallel import (
     run_sweep,
 )
 from repro.parallel.report import build_sweep_report, checksum
-from repro.parallel.worker import run_sweep_job
+from repro.parallel.worker import run_job
 
 GRID = SweepGrid(
     workloads=("YCSB-A",),
@@ -145,8 +145,8 @@ def test_serial_retry_exhaustion_raises(monkeypatch):
 
 
 def test_job_payload_is_pure(serial_report):
-    payload = run_sweep_job(GRID.jobs()[0])
-    again = run_sweep_job(GRID.jobs()[0])
+    payload = run_job(GRID.jobs()[0])
+    again = run_job(GRID.jobs()[0])
     payload.pop("wall_s")
     again.pop("wall_s")
     assert payload == again

@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import ClusterGrid, plan_cluster, shard_jobs
 from repro.cluster.runner import run_shard_job
 from repro.parallel import SweepGrid
-from repro.parallel.worker import SweepTimeout, job_timeout, run_sweep_job
+from repro.parallel.worker import SweepTimeout, job_timeout, run_job
 
 SWEEP = SweepGrid(
     workloads=("YCSB-A",),
@@ -51,7 +51,7 @@ def sentinel():
 
 def test_serial_sweep_job_restores_the_hosts_handler(sentinel):
     job = SWEEP.jobs(timeout_s=60.0)[0]
-    payload = run_sweep_job(job)
+    payload = run_job(job)
     assert payload["result"]["ops_executed"] == 400
     assert signal.getsignal(signal.SIGALRM) is sentinel
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
